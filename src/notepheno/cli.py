@@ -12,8 +12,6 @@ import time
 from datetime import datetime
 from pathlib import Path
 
-import yaml
-
 from . import adjudication, bench, corpus, evaluation, preprocess, prompting
 from .adjudication import (
     DocumentVerdict,
@@ -116,6 +114,8 @@ def _config_hash(resolved: dict) -> str:
 def _load_config(path) -> dict:
     if not path:
         return {}
+    import yaml  # only runs that pass --config pay for the import
+
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if raw is None:
         return {}

@@ -2,18 +2,19 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import random
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .preprocess import sentence_spans
 
@@ -92,11 +93,30 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
+class _ThreadConnection:
+    """One thread's keep-alive connection, closed when that thread's locals go."""
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
+# A reused keep-alive connection the server has since closed fails with one of
+# these before any response arrives (http.client.RemoteDisconnected is a
+# ConnectionResetError).
+_STALE_CONNECTION_ERRORS = (BrokenPipeError, ConnectionResetError)
+
+
 class HttpBackend:
     """Completion client for a local inference server's completion route.
 
-    Transient transport failures (connection errors, timeouts, 5xx) are retried
-    with exponential backoff; 4xx error payloads are surfaced immediately.
+    Each worker thread keeps one keep-alive connection. Transient transport
+    failures (connection errors, timeouts, 5xx) are retried with exponential
+    backoff; 4xx error payloads, 3xx redirects and malformed 200 bodies are
+    surfaced immediately. Proxy environment variables are not consulted, and
+    HTTPS verifies against the system CA store.
     """
 
     def __init__(
@@ -107,14 +127,22 @@ class HttpBackend:
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff_s: float = 0.5,
-        session: requests.Session | None = None,
     ) -> None:
         self.url = base_url.rstrip("/") + route
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"backend URL must be http:// or https://, got {self.url!r}")
+        self._connection_cls = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host = parts.hostname
+        self._port = parts.port or self._connection_cls.default_port
+        self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._local = threading.local()
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.session = session or requests.Session()
         self.backend_id = f"http:{self.url}"
 
     @classmethod
@@ -146,38 +174,78 @@ class HttpBackend:
                     return message["content"]
         raise BackendError(f"unrecognized completion payload: {str(payload)[:200]}")
 
+    def _connection(self) -> http.client.HTTPConnection:
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = self._local.held = _ThreadConnection(
+                self._connection_cls(self._host, self._port, timeout=self.timeout)
+            )
+        return held.conn
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """POST on this thread's connection; (status, body) of the reply.
+
+        A reused connection that fails before any response arrives is closed
+        and the request resent once on a new one: keep-alive servers close
+        idle connections, and that costs neither a retry nor a backoff.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None  # a closed connection reconnects on request()
+        try:
+            try:
+                conn.request("POST", self._path, body, headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._path, body, headers)
+                response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            # A failed exchange leaves the connection mid-message; the next
+            # request must start on a new one.
+            conn.close()
+            raise
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         params = request.params
-        body = {
-            "model": params.model_id,
-            "prompt": request.prompt,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
-            "top_k": params.top_k,
-            "max_tokens": params.max_new_tokens,
-        }
+        body = json.dumps(
+            {
+                "model": params.model_id,
+                "prompt": request.prompt,
+                "temperature": params.temperature,
+                "top_p": params.top_p,
+                "top_k": params.top_k,
+                "max_tokens": params.max_new_tokens,
+            }
+        ).encode("utf-8")
+        headers = self._headers()
         started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
-                response = self.session.post(
-                    self.url, json=body, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
-            if 400 <= response.status_code < 500:
-                raise BackendError(
-                    f"backend rejected request ({response.status_code}): {response.text[:200]}"
-                )
-            if response.status_code >= 500:
-                last_error = TransportError(f"server error {response.status_code}")
-                logger.warning("server error %d (attempt %d)", response.status_code, attempt + 1)
+            if status >= 500:
+                last_error = TransportError(f"server error {status}")
+                logger.warning("server error %d (attempt %d)", status, attempt + 1)
                 continue
-            text = self._extract_text(response.json())
+            if status >= 300:  # 4xx, and 3xx: redirects are not followed
+                raise BackendError(
+                    f"backend rejected request ({status}): "
+                    f"{data.decode('utf-8', errors='replace')[:200]}"
+                )
+            try:
+                payload = json.loads(data)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise BackendError(f"completion body is not JSON: {data[:200]!r}") from exc
+            text = self._extract_text(payload)
             latency = (time.monotonic() - started) * 1000.0
             return CompletionResponse(text=text, latency_ms=latency, backend_id=self.backend_id)
         raise TransportError(f"backend unreachable after {self.max_retries + 1} attempts") from last_error
@@ -218,9 +286,10 @@ class ResponseCache:
 
     def put(self, request: CompletionRequest, text: str) -> None:
         # Concurrent writers of the same key both land the same content;
-        # os.replace keeps readers from ever seeing a partial file.
+        # os.replace keeps readers from ever seeing a partial file. Each
+        # writer, thread or process, fills its own temporary file.
         path = self._path(self.key(request))
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+        tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
 
@@ -234,13 +303,16 @@ class CachedBackend:
         self.backend_id = inner.backend_id
         self.hits = 0
         self.misses = 0
+        self._count_lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         cached = self.cache.get(request)
         if cached is not None:
-            self.hits += 1
+            with self._count_lock:
+                self.hits += 1
             return CompletionResponse(text=cached, latency_ms=0.0, backend_id=self.backend_id)
-        self.misses += 1
+        with self._count_lock:
+            self.misses += 1
         response = self.inner.complete(request)
         self.cache.put(request, response.text)
         return response

@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 __all__ = [
     "ClinicalRule",
     "ConditionProfile",
@@ -265,6 +263,8 @@ def load_profiles(path) -> list[ConditionProfile]:
     The file holds a top-level ``profiles`` list; each entry mirrors the
     ConditionProfile fields. Unlisted conditions are not implied.
     """
+    import yaml  # only runs that pass --profiles pay for the import
+
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or "profiles" not in raw:
         raise ValueError(f"{path}: expected a top-level 'profiles' list")

@@ -1,7 +1,11 @@
-"""Shared fixtures: tiny hand-built cohorts and a scripted backend."""
+"""Shared fixtures: tiny hand-built cohorts, a scripted backend and a scripted server."""
 from __future__ import annotations
 
+import json
+import socket
+import threading
 from datetime import date, datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -33,6 +37,99 @@ class FailingBackend:
 
     def complete(self, request):
         raise RuntimeError("backend down")
+
+
+DROP = "drop"  # server outcome: read the request, close the connection, send nothing
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless an outcome closes the connection
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.opened(self.connection)
+
+    def do_POST(self):  # noqa: N802 (http.server naming)
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        outcome = self.server.next_outcome(dict(self.headers), body)
+        if outcome == DROP:
+            self.close_connection = True
+            return
+        status, payload = outcome
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+class ScriptedServer(ThreadingHTTPServer):
+    """Local completion server that answers POSTs with scripted outcomes.
+
+    Each outcome is DROP or (status, payload), payload being a JSON-able
+    object or raw bytes. Outcomes are used in order and the last one repeats.
+    The server counts the requests and the connections it accepted.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, outcomes):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.outcomes = list(outcomes)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.connections = 0
+        self.received = []  # (headers, body) per request
+        self._sockets = []
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def opened(self, sock):
+        with self.lock:
+            self.connections += 1
+            self._sockets.append(sock)
+
+    def next_outcome(self, headers, body):
+        with self.lock:
+            self.calls += 1
+            self.received.append((headers, body))
+            return self.outcomes.pop(0) if len(self.outcomes) > 1 else self.outcomes[0]
+
+    def close_idle_connections(self):
+        """Close every accepted connection, as a server's keep-alive timeout does."""
+        with self.lock:
+            sockets, self._sockets = self._sockets, []
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the handler already closed it
+                pass
+
+
+@pytest.fixture
+def scripted_server():
+    """Start ScriptedServer(outcomes) on a free port; shut down at teardown."""
+    started = []
+
+    def start(outcomes):
+        server = ScriptedServer(outcomes)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture

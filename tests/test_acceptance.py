@@ -303,3 +303,41 @@ def test_criterion_8_warm_cache_determinism(tmp_path):
             assert (tmp_path / "det1" / name).read_bytes() == (
                 tmp_path / "det2" / name
             ).read_bytes()
+
+
+def test_criterion_8_warm_cache_determinism_parallelism_4(tmp_path):
+    """Criterion 8 with four workers writing and reading the cache at once."""
+    corpus = tmp_path / "corpus"
+    cache = tmp_path / "cache"
+    assert main([
+        "synth", "--out", str(corpus), "--n-patients", "60",
+        "--prevalence", "diabetes=0.3", "--seed", "21",
+    ]) == 0
+    assert main([
+        "profile", "--corpus", str(corpus), "--m", "30", "--seed", "21",
+        "--mock", "--parallelism", "4", "--out", str(tmp_path / "profile.csv"),
+    ]) == 0
+    assert main([
+        "preprocess", "--corpus", str(corpus),
+        "--profile-csv", str(tmp_path / "profile.csv"),
+        "--percentile", "q1", "--out", str(tmp_path / "prep"),
+    ]) == 0
+
+    def detect(out):
+        assert main([
+            "detect", "--corpus", str(corpus), "--merged", str(tmp_path / "prep"),
+            "--mode", "all", "--condition", "diabetes", "--mock", "--parallelism", "4",
+            "--cache-dir", str(cache), "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest_detect.json").read_text())
+        return manifest["backend_requests"]
+
+    cold_requests = detect(tmp_path / "det1")
+    warm_requests = detect(tmp_path / "det2")
+    assert cold_requests > 0
+    assert warm_requests == 0
+    for mode in ("prompt1", "prompt2", "merged"):
+        name = f"detect_{mode}_diabetes.jsonl"
+        assert (tmp_path / "det1" / name).read_bytes() == (
+            tmp_path / "det2" / name
+        ).read_bytes()

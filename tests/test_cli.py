@@ -1,11 +1,17 @@
 """End-to-end CLI behaviour: stage artifacts, exit codes, config handling."""
 import csv
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import notepheno
 from notepheno.cli import main
+from notepheno.inference import CachedBackend
 
 
 def _run(*argv):
@@ -211,6 +217,65 @@ def test_missing_backend_exits_2(pipeline_dirs, tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "no backend configured" in capsys.readouterr().err
+
+
+def test_detect_malformed_backend_reply_exits_2(pipeline_dirs, tmp_path, capsys, scripted_server):
+    server = scripted_server([(200, b"<html><body>502 Bad Gateway</body></html>")])
+    code = _run(
+        "detect",
+        "--corpus", str(pipeline_dirs / "corpus"),
+        "--merged", str(pipeline_dirs / "prep"),
+        "--condition", "diabetes",
+        "--backend-url", server.url,
+        "--parallelism", "1",
+        "--out", str(tmp_path / "det"),
+    )
+    assert code == 2
+    assert "not JSON" in capsys.readouterr().err
+
+
+def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_path, monkeypatch):
+    calls = []
+    lock = threading.Lock()
+    inner = CachedBackend.complete
+
+    def counting(self, request):
+        with lock:
+            calls.append(request.prompt)
+        return inner(self, request)
+
+    monkeypatch.setattr(CachedBackend, "complete", counting)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the worker threads often
+    try:
+        for run in ("cold", "warm"):  # the warm run repeats every cold prompt
+            before = len(calls)
+            assert _run(
+                "detect",
+                "--corpus", str(pipeline_dirs / "corpus"),
+                "--merged", str(pipeline_dirs / "prep"),
+                "--mode", "all",
+                "--mock",
+                "--parallelism", "4",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(tmp_path / run),
+            ) == 0
+            manifest = json.loads((tmp_path / run / "manifest_detect.json").read_text())
+            made = len(calls) - before
+            assert manifest["backend_requests"] + manifest["cache_hits"] == made
+    finally:
+        sys.setswitchinterval(switch)
+    assert manifest["cache_hits"] == made  # warm: every call was a hit
+
+
+def test_cli_import_loads_neither_requests_nor_yaml():
+    env = dict(os.environ, PYTHONPATH=str(Path(notepheno.__file__).parents[1]))
+    probe = "import sys, notepheno.cli; print(sorted({'requests', 'yaml'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):

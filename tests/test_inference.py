@@ -1,11 +1,13 @@
 """Backends, caching, chunking, and the deterministic mock."""
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
+from conftest import DROP
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from notepheno import inference
 from notepheno.inference import (
     BackendError,
     CachedBackend,
@@ -72,73 +74,109 @@ def test_chunks_concatenate_to_input(text, budget):
 
 
 # -- http backend ------------------------------------------------------------
+# Against a real local server (conftest.ScriptedServer); backoff sleeps are
+# recorded instead of slept.
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = 0
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls += 1
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(inference.time, "sleep", slept.append)
+    return slept
 
 
-def _backend(session, **kwargs):
-    kwargs.setdefault("backoff_s", 0.0)
-    return HttpBackend("http://localhost:9", session=session, **kwargs)
-
-
-def test_http_success_payload_shapes():
-    for payload in (
+def test_http_success_payload_shapes(scripted_server):
+    payloads = (
         {"text": "ok"},
         {"completion": "ok"},
         {"choices": [{"text": "ok"}]},
         {"choices": [{"message": {"content": "ok"}}]},
-    ):
-        session = _FakeSession([_FakeResponse(200, payload)])
-        response = _backend(session).complete(CompletionRequest("p"))
-        assert response.text == "ok"
-
-
-def test_http_4xx_not_retried():
-    session = _FakeSession([_FakeResponse(400, text="bad request")])
-    with pytest.raises(BackendError, match="400"):
-        _backend(session).complete(CompletionRequest("p"))
-    assert session.calls == 1
-
-
-def test_http_5xx_retried_then_succeeds():
-    session = _FakeSession(
-        [_FakeResponse(503), requests.ConnectionError("boom"), _FakeResponse(200, {"text": "ok"})]
     )
-    response = _backend(session).complete(CompletionRequest("p"))
+    server = scripted_server([(200, payload) for payload in payloads])
+    backend = HttpBackend(server.url, api_key="secret")
+    for _ in payloads:
+        assert backend.complete(CompletionRequest("p")).text == "ok"
+    assert server.connections == 1  # one keep-alive connection carried all four
+    headers, body = server.received[0]
+    assert headers["Authorization"] == "Bearer secret"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "local-completion-model",
+        "prompt": "p",
+        "temperature": 0.5,
+        "top_p": 0.9,
+        "top_k": 50,
+        "max_tokens": 512,
+    }
+
+
+def test_http_4xx_not_retried(scripted_server, sleeps):
+    for status, body in ((400, b"bad request"), (307, b"moved")):  # redirects not followed
+        server = scripted_server([(status, body)])
+        with pytest.raises(BackendError, match=f"{status}.*{body.decode()}"):
+            HttpBackend(server.url).complete(CompletionRequest("p"))
+        assert server.calls == 1
+    assert sleeps == []
+
+
+def test_http_5xx_retried_then_succeeds(scripted_server, sleeps):
+    server = scripted_server([(503, {"error": "busy"}), DROP, (200, {"text": "ok"})])
+    response = HttpBackend(server.url, backoff_s=0.25).complete(CompletionRequest("p"))
     assert response.text == "ok"
-    assert session.calls == 3
+    assert server.calls == 3
+    # The drop hit the connection the 503 kept alive, so the request was
+    # resent at once on a new one: one backoff in all.
+    assert sleeps == [0.25]
 
 
-def test_http_exhausted_retries_raise_transport_error():
-    session = _FakeSession([requests.ConnectionError("boom")] * 4)
+def test_http_exhausted_retries_raise_transport_error(scripted_server, sleeps):
+    server = scripted_server([DROP])
     with pytest.raises(TransportError, match="after 4 attempts"):
-        _backend(session).complete(CompletionRequest("p"))
+        HttpBackend(server.url, backoff_s=0.25).complete(CompletionRequest("p"))
+    assert server.calls == 4  # a drop on a new connection is a failed attempt
+    assert sleeps == [0.25, 0.5, 1.0]
 
 
-def test_http_unrecognized_payload():
-    session = _FakeSession([_FakeResponse(200, {"weird": 1})])
-    with pytest.raises(BackendError, match="unrecognized"):
-        _backend(session).complete(CompletionRequest("p"))
+def test_http_unrecognized_payload(scripted_server):
+    for payload, message in (
+        ({"weird": 1}, "unrecognized"),
+        (b"<html><body>502 Bad Gateway</body></html>", "not JSON"),
+        (b"\x80\x81 not utf-8", "not JSON"),
+    ):
+        server = scripted_server([(200, payload)])
+        with pytest.raises(BackendError, match=message):
+            HttpBackend(server.url).complete(CompletionRequest("p"))
+        assert server.calls == 1
+
+
+def test_http_url_scheme_selects_transport(scripted_server):
+    with pytest.raises(BackendError, match="http"):
+        HttpBackend("localhost:8000")
+    server = scripted_server([(200, {"text": "ok"})])
+    tls = HttpBackend(server.url.replace("http://", "https://"), max_retries=0)
+    with pytest.raises(TransportError):
+        tls.complete(CompletionRequest("p"))
+    assert server.calls == 0  # the plain-HTTP server got a TLS handshake, not a POST
+
+
+def test_http_idle_connection_closed_by_server_is_replaced_without_backoff(
+    scripted_server, sleeps
+):
+    server = scripted_server([(200, {"text": "first"}), (200, {"text": "second"})])
+    backend = HttpBackend(server.url, backoff_s=30.0)
+    assert backend.complete(CompletionRequest("p")).text == "first"
+    server.close_idle_connections()
+    assert backend.complete(CompletionRequest("p")).text == "second"
+    assert sleeps == []
+    assert (server.calls, server.connections) == (2, 2)
+
+
+def test_http_threads_keep_one_connection_each(scripted_server):
+    server = scripted_server([(200, {"text": "ok"})])
+    backend = HttpBackend(server.url)
+    responses = run_parallel(backend, [CompletionRequest(f"q{i}") for i in range(40)], 4)
+    assert [r.text for r in responses] == ["ok"] * 40
+    assert server.calls == 40
+    assert server.connections <= 4
 
 
 # -- cache -------------------------------------------------------------------
@@ -176,6 +214,22 @@ def test_cached_backend_warm_cache_hits(tmp_path):
     rewarmed.complete(CompletionRequest("hello"))
     assert rewarmed.inner.calls == 0
     assert rewarmed.misses == 0
+
+
+def test_cache_put_same_key_from_many_threads(tmp_path):
+    cache = ResponseCache(tmp_path)
+    request = CompletionRequest("same prompt")
+
+    def write(_):
+        for _ in range(200):
+            cache.put(request, "same answer")
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(write, i) for i in range(8)]
+        for future in futures:
+            future.result(timeout=60)
+    assert cache.get(request) == "same answer"
+    assert [p.name for p in tmp_path.iterdir()] == [f"{ResponseCache.key(request)}.txt"]
 
 
 # -- mock backend ------------------------------------------------------------
