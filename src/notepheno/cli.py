@@ -6,13 +6,16 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import sys
 import time
+from collections import Counter
+from concurrent.futures import Executor
 from datetime import datetime
 from pathlib import Path
 
-from . import adjudication, bench, corpus, evaluation, preprocess, prompting
+from . import evaluation
 from .adjudication import (
     DocumentVerdict,
     InferredStatus,
@@ -39,21 +42,23 @@ from .inference import (
     TransportError,
     chunk_text,
     run_parallel,
+    worker_pool,
 )
 from .preprocess import (
     ConsolidatedCorpus,
     DocTypeProfile,
-    FilterPlan,
     MergedDocument,
     compute_information_relevance,
-    consolidate,
+    consolidate_all,
     filter_document_types,
-    retention_report,
+    positive_retention,
     sample_document_types,
 )
 from .prompting import ConditionProfile, builtin_profiles, load_profiles, render_prompt
 
 __all__ = ["main", "run_profile", "run_detect"]
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -191,6 +196,23 @@ def _select_profiles(args, config: dict) -> list[ConditionProfile]:
 # ---------------------------------------------------------------------------
 # pipeline stages (importable; the subcommands are thin wrappers)
 
+def _tally_oversized(chunks, counts: Counter | None) -> None:
+    if counts is not None:
+        counts["oversized_chunks"] += sum(1 for chunk in chunks if chunk.oversized)
+
+
+def _warn_oversized(counts: Counter, chunk_budget: int) -> None:
+    # One warning per stage: a corpus of long notes would otherwise log one
+    # line per chunk.
+    if counts["oversized_chunks"]:
+        logger.warning(
+            "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
+            "characters and were sent whole",
+            counts["oversized_chunks"],
+            chunk_budget,
+        )
+
+
 def run_profile(
     cohort: Cohort,
     profile: ConditionProfile,
@@ -200,8 +222,14 @@ def run_profile(
     seed: int,
     parallelism: int = 1,
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
+    pool: Executor | None = None,
+    counts: Counter | None = None,
 ) -> list[DocTypeProfile]:
-    """Sample documents per type, infer each with the backend, and score relevance."""
+    """Sample documents per type, infer each with the backend, and score relevance.
+
+    `pool` is the stage's worker pool (see run_parallel); chunks longer than
+    the budget are tallied in `counts["oversized_chunks"]`.
+    """
     samples = sample_document_types(cohort, m, seed)
     requests: list[CompletionRequest] = []
     owners: list[str] = []
@@ -209,6 +237,7 @@ def run_profile(
     for doc_type in sorted(samples):
         for doc in samples[doc_type]:
             chunks = chunk_text(doc.text, chunk_budget)
+            _tally_oversized(chunks, counts)
             if not chunks:
                 verdicts[doc.doc_id] = InferredStatus.NO_MENTION
                 continue
@@ -217,7 +246,7 @@ def run_profile(
                     CompletionRequest(render_prompt(profile, "inference", chunk.text).text, params)
                 )
                 owners.append(doc.doc_id)
-    responses = run_parallel(backend, requests, parallelism)
+    responses = run_parallel(backend, requests, parallelism, pool)
     by_doc: dict[str, list[InferredStatus]] = {}
     for doc_id, response in zip(owners, responses):
         by_doc.setdefault(doc_id, []).append(parse_inference_response(response.text))
@@ -236,11 +265,14 @@ def run_detect(
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
     parallelism: int = 1,
     collect_evidence: bool = False,
+    pool: Executor | None = None,
+    counts: Counter | None = None,
 ) -> dict[str, dict[str, PatientVerdict]]:
     """Run the requested prompt paths over merged documents and merge per patient.
 
     Patients absent from the consolidated corpus (condition-free or without
-    keyword sentences) are labelled 0 without any backend traffic.
+    keyword sentences) are labelled 0 without any backend traffic. `pool` and
+    `counts` are as in run_profile.
     """
     modes = tuple(modes)
     for mode in modes:
@@ -253,6 +285,8 @@ def run_detect(
     chunk_lists = {
         pid: chunk_text(consolidated.merged[pid].text, chunk_budget) for pid in patient_ids
     }
+    for chunks in chunk_lists.values():
+        _tally_oversized(chunks, counts)
 
     def _batched(kind: str) -> dict[str, list[str]]:
         requests, owners = [], []
@@ -262,7 +296,7 @@ def run_detect(
                     CompletionRequest(render_prompt(profile, kind, chunk.text).text, params)
                 )
                 owners.append(pid)
-        responses = run_parallel(backend, requests, parallelism)
+        responses = run_parallel(backend, requests, parallelism, pool)
         grouped: dict[str, list[str]] = {pid: [] for pid in patient_ids}
         for pid, response in zip(owners, responses):
             grouped[pid].append(response.text)
@@ -319,7 +353,7 @@ def run_detect(
                 )
                 owners.append(pid)
                 texts.append(chunk.text)
-        responses = run_parallel(backend, requests, parallelism)
+        responses = run_parallel(backend, requests, parallelism, pool)
         spans_by_pid: dict[str, list[tuple[int, int]]] = {}
         for pid, chunk_source, response in zip(owners, texts, responses):
             spans_by_pid.setdefault(pid, []).extend(
@@ -418,26 +452,33 @@ def _cmd_profile(args, config: dict) -> int:
     params = _generation_params(args, config)
     m = int(_resolve(args, config, "m", 200))
     parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
+    chunk_budget = int(_resolve(args, config, "chunk_budget", DEFAULT_CHUNK_BUDGET))
+    counts: Counter = Counter()
     rows = []
-    for profile in _select_profiles(args, config):
-        profiles = run_profile(
-            cohort, profile, backend, params, m=m, seed=args.seed, parallelism=parallelism
-        )
-        for p in profiles:
-            rows.append(
-                (profile.name, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
+    with worker_pool(parallelism) as pool:
+        for profile in _select_profiles(args, config):
+            profiles = run_profile(
+                cohort, profile, backend, params, m=m, seed=args.seed,
+                parallelism=parallelism, chunk_budget=chunk_budget, pool=pool, counts=counts,
             )
+            for p in profiles:
+                rows.append(
+                    (profile.name, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
+                )
+    _warn_oversized(counts, chunk_budget)
     out = Path(args.out)
     _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
     _write_manifest(
         out.parent,
         "profile",
         {
-            "config_hash": _config_hash({"m": m, "seed": args.seed}),
+            "config_hash": _config_hash({"m": m, "seed": args.seed, "chunk_budget": chunk_budget}),
             "seed": args.seed,
             "m": m,
+            "chunk_budget": chunk_budget,
             "backend_id": backend.backend_id,
             "backend_requests": getattr(backend, "misses", None),
+            "oversized_chunks": counts["oversized_chunks"],
             "elapsed_s": round(time.monotonic() - started, 3),
         },
     )
@@ -483,25 +524,30 @@ def _cmd_preprocess(args, config: dict) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     percentile = _resolve(args, config, "percentile", "q1")
+    selected = [
+        (
+            filter_document_types(
+                _read_profile_csv(args.profile_csv, profile.name), percentile, condition=profile.name
+            ),
+            profile,
+        )
+        for profile in _select_profiles(args, config)
+    ]
     stats_rows = []
-    for profile in _select_profiles(args, config):
-        type_profiles = _read_profile_csv(args.profile_csv, profile.name)
-        plan = filter_document_types(type_profiles, percentile, condition=profile.name)
-        consolidated, _ = consolidate(cohort, plan, profile)
+    for (plan, profile), (consolidated, stats) in zip(selected, consolidate_all(cohort, selected)):
         positives = {
             lab.patient_id for lab in cohort.labels
             if lab.condition == profile.name and lab.registry_label == 1
         }
-        stats = retention_report(cohort, positives, consolidated, len(plan.kept_types))
+        retention = positive_retention(positives, consolidated.merged)
         _write_jsonl(out_dir / f"merged_{profile.name}.jsonl", _merged_records(consolidated))
-        retention = "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}"
         stats_rows.append(
             (
                 profile.name,
                 stats.kept_type_count,
                 f"{plan.threshold_value:.6f}",
                 f"{stats.words_fraction_remaining:.4f}",
-                retention,
+                "" if retention is None else f"{retention:.4f}",
             )
         )
     _write_csv(
@@ -558,6 +604,50 @@ def _consolidated_from_raw(cohort: Cohort, condition: str) -> ConsolidatedCorpus
     return ConsolidatedCorpus(condition=condition, merged=merged, condition_free=frozenset())
 
 
+def _detect_input(args, cohort: Cohort, condition: str) -> ConsolidatedCorpus:
+    if args.no_preprocess:
+        return _consolidated_from_raw(cohort, condition)
+    if not args.merged:
+        raise FileNotFoundError("no preprocess artifact given: pass --merged or --no-preprocess")
+    merged_arg = Path(args.merged)
+    merged_path = merged_arg / f"merged_{condition}.jsonl" if merged_arg.is_dir() else merged_arg
+    if not merged_path.exists():
+        raise FileNotFoundError(
+            f"preprocess artifact not found: {merged_path}; "
+            "run the preprocess stage or pass --no-preprocess"
+        )
+    return _consolidated_from_merged_file(merged_path, condition)
+
+
+def _label_records(condition: str, mode: str, per_patient: dict[str, PatientVerdict]):
+    for pid in sorted(per_patient):
+        verdict = per_patient[pid]
+        measurements = []
+        evidence_docs = []
+        for dv in verdict.contributing:
+            if dv.status is InferredStatus.YES:
+                evidence_docs.append(f"{dv.doc_id}#{dv.path}")
+            for m in dv.measurements:
+                measurements.append(
+                    {
+                        "analyte": m.analyte,
+                        "raw_value": m.raw_value,
+                        "raw_unit": m.raw_unit,
+                        "normalized_value": m.normalized_value,
+                        "systolic": m.systolic,
+                        "diastolic": m.diastolic,
+                    }
+                )
+        yield {
+            "patient_id": pid,
+            "condition": condition,
+            "label": verdict.label,
+            "mode": mode,
+            "evidence_doc_ids": evidence_docs,
+            "measurements": measurements,
+        }
+
+
 def _cmd_detect(args, config: dict) -> int:
     started = time.monotonic()
     cohort = _load_corpus_dir(args.corpus)
@@ -570,70 +660,27 @@ def _cmd_detect(args, config: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
-    for profile in _select_profiles(args, config):
-        if args.no_preprocess:
-            consolidated = _consolidated_from_raw(cohort, profile.name)
-        else:
-            if not args.merged:
-                raise FileNotFoundError(
-                    "no preprocess artifact given: pass --merged or --no-preprocess"
-                )
-            merged_arg = Path(args.merged)
-            merged_path = (
-                merged_arg / f"merged_{profile.name}.jsonl"
-                if merged_arg.is_dir()
-                else merged_arg
+    counts: Counter = Counter()
+    with worker_pool(parallelism) as pool:
+        for profile in _select_profiles(args, config):
+            results = run_detect(
+                cohort,
+                _detect_input(args, cohort, profile.name),
+                profile,
+                backend,
+                params,
+                modes=modes,
+                chunk_budget=chunk_budget,
+                parallelism=parallelism,
+                collect_evidence=args.evidence,
+                pool=pool,
+                counts=counts,
             )
-            if not merged_path.exists():
-                raise FileNotFoundError(
-                    f"preprocess artifact not found: {merged_path}; "
-                    "run the preprocess stage or pass --no-preprocess"
-                )
-            consolidated = _consolidated_from_merged_file(merged_path, profile.name)
-        results = run_detect(
-            cohort,
-            consolidated,
-            profile,
-            backend,
-            params,
-            modes=modes,
-            chunk_budget=chunk_budget,
-            parallelism=parallelism,
-            collect_evidence=args.evidence,
-        )
-        for mode, per_patient in results.items():
-            records = []
-            for pid in sorted(per_patient):
-                verdict = per_patient[pid]
-                measurements = []
-                evidence_docs = []
-                for dv in verdict.contributing:
-                    if dv.status is InferredStatus.YES:
-                        evidence_docs.append(f"{dv.doc_id}#{dv.path}")
-                    for m in dv.measurements:
-                        measurements.append(
-                            {
-                                "analyte": m.analyte,
-                                "raw_value": m.raw_value,
-                                "raw_unit": m.raw_unit,
-                                "normalized_value": m.normalized_value,
-                                "systolic": m.systolic,
-                                "diastolic": m.diastolic,
-                            }
-                        )
-                records.append(
-                    {
-                        "patient_id": pid,
-                        "condition": profile.name,
-                        "label": verdict.label,
-                        "mode": mode,
-                        "evidence_doc_ids": evidence_docs,
-                        "measurements": measurements,
-                    }
-                )
-            path = out_dir / f"detect_{mode}_{profile.name}.jsonl"
-            _write_jsonl(path, records)
-            outputs.append(str(path))
+            for mode, per_patient in results.items():
+                path = out_dir / f"detect_{mode}_{profile.name}.jsonl"
+                _write_jsonl(path, _label_records(profile.name, mode, per_patient))
+                outputs.append(str(path))
+    _warn_oversized(counts, chunk_budget)
     _write_manifest(
         out_dir,
         "detect",
@@ -642,6 +689,7 @@ def _cmd_detect(args, config: dict) -> int:
             "backend_id": backend.backend_id,
             "backend_requests": getattr(backend, "misses", None),
             "cache_hits": getattr(backend, "hits", None),
+            "oversized_chunks": counts["oversized_chunks"],
             "outputs": outputs,
             "elapsed_s": round(time.monotonic() - started, 3),
         },
@@ -781,6 +829,8 @@ def _cmd_trend(args, config: dict) -> int:
 
 
 def _cmd_bench(args, config: dict) -> int:
+    from . import bench  # only the bench command needs the question set
+
     backend = _make_backend(args, config)
     params = _generation_params(args, config)
     result = bench.run_benchmark(backend, params=params)
@@ -838,6 +888,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles")
     p.add_argument("--m", type=int, help="samples per document type (default 200)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--chunk-budget", type=int)
     p.add_argument("--out", required=True)
     _add_backend_flags(p)
     p.set_defaults(func=_cmd_profile)

@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -63,6 +64,11 @@ class Cohort:
     patients: Mapping[str, Patient]
     documents: tuple[ClinicalDocument, ...]
     labels: tuple[ReferenceLabel, ...]
+
+    @cached_property
+    def word_count(self) -> int:
+        """Whitespace-separated words over all documents, counted once per cohort."""
+        return sum(len(doc.text.split()) for doc in self.documents)
 
     def documents_for(self, patient_id: str) -> list[ClinicalDocument]:
         return [d for d in self.documents if d.patient_id == patient_id]

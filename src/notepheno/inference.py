@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
@@ -10,13 +9,13 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
-from urllib.parse import urlsplit
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .preprocess import sentence_spans
+from .preprocess import keyword_regex, sentence_spans
 
 __all__ = [
     "GenerationParams",
@@ -34,6 +33,7 @@ __all__ = [
     "Chunk",
     "chunk_text",
     "run_parallel",
+    "worker_pool",
 ]
 
 logger = logging.getLogger(__name__)
@@ -128,6 +128,12 @@ class HttpBackend:
         max_retries: int = 3,
         backoff_s: float = 0.5,
     ) -> None:
+        # Imported here, not at module level: http.client (and the email
+        # package under it) costs every stage process tens of milliseconds,
+        # and only runs against an HTTP backend need it.
+        import http.client
+        from urllib.parse import urlsplit
+
         self.url = base_url.rstrip("/") + route
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -138,6 +144,7 @@ class HttpBackend:
         self._host = parts.hostname
         self._port = parts.port or self._connection_cls.default_port
         self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._transport_errors = (OSError, http.client.HTTPException)
         self._local = threading.local()
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
         self.timeout = timeout
@@ -228,7 +235,7 @@ class HttpBackend:
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+            except self._transport_errors as exc:
                 last_error = exc
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
@@ -434,14 +441,7 @@ class MockBackend:
         self.flip_seed = flip_seed
         self.latency_ms = latency_ms
         self._token_patterns = {
-            name: re.compile(
-                "|".join(
-                    r"(?<!\w)" + re.escape(tok).replace(r"\ ", r"\s+") + r"(?!\w)"
-                    for tok in sorted(trig.positive_tokens, key=len, reverse=True)
-                ),
-                re.IGNORECASE,
-            )
-            for name, trig in self.triggers.items()
+            name: keyword_regex(trig.positive_tokens) for name, trig in self.triggers.items()
         }
 
     def _flip_roll(self, prompt: str) -> float:
@@ -525,13 +525,36 @@ class MockBackend:
         )
 
 
+@contextmanager
+def worker_pool(parallelism: int) -> Iterator[ThreadPoolExecutor | None]:
+    """One set of worker threads for a whole stage, passed to each run_parallel.
+
+    The threads, and the keep-alive connection each keeps to an HTTP backend,
+    outlive single dispatches, so a stage opens at most `parallelism`
+    connections. Yields None at parallelism 1: requests then run inline.
+    """
+    if parallelism <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        yield pool
+
+
 def run_parallel(
     backend: Backend,
     requests_seq: Sequence[CompletionRequest],
     parallelism: int = DEFAULT_PARALLELISM,
+    pool: Executor | None = None,
 ) -> list[CompletionResponse]:
-    """Complete requests concurrently, preserving input order."""
+    """Complete requests concurrently, preserving input order.
+
+    With `pool` every request runs on its workers; without, a pool of
+    `parallelism` threads serves this call alone, and parallelism 1 (or a
+    single request) runs inline on the calling thread.
+    """
+    if pool is not None:
+        return list(pool.map(backend.complete, requests_seq))
     if parallelism <= 1 or len(requests_seq) <= 1:
         return [backend.complete(r) for r in requests_seq]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(backend.complete, requests_seq))
+    with ThreadPoolExecutor(max_workers=parallelism) as own_pool:
+        return list(own_pool.map(backend.complete, requests_seq))

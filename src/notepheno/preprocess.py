@@ -7,7 +7,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .adjudication import InferredStatus
 from .corpus import ClinicalDocument, Cohort
@@ -26,6 +26,8 @@ __all__ = [
     "compute_information_relevance",
     "filter_document_types",
     "consolidate",
+    "consolidate_all",
+    "positive_retention",
     "retention_report",
     "resolve_percentile",
 ]
@@ -121,13 +123,17 @@ def keyword_regex(keywords: Iterable[str]) -> re.Pattern:
     """Case-insensitive matcher: word-bounded single tokens, contiguous phrases.
 
     Boundaries are non-word lookarounds so "mi" never fires inside "family",
-    while hyphenated keywords like "glp-1" still match as written.
+    while hyphenated keywords like "glp-1" still match as written. Keywords are
+    tried longest first (first-seen order among equal lengths), inside one
+    pair of lookarounds: a keyword that fails the trailing check backtracks
+    into the next one, so the matches are those of bounding every keyword on
+    its own, at a fraction of the cost.
     """
-    parts = []
-    for keyword in sorted(set(keywords), key=len, reverse=True):
-        escaped = re.escape(keyword).replace(r"\ ", r"\s+").replace(" ", r"\s+")
-        parts.append(rf"(?<!\w){escaped}(?!\w)")
-    return re.compile("|".join(parts), re.IGNORECASE)
+    ordered = sorted(dict.fromkeys(keywords), key=len, reverse=True)
+    if not ordered:
+        raise ValueError("keywords must be non-empty")
+    alternation = "|".join(re.escape(keyword).replace(r"\ ", r"\s+") for keyword in ordered)
+    return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)", re.IGNORECASE)
 
 
 def sample_document_types(
@@ -211,58 +217,100 @@ def filter_document_types(
 def consolidate(
     cohort: Cohort, plan: FilterPlan, profile: ConditionProfile
 ) -> tuple[ConsolidatedCorpus, ConsolidationStats]:
+    """consolidate_all for a single condition."""
+    return consolidate_all(cohort, [(plan, profile)])[0]
+
+
+def consolidate_all(
+    cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
+) -> list[tuple[ConsolidatedCorpus, ConsolidationStats]]:
     """Extract keyword sentences from kept-type documents into one merged
-    document per patient, ordered by source timestamp (ties by doc_id).
+    document per patient and condition, ordered by source timestamp (ties by
+    doc_id). Results follow the order of `selected`.
+
+    One pass over the corpus serves every condition: a document kept by any
+    condition is split into stripped sentences once, and each condition's
+    keywords are tested only on documents of its own kept types.
 
     Patients with no kept-type documents at all are recorded as condition-free;
     they receive a negative label downstream without any inference.
     """
-    pattern = keyword_regex(profile.keywords)
-    hits: dict[str, list[tuple[datetime, str, int, str]]] = defaultdict(list)
-    patients_with_kept_docs: set[str] = set()
-    words_before = 0
+    patterns = [keyword_regex(profile.keywords) for _, profile in selected]
+    # doc_type -> indices of the conditions that keep it
+    keepers: dict[str, list[int]] = defaultdict(list)
+    for index, (plan, _) in enumerate(selected):
+        for doc_type in plan.kept_types:
+            keepers[doc_type].append(index)
+    hits: list[dict[str, list[tuple[datetime, str, int, str]]]] = [
+        defaultdict(list) for _ in selected
+    ]
+    patients_with_kept_docs: list[set[str]] = [set() for _ in selected]
 
     for doc in cohort.documents:
-        words_before += len(doc.text.split())
-        if doc.doc_type not in plan.kept_types:
+        indices = keepers.get(doc.doc_type)
+        if not indices:
             continue
-        patients_with_kept_docs.add(doc.patient_id)
-        for start, end in sentence_spans(doc.text):
-            fragment = doc.text[start:end]
+        text = doc.text
+        sentences = []
+        for start, end in sentence_spans(text):
+            fragment = text[start:end]
             core = fragment.strip()
-            if not core or not pattern.search(core):
-                continue
-            lead = len(fragment) - len(fragment.lstrip())
-            hits[doc.patient_id].append((doc.timestamp, doc.doc_id, start + lead, core))
+            if core:
+                sentences.append((start + len(fragment) - len(fragment.lstrip()), core))
+        for index in indices:
+            patients_with_kept_docs[index].add(doc.patient_id)
+            search = patterns[index].search
+            found = [
+                (doc.timestamp, doc.doc_id, offset, core)
+                for offset, core in sentences
+                if search(core)
+            ]
+            if found:
+                hits[index][doc.patient_id].extend(found)
 
-    merged: dict[str, MergedDocument] = {}
-    words_after = 0
-    for patient_id in sorted(hits):
-        entries = sorted(hits[patient_id])
-        text = " ".join(core for _, _, _, core in entries)
-        provenance = tuple(
-            SentenceProvenance(doc_id, offset, offset + len(core))
-            for _, doc_id, offset, core in entries
+    words_before = cohort.word_count
+    results = []
+    for (plan, profile), condition_hits, kept_patients in zip(
+        selected, hits, patients_with_kept_docs
+    ):
+        merged: dict[str, MergedDocument] = {}
+        words_after = 0
+        for patient_id in sorted(condition_hits):
+            entries = sorted(condition_hits[patient_id])
+            text = " ".join(core for _, _, _, core in entries)
+            provenance = tuple(
+                SentenceProvenance(doc_id, offset, offset + len(core))
+                for _, doc_id, offset, core in entries
+            )
+            merged[patient_id] = MergedDocument(
+                patient_id=patient_id,
+                condition=profile.name,
+                text=text,
+                provenance=provenance,
+                first_timestamp=entries[0][0],
+            )
+            words_after += len(text.split())
+        stats = ConsolidationStats(
+            words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
+            positive_retention=None,
+            kept_type_count=len(plan.kept_types),
         )
-        merged[patient_id] = MergedDocument(
-            patient_id=patient_id,
+        corpus = ConsolidatedCorpus(
             condition=profile.name,
-            text=text,
-            provenance=provenance,
-            first_timestamp=entries[0][0],
+            merged=merged,
+            condition_free=frozenset(cohort.patients) - kept_patients,
         )
-        words_after += len(text.split())
+        results.append((corpus, stats))
+    return results
 
-    condition_free = frozenset(cohort.patients) - patients_with_kept_docs
-    stats = ConsolidationStats(
-        words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
-        positive_retention=None,
-        kept_type_count=len(plan.kept_types),
-    )
-    corpus = ConsolidatedCorpus(
-        condition=profile.name, merged=merged, condition_free=condition_free
-    )
-    return corpus, stats
+
+def positive_retention(
+    positives: Collection[str], merged: Mapping[str, MergedDocument]
+) -> float | None:
+    """Fraction of positive patients still holding merged text; None without positives."""
+    if not positives:
+        return None
+    return sum(1 for pid in positives if pid in merged) / len(positives)
 
 
 def retention_report(
@@ -276,11 +324,10 @@ def retention_report(
     With zero positives the retention is undefined and reported as None, never
     coerced to a number.
     """
-    words_before = sum(len(doc.text.split()) for doc in before.documents)
+    words_before = before.word_count
     words_after = sum(len(m.text.split()) for m in after.merged.values())
-    retained = sum(1 for pid in positives if pid in after.merged)
     return ConsolidationStats(
         words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
-        positive_retention=(retained / len(positives)) if positives else None,
+        positive_retention=positive_retention(positives, after.merged),
         kept_type_count=kept_type_count,
     )

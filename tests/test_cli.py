@@ -8,10 +8,14 @@ import threading
 from pathlib import Path
 
 import pytest
+from conftest import make_cohort
 
 import notepheno
-from notepheno.cli import main
-from notepheno.inference import CachedBackend
+from notepheno import inference
+from notepheno.cli import _load_corpus_dir, main
+from notepheno.corpus import write_cohort
+from notepheno.inference import CachedBackend, MockBackend, chunk_text
+from notepheno.preprocess import sample_document_types
 
 
 def _run(*argv):
@@ -270,7 +274,10 @@ def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_p
 
 def test_cli_import_loads_neither_requests_nor_yaml():
     env = dict(os.environ, PYTHONPATH=str(Path(notepheno.__file__).parents[1]))
-    probe = "import sys, notepheno.cli; print(sorted({'requests', 'yaml'} & set(sys.modules)))"
+    probe = (
+        "import sys, notepheno.cli; "
+        "print(sorted({'requests', 'yaml', 'http.client'} & set(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
@@ -320,3 +327,94 @@ def test_bench_command_writes_csv(tmp_path):
     content = out.read_text()
     assert content.startswith("question,correct,latency_ms")
     assert "accuracy" in content
+
+
+_NO_MENTION = (200, {"text": "No, there is no clear mention of it in the given clinical text."})
+
+
+@pytest.mark.parametrize("stage", ["profile", "detect"])
+def test_stage_keeps_one_connection_per_worker(pipeline_dirs, tmp_path, scripted_server, stage):
+    server = scripted_server([_NO_MENTION])
+    corpus = str(pipeline_dirs / "corpus")
+    if stage == "profile":
+        argv = ["profile", "--corpus", corpus, "--m", "10", "--out", str(tmp_path / "p.csv")]
+    else:
+        argv = ["detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"),
+                "--mode", "all", "--out", str(tmp_path / "det")]
+    # three conditions: three dispatches for profile, six for detect
+    assert _run(*argv, "--backend-url", server.url, "--parallelism", "2") == 0
+    assert server.calls > 6
+    assert 1 <= server.connections <= 2
+
+
+def test_parallelism_1_starts_no_worker_threads(pipeline_dirs, tmp_path, monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread pool was created at parallelism 1")
+
+    monkeypatch.setattr(inference, "ThreadPoolExecutor", no_threads)
+    corpus = str(pipeline_dirs / "corpus")
+    assert _run("profile", "--corpus", corpus, "--m", "5", "--mock", "--parallelism", "1",
+                "--out", str(tmp_path / "p.csv")) == 0
+    assert _run("detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"),
+                "--mode", "all", "--mock", "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
+
+
+def _count_mock_calls(monkeypatch):
+    prompts = []
+    inner = MockBackend.complete
+
+    def counting(self, request):
+        prompts.append(request.prompt)
+        return inner(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", counting)
+    return prompts
+
+
+def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_path, monkeypatch):
+    prompts = _count_mock_calls(monkeypatch)
+    budget = 80
+    assert _run(
+        "profile", "--corpus", str(pipeline_dirs / "corpus"), "--condition", "diabetes",
+        "--m", "4", "--seed", "3", "--chunk-budget", str(budget), "--mock",
+        "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
+    ) == 0
+    samples = sample_document_types(_load_corpus_dir(pipeline_dirs / "corpus"), 4, 3)
+    docs = [doc for picked in samples.values() for doc in picked]
+    chunks = sum(len(chunk_text(doc.text, budget)) for doc in docs)
+    assert chunks > len(docs)  # the budget split some documents
+    assert len(prompts) == chunks
+    manifest = json.loads((tmp_path / "manifest_profile.json").read_text())
+    assert manifest["chunk_budget"] == budget
+
+
+def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):
+    long_sentence = "Diabetes noted with " + "stable readings " * 6 + "today."
+    cohort = make_cohort(
+        [
+            ("p1", "d1", "DischargeSummary", "Short note. " + long_sentence),
+            ("p2", "d2", "DischargeSummary", "Diabetes on diet. Review soon."),
+        ],
+        labels=[("p1", "diabetes", 1, 1), ("p2", "diabetes", 1, 1)],
+    )
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_cohort(cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
+    budget = "60"
+    assert len(long_sentence) > 60
+    stages = {
+        "profile": ["profile", "--corpus", str(corpus), "--m", "5", "--out", str(tmp_path / "p" / "p.csv")],
+        "detect": ["detect", "--corpus", str(corpus), "--no-preprocess", "--mode", "all",
+                   "--out", str(tmp_path / "det")],
+    }
+    for stage, argv in stages.items():
+        caplog.clear()
+        assert _run(*argv, "--condition", "diabetes", "--chunk-budget", budget, "--mock",
+                    "--parallelism", "1") == 0
+        out = Path(argv[argv.index("--out") + 1])
+        manifest_dir = out.parent if stage == "profile" else out
+        manifest = json.loads((manifest_dir / f"manifest_{stage}.json").read_text())
+        assert manifest["oversized_chunks"] == 1, stage
+        warnings = [r for r in caplog.records if "chunk budget" in r.getMessage()]
+        assert len(warnings) == 1, stage
+        assert warnings[0].getMessage().startswith("1 chunk(s)")

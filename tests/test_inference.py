@@ -1,5 +1,6 @@
 """Backends, caching, chunking, and the deterministic mock."""
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -294,3 +295,53 @@ def test_run_parallel_preserves_order():
     reqs = [CompletionRequest(f"q{i}") for i in range(20)]
     responses = run_parallel(backend, reqs, parallelism=4)
     assert [r.text for r in responses] == [f"answer:q{i}" for i in range(20)]
+
+
+def _mock_pattern_per_token(tokens):
+    """The mock's matcher as first written, kept as the reference: every token
+    carries its own lookarounds."""
+    return re.compile(
+        "|".join(
+            r"(?<!\w)" + re.escape(tok).replace(r"\ ", r"\s+") + r"(?!\w)"
+            for tok in sorted(tokens, key=len, reverse=True)
+        ),
+        re.IGNORECASE,
+    )
+
+
+@st.composite
+def _tokens_and_text(draw):
+    tokens = draw(
+        st.lists(st.text(alphabet="abAB-1 ", min_size=1, max_size=6), min_size=1, max_size=6)
+    )
+    pieces = st.sampled_from(tokens + [" ", "  ", "-", "x", "ab", "_", "\n", ". ", "é"])
+    words = draw(st.lists(pieces, max_size=12))
+    return tokens, "".join(w.upper() if draw(st.booleans()) else w for w in words)
+
+
+@given(_tokens_and_text())
+@settings(max_examples=300)
+def test_mock_token_pattern_agrees_with_per_token_lookarounds(case):
+    tokens, text = case
+    trigger = inference.MockTrigger("the thing", tuple(tokens), "glucose", "the thing")
+    pattern = MockBackend(triggers={"thing": trigger})._token_patterns["thing"]
+    reference = _mock_pattern_per_token(tokens)
+    assert [(m.span(), m.group(0)) for m in pattern.finditer(text)] == [
+        (m.span(), m.group(0)) for m in reference.finditer(text)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(inference.default_mock_triggers()))
+def test_mock_default_token_patterns_quote_what_the_reference_quotes(name):
+    trigger = inference.default_mock_triggers()[name]
+    pattern = MockBackend()._token_patterns[name]
+    reference = _mock_pattern_per_token(trigger.positive_tokens)
+    texts = [
+        "Non-STEMI ruled in; acute  myocardial\ninfarction, prior AMI. family amity.",
+        "Diabetic foot; diabetes mellitus; prediabetes; DIABETES-related.",
+        "HTN on treatment, hypertensive urgency, hypertension-related, htnx.",
+    ]
+    for text in texts:
+        assert [(m.span(), m.group(0)) for m in pattern.finditer(text)] == [
+            (m.span(), m.group(0)) for m in reference.finditer(text)
+        ]

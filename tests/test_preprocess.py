@@ -1,21 +1,27 @@
 """Sentence splitting, relevance profiling, percentile filtering, consolidation."""
+import re
+
 import pytest
+from conftest import make_cohort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notepheno.adjudication import InferredStatus
+from notepheno.corpus import Cohort, SynthSpec, generate_synthetic
 from notepheno.preprocess import (
     DocTypeProfile,
+    FilterPlan,
     compute_information_relevance,
     consolidate,
+    consolidate_all,
     filter_document_types,
     keyword_regex,
+    positive_retention,
     resolve_percentile,
     retention_report,
     sample_document_types,
     sentence_spans,
 )
-from tests.conftest import make_cohort
 
 
 @given(st.text(max_size=400))
@@ -159,3 +165,118 @@ def test_retention_report_undefined_without_positives(small_cohort, diabetes_pro
     assert stats.positive_retention is None
     stats2 = retention_report(small_cohort, {"p1"}, corpus, 1)
     assert stats2.positive_retention == 1.0
+
+
+def _lookarounds_per_keyword(keywords):
+    """The matcher as first written, kept here as the reference: every keyword
+    carries its own lookarounds. (It ordered equal-length keywords by set
+    iteration; which positions match does not depend on that order.)"""
+    parts = []
+    for keyword in sorted(dict.fromkeys(keywords), key=len, reverse=True):
+        escaped = re.escape(keyword).replace(r"\ ", r"\s+").replace(" ", r"\s+")
+        parts.append(rf"(?<!\w){escaped}(?!\w)")
+    return re.compile("|".join(parts), re.IGNORECASE)
+
+
+# Short keywords over a small alphabet, so that keywords are often prefixes of
+# each other and of the words around them; spaces make multi-word keywords.
+_keywords = st.lists(st.text(alphabet="abAB-1 ", min_size=1, max_size=6), min_size=1, max_size=6)
+
+
+@st.composite
+def _keywords_and_text(draw):
+    keywords = draw(_keywords)
+    pieces = st.sampled_from(keywords + [" ", "  ", "-", "x", "ab", "_", "\n", ". ", "é", "1"])
+    words = draw(st.lists(pieces, max_size=12))
+    text = "".join(w.upper() if draw(st.booleans()) else w for w in words)
+    return keywords, text
+
+
+def _matches(pattern, text):
+    return [(m.span(), m.group(0)) for m in pattern.finditer(text)]
+
+
+@given(_keywords_and_text())
+@settings(max_examples=400)
+def test_keyword_regex_agrees_with_per_keyword_lookarounds(case):
+    keywords, text = case
+    assert _matches(keyword_regex(keywords), text) == _matches(
+        _lookarounds_per_keyword(keywords), text
+    )
+
+
+def test_keyword_regex_rejects_empty_keyword_list():
+    with pytest.raises(ValueError):
+        keyword_regex([])
+
+
+def _consolidate_reference(cohort, plan, profile):
+    """The per-condition loop consolidation replaced by the single pass."""
+    pattern = _lookarounds_per_keyword(profile.keywords)
+    hits, kept_patients, words_before = {}, set(), 0
+    for doc in cohort.documents:
+        words_before += len(doc.text.split())
+        if doc.doc_type not in plan.kept_types:
+            continue
+        kept_patients.add(doc.patient_id)
+        for start, end in sentence_spans(doc.text):
+            fragment = doc.text[start:end]
+            core = fragment.strip()
+            if core and pattern.search(core):
+                lead = len(fragment) - len(fragment.lstrip())
+                hits.setdefault(doc.patient_id, []).append(
+                    (doc.timestamp, doc.doc_id, start + lead, core)
+                )
+    merged, words_after = {}, 0
+    for pid, entries in hits.items():
+        entries = sorted(entries)
+        text = " ".join(core for *_, core in entries)
+        provenance = tuple((doc_id, offset, offset + len(core)) for _, doc_id, offset, core in entries)
+        merged[pid] = (text, provenance, entries[0][0])
+        words_after += len(text.split())
+    return merged, frozenset(cohort.patients) - kept_patients, words_after / words_before
+
+
+def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
+    spec = SynthSpec(
+        n_patients=60, prevalence={"ami": 0.3, "diabetes": 0.3, "hypertension": 0.3}, seed=4
+    )
+    cohort, _ = generate_synthetic(spec, profiles)
+    doc_types = sorted({d.doc_type for d in cohort.documents})
+    # Overlapping, differing kept types, one of them empty.
+    kept = {
+        "ami": frozenset(doc_types[::2]),
+        "diabetes": frozenset(doc_types[: len(doc_types) // 2 + 1]),
+        "hypertension": frozenset(),
+    }
+    selected = [
+        (FilterPlan(p.name, 0.0, 0.0, kept[p.name]), p) for p in profiles
+    ]
+    together = consolidate_all(cohort, selected)
+    assert [corpus.condition for corpus, _ in together] == [p.name for p in profiles]
+    for (plan, profile), (corpus, stats) in zip(selected, together):
+        # a fresh cohort, so no word count is carried over from the pass above
+        alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
+        alone, alone_stats = consolidate(alone_cohort, plan, profile)
+        assert corpus.merged == alone.merged
+        assert corpus.condition_free == alone.condition_free
+        assert stats == alone_stats
+        merged, condition_free, fraction = _consolidate_reference(cohort, plan, profile)
+        assert {
+            pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance), m.first_timestamp)
+            for pid, m in corpus.merged.items()
+        } == merged
+        assert corpus.condition_free == condition_free
+        assert stats.words_fraction_remaining == fraction
+        assert stats.kept_type_count == len(plan.kept_types)
+    assert together[0][0].merged and together[1][0].merged
+    assert not together[2][0].merged
+    assert together[2][0].condition_free == frozenset(cohort.patients)
+
+
+def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes_profile):
+    plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
+    corpus, stats = consolidate(small_cohort, plan, diabetes_profile)
+    report = retention_report(small_cohort, {"p1", "p3"}, corpus, 1)
+    assert report.words_fraction_remaining == stats.words_fraction_remaining
+    assert report.positive_retention == positive_retention({"p1", "p3"}, corpus.merged) == 0.5
