@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -18,7 +18,6 @@ __all__ = [
     "parse_extraction_response",
     "apply_clinical_rule",
     "merge_patient",
-    "parse_evidence_highlights",
     "combine_chunk_statuses",
 ]
 
@@ -51,7 +50,6 @@ class DocumentVerdict:
     path: str  # inference | extraction
     status: InferredStatus
     measurements: tuple[LabMeasurement, ...] = ()
-    evidence_spans: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -266,28 +264,3 @@ def combine_chunk_statuses(statuses: Iterable[InferredStatus]) -> InferredStatus
         return InferredStatus.NO_MENTION
     return InferredStatus.NO
 
-
-_QUOTE_RE = re.compile(r"[\"“”]([^\"“”\n]{3,}?)[\"“”]|'([^'\n]{3,}?)'")
-
-
-def parse_evidence_highlights(response: str, source: str) -> list[tuple[int, int]]:
-    """Resolve quoted fragments of an evidence response to source offsets.
-
-    Fragments that do not occur verbatim (case-insensitive) in the source are
-    dropped: hallucinated evidence never produces a span.
-    """
-    spans: list[tuple[int, int]] = []
-    lowered = source.lower()
-    seen: set[tuple[int, int]] = set()
-    for match in _QUOTE_RE.finditer(response):
-        fragment = (match.group(1) or match.group(2) or "").strip()
-        if not fragment:
-            continue
-        idx = lowered.find(fragment.lower())
-        if idx < 0:
-            continue
-        span = (idx, idx + len(fragment))
-        if span not in seen:
-            seen.add(span)
-            spans.append(span)
-    return spans

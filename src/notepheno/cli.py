@@ -10,10 +10,10 @@ import logging
 import os
 import sys
 import time
-from collections import Counter
-from concurrent.futures import Executor
+from collections import Counter, defaultdict
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from . import evaluation
 from .adjudication import (
@@ -23,7 +23,6 @@ from .adjudication import (
     apply_clinical_rule,
     combine_chunk_statuses,
     merge_patient,
-    parse_evidence_highlights,
     parse_extraction_response,
     parse_inference_response,
 )
@@ -42,7 +41,6 @@ from .inference import (
     TransportError,
     chunk_text,
     run_parallel,
-    worker_pool,
 )
 from .preprocess import (
     ConsolidatedCorpus,
@@ -196,9 +194,42 @@ def _select_profiles(args, config: dict) -> list[ConditionProfile]:
 # ---------------------------------------------------------------------------
 # pipeline stages (importable; the subcommands are thin wrappers)
 
-def _tally_oversized(chunks, counts: Counter | None) -> None:
+def _ask_all(
+    jobs, backend: Backend, params: GenerationParams, parallelism: int, chunk_budget: int,
+    counts: Counter | None,
+) -> dict[tuple[str, str, str], list]:
+    """The request plan of a backend stage, sent in one dispatch.
+
+    `jobs` yields `(owner, text, asks)`, `asks` being `(profile, kind)` pairs.
+    Each text is chunked once and each chunk rendered once per ask. A worker
+    renders, completes and parses one request, so neither the prompts nor the
+    raw replies of the stage are ever held together. Returns the parsed
+    replies under `(condition, kind, owner)`, in chunk order; `counts` gets
+    the requests sent and the oversized chunks.
+    """
+    items = []
+    oversized = 0
+    for owner, text, asks in jobs:
+        chunks = chunk_text(text, chunk_budget)
+        oversized += sum(chunk.oversized for chunk in chunks)
+        items.extend(
+            (owner, profile, kind, chunk.text) for chunk in chunks for profile, kind in asks
+        )
     if counts is not None:
-        counts["oversized_chunks"] += sum(1 for chunk in chunks if chunk.oversized)
+        counts["requests"] += len(items)
+        counts["oversized_chunks"] += oversized
+
+    def ask(item):
+        _, profile, kind, text = item
+        reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
+        if kind == "inference":
+            return parse_inference_response(reply.text)
+        return parse_extraction_response(reply.text, profile.rule.analyte)
+
+    replies: dict[tuple[str, str, str], list] = defaultdict(list)
+    for (owner, profile, kind, _), parsed in zip(items, run_parallel(ask, items, parallelism)):
+        replies[profile.name, kind, owner].append(parsed)
+    return replies
 
 
 def _warn_oversized(counts: Counter, chunk_budget: int) -> None:
@@ -215,177 +246,114 @@ def _warn_oversized(counts: Counter, chunk_budget: int) -> None:
 
 def run_profile(
     cohort: Cohort,
-    profile: ConditionProfile,
+    profiles: Sequence[ConditionProfile],
     backend: Backend,
     params: GenerationParams,
     m: int,
     seed: int,
     parallelism: int = 1,
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-    pool: Executor | None = None,
     counts: Counter | None = None,
-) -> list[DocTypeProfile]:
-    """Sample documents per type, infer each with the backend, and score relevance.
+) -> dict[str, list[DocTypeProfile]]:
+    """Sample documents per type, infer each for every condition, and score relevance.
 
-    `pool` is the stage's worker pool (see run_parallel); chunks longer than
-    the budget are tallied in `counts["oversized_chunks"]`.
+    One sample serves every condition, and all inference requests go out in
+    one dispatch. Returns the relevance table per condition name; `counts` is
+    as in `_ask_all`.
     """
     samples = sample_document_types(cohort, m, seed)
-    requests: list[CompletionRequest] = []
-    owners: list[str] = []
-    verdicts: dict[str, InferredStatus] = {}
-    for doc_type in sorted(samples):
-        for doc in samples[doc_type]:
-            chunks = chunk_text(doc.text, chunk_budget)
-            _tally_oversized(chunks, counts)
-            if not chunks:
-                verdicts[doc.doc_id] = InferredStatus.NO_MENTION
-                continue
-            for chunk in chunks:
-                requests.append(
-                    CompletionRequest(render_prompt(profile, "inference", chunk.text).text, params)
+    docs = [doc for doc_type in sorted(samples) for doc in samples[doc_type]]
+    asks = [(profile, "inference") for profile in profiles]
+    replies = _ask_all(
+        ((doc.doc_id, doc.text, asks) for doc in docs),
+        backend, params, parallelism, chunk_budget, counts,
+    )
+    return {
+        profile.name: compute_information_relevance(
+            samples,
+            {
+                doc.doc_id: combine_chunk_statuses(
+                    replies.pop((profile.name, "inference", doc.doc_id), ())
                 )
-                owners.append(doc.doc_id)
-    responses = run_parallel(backend, requests, parallelism, pool)
-    by_doc: dict[str, list[InferredStatus]] = {}
-    for doc_id, response in zip(owners, responses):
-        by_doc.setdefault(doc_id, []).append(parse_inference_response(response.text))
-    for doc_id, statuses in by_doc.items():
-        verdicts[doc_id] = combine_chunk_statuses(statuses)
-    return compute_information_relevance(samples, verdicts)
+                for doc in docs
+            },
+        )
+        for profile in profiles
+    }
 
 
 def run_detect(
     cohort: Cohort,
-    consolidated: ConsolidatedCorpus,
-    profile: ConditionProfile,
+    selected: Sequence[tuple[ConsolidatedCorpus, ConditionProfile]],
     backend: Backend,
     params: GenerationParams,
     modes=("merged",),
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
     parallelism: int = 1,
-    collect_evidence: bool = False,
-    pool: Executor | None = None,
     counts: Counter | None = None,
-) -> dict[str, dict[str, PatientVerdict]]:
-    """Run the requested prompt paths over merged documents and merge per patient.
+) -> Iterator[tuple[str, dict[str, dict[str, PatientVerdict]]]]:
+    """Run the requested prompt paths over every condition's merged documents
+    in one dispatch, then merge per patient.
 
-    Patients absent from the consolidated corpus (condition-free or without
-    keyword sentences) are labelled 0 without any backend traffic. `pool` and
-    `counts` are as in run_profile.
+    Yields `(condition, {mode: {patient_id: verdict}})` in the order of
+    `selected`, adjudicating each condition only when it is taken, so a caller
+    that writes one condition before taking the next holds one condition's
+    verdicts at a time. Patients without a merged document (no keyword
+    sentence in a kept document type) are labelled 0 without any backend
+    traffic. `counts` is as in `_ask_all`.
     """
     modes = tuple(modes)
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-    need_inference = any(m in ("prompt1", "merged") for m in modes) or collect_evidence
-    need_extraction = any(m in ("prompt2", "merged") for m in modes)
+    kinds = ["inference"] if {"prompt1", "merged"} & set(modes) else []
+    if {"prompt2", "merged"} & set(modes):
+        kinds.append("extraction")
+    replies = _ask_all(
+        (
+            (pid, consolidated.merged[pid].text, [(profile, kind) for kind in kinds])
+            for consolidated, profile in selected
+            for pid in sorted(consolidated.merged)
+        ),
+        backend, params, parallelism, chunk_budget, counts,
+    )
+    return (
+        (profile.name, _adjudicate(cohort, consolidated, profile, kinds, modes, replies))
+        for consolidated, profile in selected
+    )
 
-    patient_ids = sorted(consolidated.merged)
-    chunk_lists = {
-        pid: chunk_text(consolidated.merged[pid].text, chunk_budget) for pid in patient_ids
-    }
-    for chunks in chunk_lists.values():
-        _tally_oversized(chunks, counts)
 
-    def _batched(kind: str) -> dict[str, list[str]]:
-        requests, owners = [], []
-        for pid in patient_ids:
-            for chunk in chunk_lists[pid]:
-                requests.append(
-                    CompletionRequest(render_prompt(profile, kind, chunk.text).text, params)
-                )
-                owners.append(pid)
-        responses = run_parallel(backend, requests, parallelism, pool)
-        grouped: dict[str, list[str]] = {pid: [] for pid in patient_ids}
-        for pid, response in zip(owners, responses):
-            grouped[pid].append(response.text)
-        return grouped
-
-    verdicts_by_patient: dict[str, list[DocumentVerdict]] = {pid: [] for pid in patient_ids}
-
-    inference_status: dict[str, InferredStatus] = {}
-    if need_inference:
-        grouped = _batched("inference")
-        for pid in patient_ids:
-            statuses = [parse_inference_response(t) for t in grouped[pid]]
-            status = combine_chunk_statuses(statuses)
-            inference_status[pid] = status
-            verdicts_by_patient[pid].append(
-                DocumentVerdict(
-                    patient_id=pid,
-                    condition=profile.name,
-                    doc_id=f"merged::{pid}",
-                    path="inference",
-                    status=status,
-                )
+def _adjudicate(
+    cohort: Cohort,
+    consolidated: ConsolidatedCorpus,
+    profile: ConditionProfile,
+    kinds,
+    modes,
+    replies: dict[tuple[str, str, str], list],
+) -> dict[str, dict[str, PatientVerdict]]:
+    """One condition's per-patient labels for each mode, from its parsed replies."""
+    verdicts: dict[str, list[DocumentVerdict]] = {}
+    for pid in sorted(consolidated.merged):
+        found = verdicts[pid] = []
+        doc_id = f"merged::{pid}"
+        if "inference" in kinds:
+            status = combine_chunk_statuses(replies.pop((profile.name, "inference", pid), ()))
+            found.append(DocumentVerdict(pid, profile.name, doc_id, "inference", status))
+        if "extraction" in kinds:
+            measurements = tuple(
+                m for parsed in replies.pop((profile.name, "extraction", pid), ()) for m in parsed
             )
-
-    if need_extraction:
-        grouped = _batched("extraction")
-        for pid in patient_ids:
-            measurements = []
-            for text in grouped[pid]:
-                measurements.extend(parse_extraction_response(text, profile.rule.analyte))
             status = apply_clinical_rule(measurements, profile.rule)
-            verdicts_by_patient[pid].append(
-                DocumentVerdict(
-                    patient_id=pid,
-                    condition=profile.name,
-                    doc_id=f"merged::{pid}",
-                    path="extraction",
-                    status=status,
-                    measurements=tuple(measurements),
-                )
+            found.append(
+                DocumentVerdict(pid, profile.name, doc_id, "extraction", status, measurements)
             )
-
-    if collect_evidence:
-        positive_ids = [
-            pid for pid in patient_ids if inference_status.get(pid) is InferredStatus.YES
-        ]
-        requests, owners, texts = [], [], []
-        for pid in patient_ids:
-            if pid not in positive_ids:
-                continue
-            for chunk in chunk_lists[pid]:
-                requests.append(
-                    CompletionRequest(render_prompt(profile, "evidence", chunk.text).text, params)
-                )
-                owners.append(pid)
-                texts.append(chunk.text)
-        responses = run_parallel(backend, requests, parallelism, pool)
-        spans_by_pid: dict[str, list[tuple[int, int]]] = {}
-        for pid, chunk_source, response in zip(owners, texts, responses):
-            spans_by_pid.setdefault(pid, []).extend(
-                parse_evidence_highlights(response.text, chunk_source)
-            )
-        for pid, spans in spans_by_pid.items():
-            old = verdicts_by_patient[pid]
-            verdicts_by_patient[pid] = [
-                DocumentVerdict(
-                    patient_id=v.patient_id,
-                    condition=v.condition,
-                    doc_id=v.doc_id,
-                    path=v.path,
-                    status=v.status,
-                    measurements=v.measurements,
-                    evidence_spans=tuple(spans) if v.path == "inference" else v.evidence_spans,
-                )
-                for v in old
-            ]
-
-    out: dict[str, dict[str, PatientVerdict]] = {}
-    for mode in modes:
-        per_patient = {}
-        for pid in sorted(cohort.patients):
-            per_patient[pid] = merge_patient(
-                verdicts_by_patient.get(pid, []),
-                mode,
-                patient_id=pid,
-                condition=profile.name,
-            )
-        out[mode] = per_patient
-    return out
+    return {
+        mode: {
+            pid: merge_patient(verdicts.get(pid, []), mode, patient_id=pid, condition=profile.name)
+            for pid in sorted(cohort.patients)
+        }
+        for mode in modes
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +422,15 @@ def _cmd_profile(args, config: dict) -> int:
     parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
     chunk_budget = int(_resolve(args, config, "chunk_budget", DEFAULT_CHUNK_BUDGET))
     counts: Counter = Counter()
-    rows = []
-    with worker_pool(parallelism) as pool:
-        for profile in _select_profiles(args, config):
-            profiles = run_profile(
-                cohort, profile, backend, params, m=m, seed=args.seed,
-                parallelism=parallelism, chunk_budget=chunk_budget, pool=pool, counts=counts,
-            )
-            for p in profiles:
-                rows.append(
-                    (profile.name, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
-                )
+    relevance = run_profile(
+        cohort, _select_profiles(args, config), backend, params, m=m, seed=args.seed,
+        parallelism=parallelism, chunk_budget=chunk_budget, counts=counts,
+    )
+    rows = [
+        (condition, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
+        for condition, table in relevance.items()
+        for p in table
+    ]
     _warn_oversized(counts, chunk_budget)
     out = Path(args.out)
     _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
@@ -477,13 +443,18 @@ def _cmd_profile(args, config: dict) -> int:
             "m": m,
             "chunk_budget": chunk_budget,
             "backend_id": backend.backend_id,
-            "backend_requests": getattr(backend, "misses", None),
+            "backend_requests": _backend_requests(backend, counts),
             "oversized_chunks": counts["oversized_chunks"],
             "elapsed_s": round(time.monotonic() - started, 3),
         },
     )
     print(f"wrote document-type relevance table to {out}")
     return EXIT_OK
+
+
+def _backend_requests(backend: Backend, counts: Counter) -> int:
+    # Behind a cache only the misses reach the backend.
+    return backend.misses if isinstance(backend, CachedBackend) else counts["requests"]
 
 
 def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
@@ -580,7 +551,7 @@ def _consolidated_from_merged_file(path, condition: str) -> ConsolidatedCorpus:
             provenance=(),
             first_timestamp=datetime.fromisoformat(record["timestamp"]),
         )
-    return ConsolidatedCorpus(condition=condition, merged=merged, condition_free=frozenset())
+    return ConsolidatedCorpus(condition=condition, merged=merged)
 
 
 def _consolidated_from_raw(cohort: Cohort, condition: str) -> ConsolidatedCorpus:
@@ -601,7 +572,7 @@ def _consolidated_from_raw(cohort: Cohort, condition: str) -> ConsolidatedCorpus
                 provenance=(),
                 first_timestamp=docs[0].timestamp,
             )
-    return ConsolidatedCorpus(condition=condition, merged=merged, condition_free=frozenset())
+    return ConsolidatedCorpus(condition=condition, merged=merged)
 
 
 def _detect_input(args, cohort: Cohort, condition: str) -> ConsolidatedCorpus:
@@ -659,27 +630,20 @@ def _cmd_detect(args, config: dict) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    selected = [
+        (_detect_input(args, cohort, profile.name), profile)
+        for profile in _select_profiles(args, config)
+    ]
     outputs = []
     counts: Counter = Counter()
-    with worker_pool(parallelism) as pool:
-        for profile in _select_profiles(args, config):
-            results = run_detect(
-                cohort,
-                _detect_input(args, cohort, profile.name),
-                profile,
-                backend,
-                params,
-                modes=modes,
-                chunk_budget=chunk_budget,
-                parallelism=parallelism,
-                collect_evidence=args.evidence,
-                pool=pool,
-                counts=counts,
-            )
-            for mode, per_patient in results.items():
-                path = out_dir / f"detect_{mode}_{profile.name}.jsonl"
-                _write_jsonl(path, _label_records(profile.name, mode, per_patient))
-                outputs.append(str(path))
+    for condition, results in run_detect(
+        cohort, selected, backend, params, modes=modes, chunk_budget=chunk_budget,
+        parallelism=parallelism, counts=counts,
+    ):
+        for mode, per_patient in results.items():
+            path = out_dir / f"detect_{mode}_{condition}.jsonl"
+            _write_jsonl(path, _label_records(condition, mode, per_patient))
+            outputs.append(str(path))
     _warn_oversized(counts, chunk_budget)
     _write_manifest(
         out_dir,
@@ -687,7 +651,7 @@ def _cmd_detect(args, config: dict) -> int:
         {
             "config_hash": _config_hash({"modes": modes, "chunk_budget": chunk_budget}),
             "backend_id": backend.backend_id,
-            "backend_requests": getattr(backend, "misses", None),
+            "backend_requests": _backend_requests(backend, counts),
             "cache_hits": getattr(backend, "hits", None),
             "oversized_chunks": counts["oversized_chunks"],
             "outputs": outputs,
@@ -909,7 +873,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES + ("all",), default="merged")
     p.add_argument("--condition")
     p.add_argument("--profiles")
-    p.add_argument("--evidence", action="store_true", help="also collect highlight spans")
     p.add_argument("--chunk-budget", type=int)
     p.add_argument("--out", required=True)
     _add_backend_flags(p)

@@ -19,7 +19,6 @@ __all__ = [
     "load_cohort",
     "write_cohort",
     "generate_synthetic",
-    "DEFAULT_DOC_TYPES",
     "HIGH_YIELD_DOC_TYPES",
     "LOW_YIELD_DOC_TYPES",
 ]
@@ -70,9 +69,6 @@ class Cohort:
         """Whitespace-separated words over all documents, counted once per cohort."""
         return sum(len(doc.text.split()) for doc in self.documents)
 
-    def documents_for(self, patient_id: str) -> list[ClinicalDocument]:
-        return [d for d in self.documents if d.patient_id == patient_id]
-
     def reference_map(self, condition: str, *, icd: bool = False) -> dict[str, int]:
         """Per-patient label map for one condition (registry or ICD)."""
         out: dict[str, int] = {}
@@ -106,47 +102,6 @@ LOW_YIELD_DOC_TYPES = (
     "AdultTriage",
     "PharmacyPlan",
     "VascularAccess",
-)
-
-DEFAULT_DOC_TYPES = (
-    HIGH_YIELD_DOC_TYPES
-    + LOW_YIELD_DOC_TYPES
-    + (
-        "TraumaReport",
-        "CardiacDiagnostic",
-        "ClinicalRecord",
-        "SurgeryRecord",
-        "GeneralDischarge",
-        "OrthopedicSummary",
-        "StrokeSummary",
-        "ShortSummary",
-        "ThoracicSummary",
-        "EDHandover",
-        "GoalAssessment",
-        "GoalFlowsheet",
-        "ComprehensiveExam",
-        "HistorySummary",
-        "InpatientConsultLog",
-        "OperativeReport",
-        "PsychiatricReview",
-        "SurgOutcome",
-        "SurgFlowsheet",
-        "MentalOutcome",
-        "HealthFlowsheet",
-        "NeuroDiagnostic",
-        "EDTransfer",
-        "InpatientTransfer",
-        "HealthTransfer",
-        "PACUTransfer",
-        "OutpatientConsultR",
-        "OutpatientConsult",
-        "OutpatientProceLog",
-        "NueroAssessment",
-        "PatientCare",
-        "PharmacyPlan",
-        "NursingAssessment",
-        "AlcoholAssessment",
-    )
 )
 
 

@@ -1,27 +1,24 @@
-"""Confusion matrices, accuracy metrics with Wilson intervals, trends, summaries."""
+"""Confusion matrices, accuracy metrics with Wilson intervals, monthly trends."""
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .corpus import Cohort, ReferenceLabel
+from .corpus import Cohort
 
 __all__ = [
     "ConfusionMatrix",
     "Estimate",
     "MetricSet",
     "TrendPoint",
-    "CohortSummary",
     "confusion",
     "metrics",
     "wilson_interval",
     "combine_or",
     "monthly_trend",
-    "cohort_summary",
-    "median_iqr",
 ]
 
 
@@ -169,67 +166,3 @@ def monthly_trend(
         )
     return points
 
-
-def median_iqr(values: Sequence[float]) -> tuple[float, float, float]:
-    """Median (mean of the two middles for even n) and nearest-rank quartiles."""
-    if not values:
-        raise ValueError("values must be non-empty")
-    ordered = sorted(values)
-    n = len(ordered)
-    if n % 2:
-        median = ordered[n // 2]
-    else:
-        median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-    q1 = ordered[max(1, math.ceil(0.25 * n)) - 1]
-    q3 = ordered[max(1, math.ceil(0.75 * n)) - 1]
-    return median, q1, q3
-
-
-@dataclass(frozen=True)
-class CohortSummary:
-    n_patients: int
-    prevalence: Mapping[str, float]
-    numeric_attributes: Mapping[str, tuple[float, float, float]]  # median, q1, q3
-    categorical_attributes: Mapping[str, Mapping[str, int]]
-
-
-def cohort_summary(
-    cohort: Cohort, labels: Sequence[ReferenceLabel] | None = None
-) -> CohortSummary:
-    """Prevalence per condition plus median (IQR) / category counts per attribute.
-
-    Attributes that parse as numbers for every patient carrying them are
-    summarized numerically; the rest are counted as categories. Attributes
-    nobody carries are omitted, not zeroed.
-    """
-    labels = cohort.labels if labels is None else labels
-    n = len(cohort.patients)
-    positives: Counter[str] = Counter()
-    conditions: set[str] = set()
-    for label in labels:
-        conditions.add(label.condition)
-        if label.registry_label == 1:
-            positives[label.condition] += 1
-    prevalence = {c: (positives[c] / n if n else 0.0) for c in sorted(conditions)}
-
-    by_attr: dict[str, list[str]] = defaultdict(list)
-    for patient in cohort.patients.values():
-        for key, value in patient.attributes.items():
-            by_attr[key].append(value)
-
-    numeric: dict[str, tuple[float, float, float]] = {}
-    categorical: dict[str, dict[str, int]] = {}
-    for key in sorted(by_attr):
-        raw = by_attr[key]
-        try:
-            numbers = [float(v) for v in raw]
-        except ValueError:
-            categorical[key] = dict(Counter(raw))
-            continue
-        numeric[key] = median_iqr(numbers)
-    return CohortSummary(
-        n_patients=n,
-        prevalence=prevalence,
-        numeric_attributes=numeric,
-        categorical_attributes=categorical,
-    )

@@ -9,11 +9,10 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .preprocess import keyword_regex, sentence_spans
 
@@ -33,15 +32,11 @@ __all__ = [
     "Chunk",
     "chunk_text",
     "run_parallel",
-    "worker_pool",
 ]
 
 logger = logging.getLogger(__name__)
 
-ENV_BACKEND_URL = "NOTEPHENO_BACKEND_URL"
 ENV_API_KEY = "NOTEPHENO_API_KEY"
-ENV_PARALLELISM = "NOTEPHENO_PARALLELISM"
-ENV_CACHE_DIR = "NOTEPHENO_CACHE_DIR"
 
 DEFAULT_CHUNK_BUDGET = 12000
 DEFAULT_PARALLELISM = 4
@@ -151,13 +146,6 @@ class HttpBackend:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.backend_id = f"http:{self.url}"
-
-    @classmethod
-    def from_env(cls) -> "HttpBackend":
-        url = os.environ.get(ENV_BACKEND_URL)
-        if not url:
-            raise BackendError(f"{ENV_BACKEND_URL} is not set")
-        return cls(url)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -433,13 +421,11 @@ class MockBackend:
         flip_fn_rate: float = 0.0,
         flip_fp_rate: float = 0.0,
         flip_seed: int = 0,
-        latency_ms: float = 0.0,
     ) -> None:
         self.triggers = dict(triggers) if triggers is not None else default_mock_triggers()
         self.flip_fn_rate = flip_fn_rate
         self.flip_fp_rate = flip_fp_rate
         self.flip_seed = flip_seed
-        self.latency_ms = latency_ms
         self._token_patterns = {
             name: keyword_regex(trig.positive_tokens) for name, trig in self.triggers.items()
         }
@@ -492,20 +478,15 @@ class MockBackend:
         embedded = prompt[len(_INFER_PREFIX) : idx]
         tail = prompt[idx:]
         name, trigger = self._find_trigger_for_tail(tail)
-        match = self._token_patterns[name].search(embedded)
-        positive = match is not None
+        positive = self._token_patterns[name].search(embedded) is not None
         if self.flip_fn_rate or self.flip_fp_rate:
             roll = self._flip_roll(prompt)
             if positive and roll < self.flip_fn_rate:
                 positive = False
-                match = None
             elif not positive and roll < self.flip_fp_rate:
                 positive = True
         if positive:
-            response = f"Yes, the text identifies {trigger.response_name}."
-            if prompt.rstrip().endswith("judgement.") and match is not None:
-                response += f' Supporting text: "{match.group(0)}".'
-            return response
+            return f"Yes, the text identifies {trigger.response_name}."
         return (
             f"No, there is no clear mention of {trigger.response_name} "
             "in the given clinical text."
@@ -520,41 +501,19 @@ class MockBackend:
             text = self._extraction_response(trigger, extract.group(2), phrase)
         else:
             text = self._inference_response(prompt)
-        return CompletionResponse(
-            text=text, latency_ms=self.latency_ms, backend_id=self.backend_id
-        )
+        return CompletionResponse(text=text, latency_ms=0.0, backend_id=self.backend_id)
 
 
-@contextmanager
-def worker_pool(parallelism: int) -> Iterator[ThreadPoolExecutor | None]:
-    """One set of worker threads for a whole stage, passed to each run_parallel.
+def run_parallel(fn: Callable, items: Sequence, parallelism: int = DEFAULT_PARALLELISM) -> list:
+    """Apply `fn` to every item on `parallelism` worker threads, in input order.
 
-    The threads, and the keep-alive connection each keeps to an HTTP backend,
-    outlive single dispatches, so a stage opens at most `parallelism`
-    connections. Yields None at parallelism 1: requests then run inline.
+    A stage makes one call for all its requests, so the pool, and the
+    keep-alive connection each worker keeps to an HTTP backend, lives for the
+    whole stage: at most `parallelism` connections. Parallelism 1, or a single
+    item, runs inline on the calling thread. The first exception an item
+    raises cancels the items not yet started and propagates to the caller.
     """
-    if parallelism <= 1:
-        yield None
-        return
+    if parallelism <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield pool
-
-
-def run_parallel(
-    backend: Backend,
-    requests_seq: Sequence[CompletionRequest],
-    parallelism: int = DEFAULT_PARALLELISM,
-    pool: Executor | None = None,
-) -> list[CompletionResponse]:
-    """Complete requests concurrently, preserving input order.
-
-    With `pool` every request runs on its workers; without, a pool of
-    `parallelism` threads serves this call alone, and parallelism 1 (or a
-    single request) runs inline on the calling thread.
-    """
-    if pool is not None:
-        return list(pool.map(backend.complete, requests_seq))
-    if parallelism <= 1 or len(requests_seq) <= 1:
-        return [backend.complete(r) for r in requests_seq]
-    with ThreadPoolExecutor(max_workers=parallelism) as own_pool:
-        return list(own_pool.map(backend.complete, requests_seq))
+        return list(pool.map(fn, items))

@@ -79,11 +79,10 @@ class MergedDocument:
 
 @dataclass(frozen=True)
 class ConsolidatedCorpus:
-    """Per-patient merged keyword sentences plus the set of condition-free patients."""
+    """Per-patient merged keyword sentences of one condition."""
 
     condition: str
     merged: Mapping[str, MergedDocument]
-    condition_free: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -232,8 +231,8 @@ def consolidate_all(
     condition is split into stripped sentences once, and each condition's
     keywords are tested only on documents of its own kept types.
 
-    Patients with no kept-type documents at all are recorded as condition-free;
-    they receive a negative label downstream without any inference.
+    Patients without keyword sentences in kept-type documents have no merged
+    document; they receive a negative label downstream without any inference.
     """
     patterns = [keyword_regex(profile.keywords) for _, profile in selected]
     # doc_type -> indices of the conditions that keep it
@@ -244,7 +243,6 @@ def consolidate_all(
     hits: list[dict[str, list[tuple[datetime, str, int, str]]]] = [
         defaultdict(list) for _ in selected
     ]
-    patients_with_kept_docs: list[set[str]] = [set() for _ in selected]
 
     for doc in cohort.documents:
         indices = keepers.get(doc.doc_type)
@@ -258,7 +256,6 @@ def consolidate_all(
             if core:
                 sentences.append((start + len(fragment) - len(fragment.lstrip()), core))
         for index in indices:
-            patients_with_kept_docs[index].add(doc.patient_id)
             search = patterns[index].search
             found = [
                 (doc.timestamp, doc.doc_id, offset, core)
@@ -270,9 +267,7 @@ def consolidate_all(
 
     words_before = cohort.word_count
     results = []
-    for (plan, profile), condition_hits, kept_patients in zip(
-        selected, hits, patients_with_kept_docs
-    ):
+    for (plan, profile), condition_hits in zip(selected, hits):
         merged: dict[str, MergedDocument] = {}
         words_after = 0
         for patient_id in sorted(condition_hits):
@@ -295,12 +290,7 @@ def consolidate_all(
             positive_retention=None,
             kept_type_count=len(plan.kept_types),
         )
-        corpus = ConsolidatedCorpus(
-            condition=profile.name,
-            merged=merged,
-            condition_free=frozenset(cohort.patients) - kept_patients,
-        )
-        results.append((corpus, stats))
+        results.append((ConsolidatedCorpus(condition=profile.name, merged=merged), stats))
     return results
 
 

@@ -8,16 +8,12 @@ __all__ = [
     "ClinicalRule",
     "ConditionProfile",
     "RenderedPrompt",
-    "EVIDENCE_SUFFIX",
     "builtin_profiles",
     "render_prompt",
     "load_profiles",
 ]
 
 PLACEHOLDER = "{text}"
-
-# Appended to the inference template when an explainability prompt is requested.
-EVIDENCE_SUFFIX = " Highlight all the original text that supports your judgement."
 
 _ANALYTES = ("glucose", "blood_pressure", "troponin")
 
@@ -61,7 +57,6 @@ class ConditionProfile:
     inference_template: str
     extraction_template: str
     rule: ClinicalRule
-    abbreviation_hints: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.keywords:
@@ -76,9 +71,8 @@ class ConditionProfile:
 @dataclass(frozen=True)
 class RenderedPrompt:
     condition: str
-    kind: str  # inference | extraction | evidence
+    kind: str  # inference | extraction
     text: str
-    source: tuple[str, int] | None = None  # (patient_id, chunk index)
 
 
 _AMI_KEYWORDS = (
@@ -193,7 +187,6 @@ def builtin_profiles(*, glucose_comparator: str = ">=") -> list[ConditionProfile
             keywords=_AMI_KEYWORDS,
             inference_template=_AMI_INFERENCE,
             extraction_template=_AMI_EXTRACTION,
-            abbreviation_hints=("ami", "mi", "stemi", "non-stemi"),
             rule=ClinicalRule(analyte="troponin", comparator=">", threshold=14.0, unit="ng/L"),
         ),
         ConditionProfile(
@@ -221,29 +214,22 @@ def builtin_profiles(*, glucose_comparator: str = ">=") -> list[ConditionProfile
     ]
 
 
-def render_prompt(
-    profile: ConditionProfile,
-    kind: str,
-    text: str,
-    source: tuple[str, int] | None = None,
-) -> RenderedPrompt:
+def render_prompt(profile: ConditionProfile, kind: str, text: str) -> RenderedPrompt:
     """Substitute note text into the profile's template for the given kind.
 
     The placeholder is substituted exactly once, so braces inside the note text
-    pass through untouched. The evidence kind renders the inference template
-    plus a fixed highlight instruction.
+    pass through untouched.
     """
-    if kind not in ("inference", "extraction", "evidence"):
+    if kind not in ("inference", "extraction"):
         raise ValueError(f"unknown prompt kind {kind!r}")
     if not text:
         raise ValueError("cannot render a prompt from empty text")
     template = (
         profile.extraction_template if kind == "extraction" else profile.inference_template
     )
-    rendered = template.replace(PLACEHOLDER, text, 1)
-    if kind == "evidence":
-        rendered += EVIDENCE_SUFFIX
-    return RenderedPrompt(condition=profile.name, kind=kind, text=rendered, source=source)
+    return RenderedPrompt(
+        condition=profile.name, kind=kind, text=template.replace(PLACEHOLDER, text, 1)
+    )
 
 
 def _rule_from_config(raw: dict) -> ClinicalRule:
@@ -276,7 +262,6 @@ def load_profiles(path) -> list[ConditionProfile]:
                 keywords=tuple(entry["keywords"]),
                 inference_template=entry["inference_template"],
                 extraction_template=entry["extraction_template"],
-                abbreviation_hints=tuple(entry.get("abbreviation_hints", ())),
                 rule=_rule_from_config(entry["rule"]),
             )
         )

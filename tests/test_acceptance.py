@@ -148,15 +148,15 @@ def test_criterion_4_synthetic_recovery():
             cohort, truth = generate_synthetic(spec, [profile])
             clean = MockBackend()
             type_profiles = run_profile(
-                cohort, profile, clean, params, m=60, seed=seed, parallelism=1
-            )
+                cohort, [profile], clean, params, m=60, seed=seed, parallelism=1
+            )["diabetes"]
             plan = filter_document_types(type_profiles, "q1", condition="diabetes")
             consolidated, _ = consolidate(cohort, plan, profile)
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
-            results = run_detect(
-                cohort, consolidated, profile, noisy, params,
+            results = dict(run_detect(
+                cohort, [(consolidated, profile)], noisy, params,
                 modes=("prompt1",), parallelism=1,
-            )
+            ))["diabetes"]
             pred = {pid: v.label for pid, v in results["prompt1"].items()}
             ref = {pid: truth[pid]["diabetes"] for pid in truth}
             ms = metrics(confusion(pred, ref))
@@ -185,10 +185,10 @@ def test_criterion_5_or_mode_algebra():
             kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
         )
         consolidated, _ = consolidate(cohort, plan, profile)
-        results = run_detect(
-            cohort, consolidated, profile, MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
+        results = dict(run_detect(
+            cohort, [(consolidated, profile)], MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
             params, modes=("prompt1", "prompt2", "merged"), parallelism=1,
-        )
+        ))["diabetes"]
         positives = {
             mode: {pid for pid, v in results[mode].items() if v.label == 1}
             for mode in results

@@ -10,7 +10,6 @@ from notepheno.adjudication import (
     apply_clinical_rule,
     combine_chunk_statuses,
     merge_patient,
-    parse_evidence_highlights,
     parse_extraction_response,
     parse_inference_response,
 )
@@ -208,17 +207,3 @@ def test_combine_chunk_statuses():
     assert combine_chunk_statuses([N, M]) is N
     assert combine_chunk_statuses([M, M]) is M
     assert combine_chunk_statuses([]) is M
-
-
-# -- evidence highlights -----------------------------------------------------
-
-def test_evidence_highlights_resolve_to_source_offsets():
-    source = "Acute onset of chest pain. Troponins escalated overnight."
-    response = 'The evidence includes "chest pain" and "troponins escalated".'
-    spans = parse_evidence_highlights(response, source)
-    assert [source[a:b].lower() for a, b in spans] == ["chest pain", "troponins escalated"]
-
-
-def test_evidence_hallucinations_dropped():
-    spans = parse_evidence_highlights('I saw "elevated CK-MB" here.', "No labs were drawn.")
-    assert spans == []

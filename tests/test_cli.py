@@ -11,8 +11,8 @@ import pytest
 from conftest import make_cohort
 
 import notepheno
-from notepheno import inference
-from notepheno.cli import _load_corpus_dir, main
+from notepheno import cli, inference
+from notepheno.cli import _load_corpus_dir, _read_jsonl, main
 from notepheno.corpus import write_cohort
 from notepheno.inference import CachedBackend, MockBackend, chunk_text
 from notepheno.preprocess import sample_document_types
@@ -225,17 +225,19 @@ def test_missing_backend_exits_2(pipeline_dirs, tmp_path, capsys, monkeypatch):
 
 def test_detect_malformed_backend_reply_exits_2(pipeline_dirs, tmp_path, capsys, scripted_server):
     server = scripted_server([(200, b"<html><body>502 Bad Gateway</body></html>")])
-    code = _run(
-        "detect",
-        "--corpus", str(pipeline_dirs / "corpus"),
-        "--merged", str(pipeline_dirs / "prep"),
-        "--condition", "diabetes",
-        "--backend-url", server.url,
-        "--parallelism", "1",
-        "--out", str(tmp_path / "det"),
-    )
-    assert code == 2
-    assert "not JSON" in capsys.readouterr().err
+    # At parallelism 2 the error is raised on a worker thread of the stage's dispatch.
+    for parallelism in ("1", "2"):
+        code = _run(
+            "detect",
+            "--corpus", str(pipeline_dirs / "corpus"),
+            "--merged", str(pipeline_dirs / "prep"),
+            "--condition", "diabetes",
+            "--backend-url", server.url,
+            "--parallelism", parallelism,
+            "--out", str(tmp_path / "det"),
+        )
+        assert code == 2, parallelism
+        assert "not JSON" in capsys.readouterr().err
 
 
 def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_path, monkeypatch):
@@ -341,7 +343,7 @@ def test_stage_keeps_one_connection_per_worker(pipeline_dirs, tmp_path, scripted
     else:
         argv = ["detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"),
                 "--mode", "all", "--out", str(tmp_path / "det")]
-    # three conditions: three dispatches for profile, six for detect
+    # three conditions, all sent in the stage's one dispatch
     assert _run(*argv, "--backend-url", server.url, "--parallelism", "2") == 0
     assert server.calls > 6
     assert 1 <= server.connections <= 2
@@ -386,6 +388,58 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
     assert len(prompts) == chunks
     manifest = json.loads((tmp_path / "manifest_profile.json").read_text())
     assert manifest["chunk_budget"] == budget
+
+
+
+def test_detect_sends_one_request_per_chunk_and_kind(pipeline_dirs, tmp_path, monkeypatch):
+    prompts = _count_mock_calls(monkeypatch)
+    budget = 80
+    assert _run(
+        "detect", "--corpus", str(pipeline_dirs / "corpus"),
+        "--merged", str(pipeline_dirs / "prep"), "--mode", "all",
+        "--chunk-budget", str(budget), "--mock", "--parallelism", "1", "--out", str(tmp_path / "det"),
+    ) == 0
+    chunks = [
+        len(chunk_text(record["text"], budget))
+        for condition in ("ami", "diabetes", "hypertension")
+        for record in _read_jsonl(pipeline_dirs / "prep" / f"merged_{condition}.jsonl")
+    ]
+    assert sum(chunks) > len(chunks)  # the budget split some merged documents
+    assert len(prompts) == sum(chunks) * 2  # one inference and one extraction prompt each
+
+
+@pytest.mark.parametrize("stage", ["profile", "detect"])
+def test_stage_makes_one_dispatch_for_all_conditions(pipeline_dirs, tmp_path, monkeypatch, stage):
+    dispatches = []
+    inner = cli.run_parallel
+
+    def counting(fn, items, parallelism):
+        dispatches.append(len(items))
+        return inner(fn, items, parallelism)
+
+    monkeypatch.setattr(cli, "run_parallel", counting)
+    corpus = str(pipeline_dirs / "corpus")
+    if stage == "profile":
+        argv = ["profile", "--corpus", corpus, "--m", "10", "--out", str(tmp_path / "p.csv")]
+    else:
+        argv = ["detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"),
+                "--mode", "all", "--out", str(tmp_path / "det")]
+    assert _run(*argv, "--mock", "--parallelism", "2") == 0
+    assert len(dispatches) == 1 and dispatches[0] > 0
+
+
+@pytest.mark.parametrize("stage", ["profile", "detect"])
+def test_manifest_backend_requests_without_cache(pipeline_dirs, tmp_path, monkeypatch, stage):
+    prompts = _count_mock_calls(monkeypatch)
+    corpus = str(pipeline_dirs / "corpus")
+    if stage == "profile":
+        argv = ["profile", "--corpus", corpus, "--m", "10", "--out", str(tmp_path / "p.csv")]
+    else:
+        argv = ["detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"),
+                "--mode", "all", "--out", str(tmp_path)]
+    assert _run(*argv, "--mock", "--parallelism", "1") == 0
+    manifest = json.loads((tmp_path / f"manifest_{stage}.json").read_text())
+    assert prompts and manifest["backend_requests"] == len(prompts)
 
 
 def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):

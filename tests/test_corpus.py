@@ -138,5 +138,5 @@ def test_generate_synthetic_positive_patient_has_evidence():
     cohort, truth = generate_synthetic(spec, builtin_profiles())
     for pid, per_cond in truth.items():
         if per_cond["diabetes"]:
-            text = " ".join(d.text for d in cohort.documents_for(pid))
+            text = " ".join(d.text for d in cohort.documents if d.patient_id == pid)
             assert "diabetes" in text.lower()

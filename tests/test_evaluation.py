@@ -1,15 +1,13 @@
-"""Confusion matrices, Wilson intervals, trends, and cohort summaries."""
+"""Confusion matrices, Wilson intervals, and trends."""
 from datetime import date
 
 import pytest
 
-from notepheno.corpus import Cohort, Patient, ReferenceLabel
+from notepheno.corpus import Cohort, Patient
 from notepheno.evaluation import (
     ConfusionMatrix,
-    cohort_summary,
     combine_or,
     confusion,
-    median_iqr,
     metrics,
     monthly_trend,
     wilson_interval,
@@ -70,16 +68,6 @@ def test_combine_or():
         combine_or({"a": 1}, {"b": 1})
 
 
-def test_median_iqr_oracles():
-    assert median_iqr([5, 1, 4, 2, 3]) == (3, 2, 4)
-    median, q1, q3 = median_iqr([1, 2, 3, 4])
-    assert median == 2.5
-    assert (q1, q3) == (1, 3)
-    assert median_iqr([7]) == (7, 7, 7)
-    with pytest.raises(ValueError):
-        median_iqr([])
-
-
 def _cohort_with_months():
     patients = {
         "a": Patient("a", date(2015, 1, 10)),
@@ -99,20 +87,3 @@ def test_monthly_trend_groups_by_admit_month():
     with pytest.raises(ValueError, match="no patient record"):
         monthly_trend(cohort, {"zz": 1}, {"zz": 1})
 
-
-def test_cohort_summary_numeric_and_categorical():
-    patients = {
-        "a": Patient("a", date(2015, 1, 1), {"age": "60", "sex": "F"}),
-        "b": Patient("b", date(2015, 1, 2), {"age": "70", "sex": "M"}),
-        "c": Patient("c", date(2015, 1, 3), {"age": "80", "sex": "F"}),
-    }
-    labels = (
-        ReferenceLabel("a", "diabetes", 1),
-        ReferenceLabel("b", "diabetes", 0),
-        ReferenceLabel("c", "diabetes", 1),
-    )
-    summary = cohort_summary(Cohort(patients=patients, documents=(), labels=labels))
-    assert summary.n_patients == 3
-    assert summary.prevalence == {"diabetes": pytest.approx(2 / 3)}
-    assert summary.numeric_attributes["age"] == (70, 60, 80)
-    assert summary.categorical_attributes["sex"] == {"F": 2, "M": 1}

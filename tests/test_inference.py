@@ -174,7 +174,7 @@ def test_http_idle_connection_closed_by_server_is_replaced_without_backoff(
 def test_http_threads_keep_one_connection_each(scripted_server):
     server = scripted_server([(200, {"text": "ok"})])
     backend = HttpBackend(server.url)
-    responses = run_parallel(backend, [CompletionRequest(f"q{i}") for i in range(40)], 4)
+    responses = run_parallel(backend.complete, [CompletionRequest(f"q{i}") for i in range(40)], 4)
     assert [r.text for r in responses] == ["ok"] * 40
     assert server.calls == 40
     assert server.connections <= 4
@@ -269,13 +269,6 @@ def test_mock_extraction_echoes_lab_patterns():
     assert text.startswith("There are no key-value pairs of")
 
 
-def test_mock_evidence_prompt_quotes_supporting_text():
-    backend = MockBackend()
-    prompt = render_prompt(_profile("diabetes"), "evidence", "Known diabetes, on insulin.").text
-    text = backend.complete(CompletionRequest(prompt)).text
-    assert 'Supporting text: "diabetes"' in text
-
-
 def test_mock_flips_are_deterministic():
     a = MockBackend(flip_fn_rate=0.5, flip_fp_rate=0.5, flip_seed=1)
     b = MockBackend(flip_fn_rate=0.5, flip_fp_rate=0.5, flip_seed=1)
@@ -293,7 +286,7 @@ def test_mock_flips_are_deterministic():
 def test_run_parallel_preserves_order():
     backend = _CountingBackend()
     reqs = [CompletionRequest(f"q{i}") for i in range(20)]
-    responses = run_parallel(backend, reqs, parallelism=4)
+    responses = run_parallel(backend.complete, reqs, parallelism=4)
     assert [r.text for r in responses] == [f"answer:q{i}" for i in range(20)]
 
 

@@ -152,9 +152,6 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     for span in merged.provenance:
         fragment = texts[span.doc_id][span.start : span.end]
         assert fragment in merged.text
-    # p3's only document is a dropped type: condition-free
-    assert "p3" in corpus.condition_free
-    assert "p2" not in corpus.condition_free
     assert 0.0 < stats.words_fraction_remaining < 1.0
 
 
@@ -213,12 +210,11 @@ def test_keyword_regex_rejects_empty_keyword_list():
 def _consolidate_reference(cohort, plan, profile):
     """The per-condition loop consolidation replaced by the single pass."""
     pattern = _lookarounds_per_keyword(profile.keywords)
-    hits, kept_patients, words_before = {}, set(), 0
+    hits, words_before = {}, 0
     for doc in cohort.documents:
         words_before += len(doc.text.split())
         if doc.doc_type not in plan.kept_types:
             continue
-        kept_patients.add(doc.patient_id)
         for start, end in sentence_spans(doc.text):
             fragment = doc.text[start:end]
             core = fragment.strip()
@@ -234,7 +230,7 @@ def _consolidate_reference(cohort, plan, profile):
         provenance = tuple((doc_id, offset, offset + len(core)) for _, doc_id, offset, core in entries)
         merged[pid] = (text, provenance, entries[0][0])
         words_after += len(text.split())
-    return merged, frozenset(cohort.patients) - kept_patients, words_after / words_before
+    return merged, words_after / words_before
 
 
 def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
@@ -259,19 +255,16 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
         alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
         alone, alone_stats = consolidate(alone_cohort, plan, profile)
         assert corpus.merged == alone.merged
-        assert corpus.condition_free == alone.condition_free
         assert stats == alone_stats
-        merged, condition_free, fraction = _consolidate_reference(cohort, plan, profile)
+        merged, fraction = _consolidate_reference(cohort, plan, profile)
         assert {
             pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance), m.first_timestamp)
             for pid, m in corpus.merged.items()
         } == merged
-        assert corpus.condition_free == condition_free
         assert stats.words_fraction_remaining == fraction
         assert stats.kept_type_count == len(plan.kept_types)
     assert together[0][0].merged and together[1][0].merged
     assert not together[2][0].merged
-    assert together[2][0].condition_free == frozenset(cohort.patients)
 
 
 def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes_profile):

@@ -3,7 +3,6 @@ import pytest
 import yaml
 
 from notepheno.prompting import (
-    EVIDENCE_SUFFIX,
     ClinicalRule,
     ConditionProfile,
     builtin_profiles,
@@ -40,13 +39,6 @@ def test_render_inference_embeds_text(diabetes_profile):
     assert "{text}" not in rendered.text
 
 
-def test_render_evidence_appends_suffix(ami_profile):
-    base = render_prompt(ami_profile, "inference", "note").text
-    evidence = render_prompt(ami_profile, "evidence", "note").text
-    assert evidence == base + EVIDENCE_SUFFIX
-    assert evidence.endswith("Highlight all the original text that supports your judgement.")
-
-
 def test_render_preserves_braces_in_note(diabetes_profile):
     rendered = render_prompt(diabetes_profile, "extraction", "values {text} and {other}")
     assert rendered.text.count("values {text} and {other}") == 1
@@ -57,6 +49,8 @@ def test_render_rejects_empty_text_and_bad_kind(diabetes_profile):
         render_prompt(diabetes_profile, "inference", "")
     with pytest.raises(ValueError):
         render_prompt(diabetes_profile, "summary", "note")
+    with pytest.raises(ValueError):
+        render_prompt(diabetes_profile, "evidence", "note")
 
 
 def test_profile_requires_single_placeholder():
