@@ -6,10 +6,10 @@ rendering, backend inference/extraction, and rule-based adjudication into
 per-patient binary labels, evaluated against registry reference standards.
 """
 from .adjudication import (
-    DocumentVerdict,
+    MODE_PATHS,
+    Findings,
     InferredStatus,
     LabMeasurement,
-    PatientVerdict,
     apply_clinical_rule,
     merge_patient,
     parse_extraction_response,
@@ -30,7 +30,6 @@ from .inference import (
     chunk_text,
 )
 from .preprocess import (
-    ConsolidatedCorpus,
     DocTypeProfile,
     FilterPlan,
     compute_information_relevance,
@@ -51,18 +50,17 @@ __all__ = [
     "CompletionRequest",
     "ConditionProfile",
     "ConfusionMatrix",
-    "ConsolidatedCorpus",
     "CorpusError",
     "DocTypeProfile",
-    "DocumentVerdict",
     "FilterPlan",
+    "Findings",
     "GenerationParams",
     "HttpBackend",
     "InferredStatus",
     "LabMeasurement",
+    "MODE_PATHS",
     "MetricSet",
     "MockBackend",
-    "PatientVerdict",
     "ResponseCache",
     "SynthSpec",
     "TransportError",

@@ -3,17 +3,17 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .prompting import ClinicalRule
 
 __all__ = [
     "InferredStatus",
     "LabMeasurement",
-    "DocumentVerdict",
-    "PatientVerdict",
+    "Findings",
+    "MODE_PATHS",
     "parse_inference_response",
     "parse_extraction_response",
     "apply_clinical_rule",
@@ -42,23 +42,23 @@ class LabMeasurement:
     diastolic: float | None = None
 
 
+# The prompt paths each label mode ORs, inference before extraction: the one
+# list of the modes and of the paths a detect run asks for.
+MODE_PATHS = {
+    "prompt1": ("inference",),
+    "prompt2": ("extraction",),
+    "merged": ("inference", "extraction"),
+}
+
+
 @dataclass(frozen=True)
-class DocumentVerdict:
-    patient_id: str
-    condition: str
-    doc_id: str
-    path: str  # inference | extraction
-    status: InferredStatus
+class Findings:
+    """One patient's detect result for one condition: the status of each
+    prompt path asked, and the measurements the extraction path found.
+    A patient without text has no statuses."""
+
+    statuses: Mapping[str, InferredStatus] = field(default_factory=dict)
     measurements: tuple[LabMeasurement, ...] = ()
-
-
-@dataclass(frozen=True)
-class PatientVerdict:
-    patient_id: str
-    condition: str
-    label: int
-    mode: str  # prompt1 | prompt2 | merged
-    contributing: tuple[DocumentVerdict, ...] = ()
 
 
 # Status scanning is confined to the response head because backends often
@@ -215,41 +215,13 @@ def apply_clinical_rule(
     return InferredStatus.YES if hit else InferredStatus.NO
 
 
-_MODE_PATHS = {
-    "prompt1": frozenset({"inference"}),
-    "prompt2": frozenset({"extraction"}),
-    "merged": frozenset({"inference", "extraction"}),
-}
-
-
-def merge_patient(
-    verdicts: Sequence[DocumentVerdict], mode: str, patient_id: str | None = None,
-    condition: str | None = None,
-) -> PatientVerdict:
-    """Combine document verdicts into a per-patient binary label.
-
-    The label is 1 iff any considered verdict is Yes; NoMention contributes
-    nothing; an empty list (condition-free patient) is a 0. For an empty list
-    the patient/condition identifiers must be supplied.
-    """
-    if mode not in _MODE_PATHS:
+def merge_patient(statuses: Mapping[str, InferredStatus], mode: str) -> int:
+    """A patient's binary label under one mode: 1 iff any of the mode's paths
+    says Yes. NoMention and paths not asked contribute nothing, so a patient
+    without merged text is a 0."""
+    if mode not in MODE_PATHS:
         raise ValueError(f"unknown mode {mode!r}")
-    if verdicts:
-        ids = {(v.patient_id, v.condition) for v in verdicts}
-        if len(ids) > 1:
-            raise ValueError(f"verdicts span multiple patients/conditions: {sorted(ids)}")
-        patient_id, condition = next(iter(ids))
-    elif patient_id is None or condition is None:
-        raise ValueError("empty verdict list needs explicit patient_id and condition")
-    considered = tuple(v for v in verdicts if v.path in _MODE_PATHS[mode])
-    label = int(any(v.status is InferredStatus.YES for v in considered))
-    return PatientVerdict(
-        patient_id=patient_id,
-        condition=condition,
-        label=label,
-        mode=mode,
-        contributing=considered,
-    )
+    return int(any(statuses.get(path) is InferredStatus.YES for path in MODE_PATHS[mode]))
 
 
 def combine_chunk_statuses(statuses: Iterable[InferredStatus]) -> InferredStatus:

@@ -11,15 +11,14 @@ import os
 import sys
 import time
 from collections import Counter, defaultdict
-from datetime import datetime
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import evaluation
 from .adjudication import (
-    DocumentVerdict,
+    MODE_PATHS,
+    Findings,
     InferredStatus,
-    PatientVerdict,
     apply_clinical_rule,
     combine_chunk_statuses,
     merge_patient,
@@ -43,7 +42,6 @@ from .inference import (
     run_parallel,
 )
 from .preprocess import (
-    ConsolidatedCorpus,
     DocTypeProfile,
     MergedDocument,
     compute_information_relevance,
@@ -61,8 +59,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BACKEND = 2
-
-MODES = ("prompt1", "prompt2", "merged")
 
 
 # ---------------------------------------------------------------------------
@@ -284,76 +280,55 @@ def run_profile(
 
 def run_detect(
     cohort: Cohort,
-    selected: Sequence[tuple[ConsolidatedCorpus, ConditionProfile]],
+    selected: Sequence[tuple[Mapping[str, str], ConditionProfile]],
     backend: Backend,
     params: GenerationParams,
     modes=("merged",),
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
     parallelism: int = 1,
     counts: Counter | None = None,
-) -> Iterator[tuple[str, dict[str, dict[str, PatientVerdict]]]]:
-    """Run the requested prompt paths over every condition's merged documents
-    in one dispatch, then merge per patient.
+) -> Iterator[tuple[str, dict[str, Findings]]]:
+    """Ask the prompt paths of `modes` about every condition's `{patient_id:
+    text}` in one dispatch.
 
-    Yields `(condition, {mode: {patient_id: verdict}})` in the order of
-    `selected`, adjudicating each condition only when it is taken, so a caller
-    that writes one condition before taking the next holds one condition's
-    verdicts at a time. Patients without a merged document (no keyword
-    sentence in a kept document type) are labelled 0 without any backend
-    traffic. `counts` is as in `_ask_all`.
+    Yields `(condition, {patient_id: findings})` for every cohort patient, in
+    the order of `selected`, adjudicating each condition only when it is
+    taken, so a caller that writes one condition before taking the next holds
+    one condition's findings at a time. A text shared by several conditions
+    (the raw notes under --no-preprocess) is chunked once. Patients without
+    text share one empty record, which every mode labels 0, without any
+    backend traffic. `counts` is as in `_ask_all`.
     """
-    modes = tuple(modes)
     for mode in modes:
-        if mode not in MODES:
+        if mode not in MODE_PATHS:
             raise ValueError(f"unknown mode {mode!r}")
-    kinds = ["inference"] if {"prompt1", "merged"} & set(modes) else []
-    if {"prompt2", "merged"} & set(modes):
-        kinds.append("extraction")
+    # "merged" asks every path, so its row gives the order: inference first.
+    paths = [p for p in MODE_PATHS["merged"] if any(p in MODE_PATHS[mode] for mode in modes)]
+    asks: dict[tuple[str, str], list] = defaultdict(list)
+    for texts, profile in selected:
+        for pid in sorted(texts):
+            asks[pid, texts[pid]].extend((profile, path) for path in paths)
     replies = _ask_all(
-        (
-            (pid, consolidated.merged[pid].text, [(profile, kind) for kind in kinds])
-            for consolidated, profile in selected
-            for pid in sorted(consolidated.merged)
-        ),
+        ((pid, text, pairs) for (pid, text), pairs in asks.items()),
         backend, params, parallelism, chunk_budget, counts,
     )
-    return (
-        (profile.name, _adjudicate(cohort, consolidated, profile, kinds, modes, replies))
-        for consolidated, profile in selected
-    )
 
+    def findings(texts: Mapping[str, str], profile: ConditionProfile) -> dict[str, Findings]:
+        found = {}
+        for pid in texts:
+            statuses, measurements = {}, ()
+            for path in paths:
+                parsed = replies.pop((profile.name, path, pid), ())
+                if path == "inference":
+                    statuses[path] = combine_chunk_statuses(parsed)
+                else:
+                    measurements = tuple(m for chunk in parsed for m in chunk)
+                    statuses[path] = apply_clinical_rule(measurements, profile.rule)
+            found[pid] = Findings(statuses, measurements)
+        no_text = Findings()
+        return {pid: found.get(pid, no_text) for pid in sorted(cohort.patients)}
 
-def _adjudicate(
-    cohort: Cohort,
-    consolidated: ConsolidatedCorpus,
-    profile: ConditionProfile,
-    kinds,
-    modes,
-    replies: dict[tuple[str, str, str], list],
-) -> dict[str, dict[str, PatientVerdict]]:
-    """One condition's per-patient labels for each mode, from its parsed replies."""
-    verdicts: dict[str, list[DocumentVerdict]] = {}
-    for pid in sorted(consolidated.merged):
-        found = verdicts[pid] = []
-        doc_id = f"merged::{pid}"
-        if "inference" in kinds:
-            status = combine_chunk_statuses(replies.pop((profile.name, "inference", pid), ()))
-            found.append(DocumentVerdict(pid, profile.name, doc_id, "inference", status))
-        if "extraction" in kinds:
-            measurements = tuple(
-                m for parsed in replies.pop((profile.name, "extraction", pid), ()) for m in parsed
-            )
-            status = apply_clinical_rule(measurements, profile.rule)
-            found.append(
-                DocumentVerdict(pid, profile.name, doc_id, "extraction", status, measurements)
-            )
-    return {
-        mode: {
-            pid: merge_patient(verdicts.get(pid, []), mode, patient_id=pid, condition=profile.name)
-            for pid in sorted(cohort.patients)
-        }
-        for mode in modes
-    }
+    return ((profile.name, findings(texts, profile)) for texts, profile in selected)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +417,7 @@ def _cmd_profile(args, config: dict) -> int:
             "seed": args.seed,
             "m": m,
             "chunk_budget": chunk_budget,
-            "backend_id": backend.backend_id,
-            "backend_requests": _backend_requests(backend, counts),
+            **_backend_block(backend, counts),
             "oversized_chunks": counts["oversized_chunks"],
             "elapsed_s": round(time.monotonic() - started, 3),
         },
@@ -452,9 +426,15 @@ def _cmd_profile(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _backend_requests(backend: Backend, counts: Counter) -> int:
-    # Behind a cache only the misses reach the backend.
-    return backend.misses if isinstance(backend, CachedBackend) else counts["requests"]
+def _backend_block(backend: Backend, counts: Counter) -> dict:
+    """The manifest keys of a backend stage. Behind a cache only the misses
+    reach the backend; without one there are no hits."""
+    cached = isinstance(backend, CachedBackend)
+    return {
+        "backend_id": backend.backend_id,
+        "backend_requests": backend.misses if cached else counts["requests"],
+        "cache_hits": backend.hits if cached else 0,
+    }
 
 
 def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
@@ -475,16 +455,16 @@ def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
     return profiles
 
 
-def _merged_records(consolidated: ConsolidatedCorpus):
-    for pid in sorted(consolidated.merged):
-        doc = consolidated.merged[pid]
+def _merged_records(condition: str, merged: Mapping[str, MergedDocument]):
+    for pid in sorted(merged):
+        doc = merged[pid]
         yield {
             "patient_id": pid,
-            "doc_id": f"merged::{pid}::{doc.condition}",
+            "doc_id": f"merged::{pid}::{condition}",
             "doc_type": "__merged__",
             "timestamp": doc.first_timestamp.isoformat(),
             "text": doc.text,
-            "condition": doc.condition,
+            "condition": condition,
             "provenance": [[s.doc_id, s.start, s.end] for s in doc.provenance],
         }
 
@@ -505,13 +485,13 @@ def _cmd_preprocess(args, config: dict) -> int:
         for profile in _select_profiles(args, config)
     ]
     stats_rows = []
-    for (plan, profile), (consolidated, stats) in zip(selected, consolidate_all(cohort, selected)):
+    for (plan, profile), (merged, stats) in zip(selected, consolidate_all(cohort, selected)):
         positives = {
             lab.patient_id for lab in cohort.labels
             if lab.condition == profile.name and lab.registry_label == 1
         }
-        retention = positive_retention(positives, consolidated.merged)
-        _write_jsonl(out_dir / f"merged_{profile.name}.jsonl", _merged_records(consolidated))
+        retention = positive_retention(positives, merged)
+        _write_jsonl(out_dir / f"merged_{profile.name}.jsonl", _merged_records(profile.name, merged))
         stats_rows.append(
             (
                 profile.name,
@@ -539,83 +519,70 @@ def _cmd_preprocess(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _consolidated_from_merged_file(path, condition: str) -> ConsolidatedCorpus:
-    merged = {}
-    for record in _read_jsonl(path):
-        if record.get("condition") != condition:
-            continue
-        merged[record["patient_id"]] = MergedDocument(
-            patient_id=record["patient_id"],
-            condition=condition,
-            text=record["text"],
-            provenance=(),
-            first_timestamp=datetime.fromisoformat(record["timestamp"]),
-        )
-    return ConsolidatedCorpus(condition=condition, merged=merged)
+def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[str, str]]:
+    """Each condition's `{patient_id: text}` for detect, in the order of
+    `conditions`: the merged text of the preprocess artifact, or under
+    --no-preprocess each patient's raw notes joined in timestamp order, one
+    map shared by every condition.
 
-
-def _consolidated_from_raw(cohort: Cohort, condition: str) -> ConsolidatedCorpus:
-    # --no-preprocess path: each patient's raw documents concatenated in
-    # timestamp order stand in for the merged document.
-    merged = {}
-    by_patient: dict[str, list] = {}
-    for doc in cohort.documents:
-        by_patient.setdefault(doc.patient_id, []).append(doc)
-    for pid, docs in by_patient.items():
-        docs = sorted(docs, key=lambda d: (d.timestamp, d.doc_id))
-        text = " ".join(d.text for d in docs if d.text).strip()
-        if text:
-            merged[pid] = MergedDocument(
-                patient_id=pid,
-                condition=condition,
-                text=text,
-                provenance=(),
-                first_timestamp=docs[0].timestamp,
-            )
-    return ConsolidatedCorpus(condition=condition, merged=merged)
-
-
-def _detect_input(args, cohort: Cohort, condition: str) -> ConsolidatedCorpus:
+    A merged file that holds records, but none for a condition, is refused:
+    it was written for other conditions. An empty file labels all patients 0.
+    """
     if args.no_preprocess:
-        return _consolidated_from_raw(cohort, condition)
+        by_patient: dict[str, list] = defaultdict(list)
+        for doc in cohort.documents:
+            by_patient[doc.patient_id].append(doc)
+        raw = {}
+        for pid, docs in by_patient.items():
+            docs.sort(key=lambda d: (d.timestamp, d.doc_id))
+            text = " ".join(d.text for d in docs if d.text).strip()
+            if text:
+                raw[pid] = text
+        return [raw for _ in conditions]
     if not args.merged:
         raise FileNotFoundError("no preprocess artifact given: pass --merged or --no-preprocess")
     merged_arg = Path(args.merged)
-    merged_path = merged_arg / f"merged_{condition}.jsonl" if merged_arg.is_dir() else merged_arg
-    if not merged_path.exists():
-        raise FileNotFoundError(
-            f"preprocess artifact not found: {merged_path}; "
-            "run the preprocess stage or pass --no-preprocess"
-        )
-    return _consolidated_from_merged_file(merged_path, condition)
+    texts = []
+    for condition in conditions:
+        path = merged_arg / f"merged_{condition}.jsonl" if merged_arg.is_dir() else merged_arg
+        if not path.exists():
+            raise FileNotFoundError(
+                f"preprocess artifact not found: {path}; "
+                "run the preprocess stage or pass --no-preprocess"
+            )
+        records = _read_jsonl(path)
+        found = {r["patient_id"]: r["text"] for r in records if r.get("condition") == condition}
+        if records and not found:
+            raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
+        texts.append(found)
+    return texts
 
 
-def _label_records(condition: str, mode: str, per_patient: dict[str, PatientVerdict]):
-    for pid in sorted(per_patient):
-        verdict = per_patient[pid]
-        measurements = []
-        evidence_docs = []
-        for dv in verdict.contributing:
-            if dv.status is InferredStatus.YES:
-                evidence_docs.append(f"{dv.doc_id}#{dv.path}")
-            for m in dv.measurements:
-                measurements.append(
-                    {
-                        "analyte": m.analyte,
-                        "raw_value": m.raw_value,
-                        "raw_unit": m.raw_unit,
-                        "normalized_value": m.normalized_value,
-                        "systolic": m.systolic,
-                        "diastolic": m.diastolic,
-                    }
-                )
+def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
+    paths = MODE_PATHS[mode]
+    for pid in sorted(findings):
+        found = findings[pid]
         yield {
             "patient_id": pid,
             "condition": condition,
-            "label": verdict.label,
+            "label": merge_patient(found.statuses, mode),
             "mode": mode,
-            "evidence_doc_ids": evidence_docs,
-            "measurements": measurements,
+            "evidence_doc_ids": [
+                f"merged::{pid}#{path}"
+                for path in paths
+                if found.statuses.get(path) is InferredStatus.YES
+            ],
+            "measurements": [
+                {
+                    "analyte": m.analyte,
+                    "raw_value": m.raw_value,
+                    "raw_unit": m.raw_unit,
+                    "normalized_value": m.normalized_value,
+                    "systolic": m.systolic,
+                    "diastolic": m.diastolic,
+                }
+                for m in (found.measurements if "extraction" in paths else ())
+            ],
         }
 
 
@@ -626,23 +593,21 @@ def _cmd_detect(args, config: dict) -> int:
     params = _generation_params(args, config)
     parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
     chunk_budget = int(_resolve(args, config, "chunk_budget", DEFAULT_CHUNK_BUDGET))
-    modes = MODES if args.mode == "all" else (args.mode,)
+    modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    selected = [
-        (_detect_input(args, cohort, profile.name), profile)
-        for profile in _select_profiles(args, config)
-    ]
+    profiles = _select_profiles(args, config)
+    texts = _detect_texts(args, cohort, [profile.name for profile in profiles])
     outputs = []
     counts: Counter = Counter()
-    for condition, results in run_detect(
-        cohort, selected, backend, params, modes=modes, chunk_budget=chunk_budget,
-        parallelism=parallelism, counts=counts,
+    for condition, findings in run_detect(
+        cohort, list(zip(texts, profiles)), backend, params, modes=modes,
+        chunk_budget=chunk_budget, parallelism=parallelism, counts=counts,
     ):
-        for mode, per_patient in results.items():
+        for mode in modes:
             path = out_dir / f"detect_{mode}_{condition}.jsonl"
-            _write_jsonl(path, _label_records(condition, mode, per_patient))
+            _write_jsonl(path, _label_records(condition, mode, findings))
             outputs.append(str(path))
     _warn_oversized(counts, chunk_budget)
     _write_manifest(
@@ -650,9 +615,7 @@ def _cmd_detect(args, config: dict) -> int:
         "detect",
         {
             "config_hash": _config_hash({"modes": modes, "chunk_budget": chunk_budget}),
-            "backend_id": backend.backend_id,
-            "backend_requests": _backend_requests(backend, counts),
-            "cache_hits": getattr(backend, "hits", None),
+            **_backend_block(backend, counts),
             "oversized_chunks": counts["oversized_chunks"],
             "outputs": outputs,
             "elapsed_s": round(time.monotonic() - started, 3),
@@ -694,7 +657,7 @@ def _cmd_evaluate(args, config: dict) -> int:
             if lab.condition == condition
         )
         predictions: dict[str, dict[str, int]] = {}
-        for mode in MODES:
+        for mode in MODE_PATHS:
             path = detect_dir / f"detect_{mode}_{condition}.jsonl"
             if not path.exists():
                 raise FileNotFoundError(
@@ -705,7 +668,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         if has_icd:
             icd = cohort.reference_map(condition, icd=True)
             methods.append(("icd10", icd))
-        methods += [(mode, predictions[mode]) for mode in MODES]
+        methods += list(predictions.items())
         if has_icd:
             methods.append(("pipeline_plus_icd", evaluation.combine_or(predictions["merged"], icd)))
         for method, pred in methods:
@@ -870,7 +833,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--merged", help="merged file or preprocess output directory")
     p.add_argument("--no-preprocess", action="store_true", help="run on raw concatenated notes")
-    p.add_argument("--mode", choices=MODES + ("all",), default="merged")
+    p.add_argument("--mode", choices=(*MODE_PATHS, "all"), default="merged")
     p.add_argument("--condition")
     p.add_argument("--profiles")
     p.add_argument("--chunk-budget", type=int)

@@ -18,7 +18,6 @@ __all__ = [
     "FilterPlan",
     "SentenceProvenance",
     "MergedDocument",
-    "ConsolidatedCorpus",
     "ConsolidationStats",
     "sentence_spans",
     "keyword_regex",
@@ -70,19 +69,11 @@ class SentenceProvenance:
 
 @dataclass(frozen=True)
 class MergedDocument:
-    patient_id: str
-    condition: str
+    """One patient's keyword sentences of one condition, joined in timestamp order."""
+
     text: str
     provenance: tuple[SentenceProvenance, ...]
     first_timestamp: datetime
-
-
-@dataclass(frozen=True)
-class ConsolidatedCorpus:
-    """Per-patient merged keyword sentences of one condition."""
-
-    condition: str
-    merged: Mapping[str, MergedDocument]
 
 
 @dataclass(frozen=True)
@@ -215,17 +206,18 @@ def filter_document_types(
 
 def consolidate(
     cohort: Cohort, plan: FilterPlan, profile: ConditionProfile
-) -> tuple[ConsolidatedCorpus, ConsolidationStats]:
+) -> tuple[dict[str, MergedDocument], ConsolidationStats]:
     """consolidate_all for a single condition."""
     return consolidate_all(cohort, [(plan, profile)])[0]
 
 
 def consolidate_all(
     cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
-) -> list[tuple[ConsolidatedCorpus, ConsolidationStats]]:
+) -> list[tuple[dict[str, MergedDocument], ConsolidationStats]]:
     """Extract keyword sentences from kept-type documents into one merged
     document per patient and condition, ordered by source timestamp (ties by
-    doc_id). Results follow the order of `selected`.
+    doc_id). Results, `({patient_id: merged}, stats)` per condition, follow
+    the order of `selected`.
 
     One pass over the corpus serves every condition: a document kept by any
     condition is split into stripped sentences once, and each condition's
@@ -267,7 +259,7 @@ def consolidate_all(
 
     words_before = cohort.word_count
     results = []
-    for (plan, profile), condition_hits in zip(selected, hits):
+    for (plan, _), condition_hits in zip(selected, hits):
         merged: dict[str, MergedDocument] = {}
         words_after = 0
         for patient_id in sorted(condition_hits):
@@ -278,8 +270,6 @@ def consolidate_all(
                 for _, doc_id, offset, core in entries
             )
             merged[patient_id] = MergedDocument(
-                patient_id=patient_id,
-                condition=profile.name,
                 text=text,
                 provenance=provenance,
                 first_timestamp=entries[0][0],
@@ -290,7 +280,7 @@ def consolidate_all(
             positive_retention=None,
             kept_type_count=len(plan.kept_types),
         )
-        results.append((ConsolidatedCorpus(condition=profile.name, merged=merged), stats))
+        results.append((merged, stats))
     return results
 
 
@@ -306,7 +296,7 @@ def positive_retention(
 def retention_report(
     before: Cohort,
     positives: Collection[str],
-    after: ConsolidatedCorpus,
+    after: Mapping[str, MergedDocument],
     kept_type_count: int,
 ) -> ConsolidationStats:
     """Words remaining plus the fraction of positive patients still holding text.
@@ -315,9 +305,9 @@ def retention_report(
     coerced to a number.
     """
     words_before = before.word_count
-    words_after = sum(len(m.text.split()) for m in after.merged.values())
+    words_after = sum(len(m.text.split()) for m in after.values())
     return ConsolidationStats(
         words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
-        positive_retention=positive_retention(positives, after.merged),
+        positive_retention=positive_retention(positives, after),
         kept_type_count=kept_type_count,
     )

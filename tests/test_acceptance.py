@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from notepheno.adjudication import (
     InferredStatus,
     apply_clinical_rule,
+    merge_patient,
     parse_extraction_response,
     parse_inference_response,
 )
@@ -25,7 +26,7 @@ from notepheno.preprocess import (
     FilterPlan,
     consolidate,
     filter_document_types,
-    retention_report,
+    positive_retention,
 )
 from notepheno.prompting import ClinicalRule, builtin_profiles
 
@@ -151,13 +152,13 @@ def test_criterion_4_synthetic_recovery():
                 cohort, [profile], clean, params, m=60, seed=seed, parallelism=1
             )["diabetes"]
             plan = filter_document_types(type_profiles, "q1", condition="diabetes")
-            consolidated, _ = consolidate(cohort, plan, profile)
+            merged, _ = consolidate(cohort, plan, profile)
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
-            results = dict(run_detect(
-                cohort, [(consolidated, profile)], noisy, params,
+            findings = dict(run_detect(
+                cohort, [({pid: m.text for pid, m in merged.items()}, profile)], noisy, params,
                 modes=("prompt1",), parallelism=1,
             ))["diabetes"]
-            pred = {pid: v.label for pid, v in results["prompt1"].items()}
+            pred = {pid: merge_patient(f.statuses, "prompt1") for pid, f in findings.items()}
             ref = {pid: truth[pid]["diabetes"] for pid in truth}
             ms = metrics(confusion(pred, ref))
             if (
@@ -184,14 +185,16 @@ def test_criterion_5_or_mode_algebra():
             threshold_value=0.0,
             kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
         )
-        consolidated, _ = consolidate(cohort, plan, profile)
-        results = dict(run_detect(
-            cohort, [(consolidated, profile)], MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
-            params, modes=("prompt1", "prompt2", "merged"), parallelism=1,
+        merged, _ = consolidate(cohort, plan, profile)
+        modes = ("prompt1", "prompt2", "merged")
+        findings = dict(run_detect(
+            cohort, [({pid: m.text for pid, m in merged.items()}, profile)],
+            MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
+            params, modes=modes, parallelism=1,
         ))["diabetes"]
         positives = {
-            mode: {pid for pid, v in results[mode].items() if v.label == 1}
-            for mode in results
+            mode: {pid for pid, f in findings.items() if merge_patient(f.statuses, mode) == 1}
+            for mode in modes
         }
         assert positives["merged"] == positives["prompt1"] | positives["prompt2"]
 
@@ -236,17 +239,16 @@ def test_criterion_6_preprocessing_properties():
             threshold_value=0.0,
             kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
         )
-        consolidated, _ = consolidate(cohort, plan, profile)
+        merged, _ = consolidate(cohort, plan, profile)
         doc_text = {d.doc_id: d.text for d in cohort.documents}
-        for merged in consolidated.merged.values():
-            for span in merged.provenance:
+        for doc in merged.values():
+            for span in doc.provenance:
                 fragment = doc_text[span.doc_id][span.start : span.end]
                 assert fragment == fragment.strip()
-                assert fragment in merged.text
+                assert fragment in doc.text
 
         positives = {pid for pid, t in truth.items() if t["diabetes"] == 1}
-        stats = retention_report(cohort, positives, consolidated, len(plan.kept_types))
-        assert stats.positive_retention == 1.0
+        assert positive_retention(positives, merged) == 1.0
 
 
 # 7 -------------------------------------------------------------------------

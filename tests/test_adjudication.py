@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notepheno.adjudication import (
-    DocumentVerdict,
     InferredStatus,
     LabMeasurement,
     apply_clinical_rule,
@@ -147,57 +146,30 @@ def test_scalar_rule_any_value_crossing():
 
 # -- merging -----------------------------------------------------------------
 
-def _verdict(path, status):
-    return DocumentVerdict("p1", "diabetes", "d1", path, status)
-
-
 def test_merge_modes_select_paths():
-    verdicts = [
-        _verdict("inference", InferredStatus.NO),
-        _verdict("extraction", InferredStatus.YES),
-    ]
-    assert merge_patient(verdicts, "prompt1").label == 0
-    assert merge_patient(verdicts, "prompt2").label == 1
-    assert merge_patient(verdicts, "merged").label == 1
+    statuses = {"inference": InferredStatus.NO, "extraction": InferredStatus.YES}
+    assert merge_patient(statuses, "prompt1") == 0
+    assert merge_patient(statuses, "prompt2") == 1
+    assert merge_patient(statuses, "merged") == 1
 
 
-def test_merge_empty_is_negative_with_explicit_ids():
-    verdict = merge_patient([], "merged", patient_id="p9", condition="ami")
-    assert verdict.label == 0 and verdict.patient_id == "p9"
+def test_merge_empty_is_negative():
+    assert merge_patient({}, "merged") == 0
     with pytest.raises(ValueError):
-        merge_patient([], "merged")
-    with pytest.raises(ValueError):
-        merge_patient([_verdict("inference", InferredStatus.YES)], "prompt3")
-
-
-def test_merge_rejects_mixed_patients():
-    verdicts = [
-        _verdict("inference", InferredStatus.YES),
-        DocumentVerdict("p2", "diabetes", "d2", "inference", InferredStatus.NO),
-    ]
-    with pytest.raises(ValueError, match="multiple patients"):
-        merge_patient(verdicts, "prompt1")
+        merge_patient({"inference": InferredStatus.YES}, "prompt3")
 
 
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["inference", "extraction"]),
-            st.sampled_from(list(InferredStatus)),
-        ),
-        max_size=8,
+    st.dictionaries(
+        st.sampled_from(["inference", "extraction"]),
+        st.sampled_from(list(InferredStatus)),
     )
 )
 @settings(max_examples=200)
-def test_merged_label_is_or_of_paths(items):
-    verdicts = [
-        DocumentVerdict("p1", "c", f"d{i}", path, status)
-        for i, (path, status) in enumerate(items)
-    ]
-    kwargs = dict(patient_id="p1", condition="c")
-    p1 = merge_patient(verdicts, "prompt1", **kwargs).label
-    p2 = merge_patient(verdicts, "prompt2", **kwargs).label
-    merged = merge_patient(verdicts, "merged", **kwargs).label
+def test_merged_label_is_or_of_paths(statuses):
+    p1 = merge_patient(statuses, "prompt1")
+    p2 = merge_patient(statuses, "prompt2")
+    merged = merge_patient(statuses, "merged")
     assert merged == int(bool(p1) or bool(p2))
 
 

@@ -200,6 +200,61 @@ def test_detect_no_preprocess_runs_on_raw_notes(pipeline_dirs, tmp_path):
     assert (tmp_path / "det" / "detect_prompt1_diabetes.jsonl").exists()
 
 
+def test_detect_no_preprocess_chunks_each_patient_once(pipeline_dirs, tmp_path, monkeypatch):
+    calls = []
+    inner = cli.chunk_text
+
+    def counting(text, budget):
+        calls.append(text)
+        return inner(text, budget)
+
+    monkeypatch.setattr(cli, "chunk_text", counting)
+    corpus = str(pipeline_dirs / "corpus")
+    # three conditions share each patient's raw notes
+    assert _run("detect", "--corpus", corpus, "--no-preprocess", "--mode", "all", "--mock",
+                "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
+    assert len(calls) == len(set(calls)) == len(_load_corpus_dir(corpus).patients)
+
+
+def test_detect_merged_file_without_the_condition_exits_1(pipeline_dirs, tmp_path, capsys):
+    merged = pipeline_dirs / "prep" / "merged_diabetes.jsonl"
+    code = _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(merged),
+                "--mode", "all", "--mock", "--out", str(tmp_path / "det"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(merged) in err and "'ami'" in err
+    assert not (tmp_path / "det" / "detect_merged_ami.jsonl").exists()
+
+
+def test_detect_empty_merged_file_labels_everyone_0(pipeline_dirs, tmp_path):
+    empty = tmp_path / "merged.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(empty),
+                "--mode", "all", "--mock", "--out", str(tmp_path / "det")) == 0
+    files = sorted((tmp_path / "det").glob("detect_*.jsonl"))
+    assert len(files) == 9
+    for path in files:
+        records = _read_jsonl(path)
+        assert len(records) == 80
+        assert all(r["label"] == 0 and not r["evidence_doc_ids"] for r in records)
+
+
+def test_detect_lists_measurements_only_under_extraction_modes(pipeline_dirs):
+    for condition in ("ami", "diabetes", "hypertension"):
+        det = pipeline_dirs / "det"
+        by_mode = {
+            mode: {r["patient_id"]: r for r in _read_jsonl(det / f"detect_{mode}_{condition}.jsonl")}
+            for mode in ("prompt1", "prompt2", "merged")
+        }
+        assert not any(r["measurements"] for r in by_mode["prompt1"].values()), condition
+        assert any(r["measurements"] for r in by_mode["prompt2"].values()), condition
+        for pid, record in by_mode["merged"].items():
+            assert record["measurements"] == by_mode["prompt2"][pid]["measurements"]
+            assert record["evidence_doc_ids"] == (
+                by_mode["prompt1"][pid]["evidence_doc_ids"] + by_mode["prompt2"][pid]["evidence_doc_ids"]
+            )
+
+
 def test_unknown_condition_exits_1(pipeline_dirs, tmp_path, capsys):
     code = _run(
         "profile",
@@ -440,6 +495,7 @@ def test_manifest_backend_requests_without_cache(pipeline_dirs, tmp_path, monkey
     assert _run(*argv, "--mock", "--parallelism", "1") == 0
     manifest = json.loads((tmp_path / f"manifest_{stage}.json").read_text())
     assert prompts and manifest["backend_requests"] == len(prompts)
+    assert manifest["cache_hits"] == 0
 
 
 def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):

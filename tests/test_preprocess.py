@@ -144,8 +144,8 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
     corpus, stats = consolidate(cohort, plan, diabetes_profile)
-    assert set(corpus.merged) == {"p1"}
-    merged = corpus.merged["p1"]
+    assert set(corpus) == {"p1"}
+    merged = corpus["p1"]
     assert merged.text == "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."
     # provenance spans point at the exact source fragments
     texts = {"d1": cohort.documents[0].text, "d2": cohort.documents[1].text}
@@ -249,22 +249,22 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
         (FilterPlan(p.name, 0.0, 0.0, kept[p.name]), p) for p in profiles
     ]
     together = consolidate_all(cohort, selected)
-    assert [corpus.condition for corpus, _ in together] == [p.name for p in profiles]
+    assert len(together) == len(profiles)
     for (plan, profile), (corpus, stats) in zip(selected, together):
         # a fresh cohort, so no word count is carried over from the pass above
         alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
         alone, alone_stats = consolidate(alone_cohort, plan, profile)
-        assert corpus.merged == alone.merged
+        assert corpus == alone
         assert stats == alone_stats
         merged, fraction = _consolidate_reference(cohort, plan, profile)
         assert {
             pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance), m.first_timestamp)
-            for pid, m in corpus.merged.items()
+            for pid, m in corpus.items()
         } == merged
         assert stats.words_fraction_remaining == fraction
         assert stats.kept_type_count == len(plan.kept_types)
-    assert together[0][0].merged and together[1][0].merged
-    assert not together[2][0].merged
+    assert together[0][0] and together[1][0]
+    assert not together[2][0]
 
 
 def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes_profile):
@@ -272,4 +272,4 @@ def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes
     corpus, stats = consolidate(small_cohort, plan, diabetes_profile)
     report = retention_report(small_cohort, {"p1", "p3"}, corpus, 1)
     assert report.words_fraction_remaining == stats.words_fraction_remaining
-    assert report.positive_retention == positive_retention({"p1", "p3"}, corpus.merged) == 0.5
+    assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5
