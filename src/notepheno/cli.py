@@ -25,7 +25,15 @@ from .adjudication import (
     parse_extraction_response,
     parse_inference_response,
 )
-from .corpus import Cohort, CorpusError, SynthSpec, generate_synthetic, load_cohort, write_cohort
+from .corpus import (
+    Cohort,
+    CorpusError,
+    SynthSpec,
+    encode_record,
+    generate_synthetic,
+    load_cohort,
+    write_cohort,
+)
 from .inference import (
     DEFAULT_CHUNK_BUDGET,
     DEFAULT_PARALLELISM,
@@ -74,7 +82,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def _write_jsonl(path: Path, records) -> None:
     buf = io.StringIO()
     for record in records:
-        buf.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        buf.write(encode_record(record) + "\n")
     _atomic_write_text(path, buf.getvalue())
 
 
@@ -163,16 +171,20 @@ def _make_backend(args, config: dict) -> Backend:
     return backend
 
 
-def _load_corpus_dir(directory) -> Cohort:
+def _load_corpus_dir(directory, *, documents: bool, labels: bool) -> Cohort:
+    """The cohort of a corpus directory, read from only the files a stage
+    uses: the patients file always, the documents and labels files when
+    asked. A file left unread is neither required nor checked."""
     directory = Path(directory)
-    for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl"):
-        if not (directory / name).exists():
-            raise FileNotFoundError(f"corpus file missing: {directory / name}")
-    return load_cohort(
-        directory / "documents.jsonl",
+    paths = (
+        directory / "documents.jsonl" if documents else None,
         directory / "patients.jsonl",
-        directory / "labels.jsonl",
+        directory / "labels.jsonl" if labels else None,
     )
+    for path in paths:
+        if path is not None and not path.exists():
+            raise FileNotFoundError(f"corpus file missing: {path}")
+    return load_cohort(*paths)
 
 
 def _select_profiles(args, config: dict) -> list[ConditionProfile]:
@@ -390,7 +402,7 @@ def _cmd_synth(args, config: dict) -> int:
 
 def _cmd_profile(args, config: dict) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus)
+    cohort = _load_corpus_dir(args.corpus, documents=True, labels=False)
     backend = _make_backend(args, config)
     params = _generation_params(args, config)
     m = int(_resolve(args, config, "m", 200))
@@ -471,7 +483,7 @@ def _merged_records(condition: str, merged: Mapping[str, MergedDocument]):
 
 def _cmd_preprocess(args, config: dict) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus)
+    cohort = _load_corpus_dir(args.corpus, documents=True, labels=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     percentile = _resolve(args, config, "percentile", "q1")
@@ -588,7 +600,9 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
 
 def _cmd_detect(args, config: dict) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus)
+    # The merged texts come from the preprocess artifact; only the raw notes
+    # of --no-preprocess need the documents.
+    cohort = _load_corpus_dir(args.corpus, documents=args.no_preprocess, labels=False)
     backend = _make_backend(args, config)
     params = _generation_params(args, config)
     parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
@@ -637,7 +651,7 @@ def _format_metric(est) -> tuple[str, str, str]:
 
 def _cmd_evaluate(args, config: dict) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus)
+    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     detect_dir = Path(args.detect_dir)
     ci_level = float(_resolve(args, config, "ci_level", 0.95))
     header = (
@@ -736,7 +750,7 @@ def _trend_svg(points, condition: str) -> str:
 
 
 def _cmd_trend(args, config: dict) -> int:
-    cohort = _load_corpus_dir(args.corpus)
+    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     records = _read_jsonl(args.pred)
     if not records:
         raise ValueError(f"{args.pred}: no prediction records")

@@ -144,11 +144,19 @@ def _iter_lines(path: Path):
 
 
 def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
-    """Load and cross-validate a corpus from three line-record files."""
-    documents_path = Path(documents_path)
-    patients_path = Path(patients_path)
-    labels_path = Path(labels_path)
+    """Load and cross-validate a corpus from its line-record files.
 
+    The patients file is always read: its ids are the ones that documents and
+    labels must name. A `documents_path` or `labels_path` of None leaves that
+    file unread and that part of the cohort empty.
+    """
+    patients = _load_patients(Path(patients_path))
+    documents = () if documents_path is None else _load_documents(Path(documents_path), patients)
+    labels = () if labels_path is None else _load_labels(Path(labels_path), patients)
+    return Cohort(patients=patients, documents=documents, labels=labels)
+
+
+def _load_patients(patients_path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
     for lineno, raw in _iter_lines(patients_path):
         record = _parse_line(raw, patients_path, lineno)
@@ -164,7 +172,12 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
             admit_date=_parse_date(record["admit_date"], f"{patients_path.name} line {lineno}"),
             attributes={str(k): str(v) for k, v in attributes.items()},
         )
+    return patients
 
+
+def _load_documents(
+    documents_path: Path, patients: Mapping[str, Patient]
+) -> tuple[ClinicalDocument, ...]:
     documents: list[ClinicalDocument] = []
     seen_doc_ids: set[str] = set()
     for lineno, raw in _iter_lines(documents_path):
@@ -188,7 +201,10 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
                 text=str(record.get("text", "")),
             )
         )
+    return tuple(documents)
 
+
+def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
     labels: list[ReferenceLabel] = []
     seen_label_keys: set[tuple[str, str]] = set()
     for lineno, raw in _iter_lines(labels_path):
@@ -211,12 +227,12 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
         if registry not in (0, 1) or icd not in (None, 0, 1):
             raise CorpusError(f"{labels_path.name} line {lineno}: labels must be 0 or 1")
         labels.append(ReferenceLabel(pid, condition, int(registry), None if icd is None else int(icd)))
+    return tuple(labels)
 
-    return Cohort(patients=patients, documents=tuple(documents), labels=tuple(labels))
 
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+# The one encoder of every line record the package writes: `json.dumps` with
+# these options gives the same text but builds a new encoder per record.
+encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> None:
@@ -225,7 +241,7 @@ def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> 
         for pid in sorted(cohort.patients):
             patient = cohort.patients[pid]
             handle.write(
-                _dump(
+                encode_record(
                     {
                         "patient_id": patient.patient_id,
                         "admit_date": patient.admit_date.isoformat(),
@@ -237,7 +253,7 @@ def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> 
     with Path(documents_path).open("w", encoding="utf-8") as handle:
         for doc in cohort.documents:
             handle.write(
-                _dump(
+                encode_record(
                     {
                         "patient_id": doc.patient_id,
                         "doc_id": doc.doc_id,
@@ -257,7 +273,7 @@ def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> 
             }
             if label.icd_label is not None:
                 record["icd_label"] = label.icd_label
-            handle.write(_dump(record) + "\n")
+            handle.write(encode_record(record) + "\n")
 
 
 @dataclass(frozen=True)

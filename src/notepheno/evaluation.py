@@ -66,11 +66,9 @@ class TrendPoint:
     n: int
 
 
-def confusion(
-    predicted: Mapping[str, int], reference: Mapping[str, int]
-) -> ConfusionMatrix:
-    """Standard 2x2 counts. Key sets must match exactly; a patient missing a
-    prediction is an error, never silently negative."""
+def _require_same_patients(predicted: Mapping[str, int], reference: Mapping[str, int]) -> None:
+    """Key sets must match exactly; a patient missing a prediction is an
+    error, never silently negative."""
     missing = sorted(set(reference) - set(predicted))
     extra = sorted(set(predicted) - set(reference))
     if missing or extra:
@@ -80,6 +78,13 @@ def confusion(
         if extra:
             parts.append(f"predictions without reference for {extra[:10]}")
         raise ValueError("; ".join(parts))
+
+
+def confusion(
+    predicted: Mapping[str, int], reference: Mapping[str, int]
+) -> ConfusionMatrix:
+    """Standard 2x2 counts over identical key sets (see `_require_same_patients`)."""
+    _require_same_patients(predicted, reference)
     tp = fp = fn = tn = 0
     for pid, ref in reference.items():
         pred = predicted[pid]
@@ -145,7 +150,9 @@ def monthly_trend(
     predicted: Mapping[str, int],
     reference: Mapping[str, int],
 ) -> list[TrendPoint]:
-    """Monthly positive fractions of predicted vs reference, by admit month."""
+    """Monthly positive fractions of predicted vs reference, by admit month,
+    over identical key sets (see `_require_same_patients`)."""
+    _require_same_patients(predicted, reference)
     buckets: dict[str, list[str]] = defaultdict(list)
     for pid in reference:
         patient = cohort.patients.get(pid)

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -171,6 +172,91 @@ def test_trend_csv_and_svg(pipeline_dirs, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_trend_with_a_patient_missing_from_the_predictions_exits_1(pipeline_dirs, tmp_path, capsys):
+    lines = (pipeline_dirs / "det" / "detect_merged_ami.jsonl").read_text(encoding="utf-8").splitlines()
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(line + "\n" for line in lines[:-1]), encoding="utf-8")
+    dropped = json.loads(lines[-1])["patient_id"]
+    code = _run("trend", "--corpus", str(pipeline_dirs / "corpus"), "--pred", str(pred),
+                "--out", str(tmp_path / "trend.csv"))
+    assert code == 1
+    assert f"error: missing predictions for [{dropped!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "trend.csv").exists()
+
+
+def _corpus_with_bad_line(pipeline_dirs, tmp_path, name: str) -> str:
+    """A copy of the module's corpus whose `name` file ends in an invalid line."""
+    corpus = tmp_path / "bad_corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    with (corpus / name).open("a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    return str(corpus)
+
+
+def _same_bytes(left: Path, right: Path, pattern: str) -> None:
+    names = sorted(path.name for path in left.glob(pattern))
+    assert names and names == sorted(path.name for path in right.glob(pattern))
+    for name in names:
+        assert (left / name).read_bytes() == (right / name).read_bytes(), name
+
+
+def test_a_bad_documents_file_fails_only_the_stages_that_read_it(pipeline_dirs, tmp_path, capsys):
+    bad = _corpus_with_bad_line(pipeline_dirs, tmp_path, "documents.jsonl")
+    prep, det = str(pipeline_dirs / "prep"), str(pipeline_dirs / "det")
+    for name, corpus in (("intact", str(pipeline_dirs / "corpus")), ("bad", bad)):
+        out = tmp_path / name
+        assert _run("detect", "--corpus", corpus, "--merged", prep, "--mode", "all", "--mock",
+                    "--out", str(out)) == 0
+        assert _run("evaluate", "--corpus", corpus, "--detect-dir", det,
+                    "--out", str(out / "report.csv")) == 0
+    _same_bytes(tmp_path / "intact", tmp_path / "bad", "detect_*.jsonl")
+    _same_bytes(tmp_path / "intact", tmp_path / "bad", "report.csv")
+    capsys.readouterr()
+    for argv in (
+        ("profile", "--corpus", bad, "--mock", "--out", str(tmp_path / "p.csv")),
+        ("preprocess", "--corpus", bad, "--profile-csv", str(pipeline_dirs / "profile.csv"),
+         "--out", str(tmp_path / "prep")),
+        ("detect", "--corpus", bad, "--no-preprocess", "--mock", "--out", str(tmp_path / "raw")),
+    ):
+        assert _run(*argv) == 1, argv
+        assert "error: documents.jsonl line" in capsys.readouterr().err, argv
+
+
+def test_a_bad_labels_file_fails_only_the_stages_that_read_it(pipeline_dirs, tmp_path, capsys):
+    bad = _corpus_with_bad_line(pipeline_dirs, tmp_path, "labels.jsonl")
+    out = tmp_path / "out"
+    assert _run("profile", "--corpus", bad, "--m", "40", "--seed", "5", "--mock",
+                "--out", str(out / "profile.csv")) == 0
+    _same_bytes(pipeline_dirs, out, "profile.csv")
+    assert _run("detect", "--corpus", bad, "--merged", str(pipeline_dirs / "prep"), "--mode", "all",
+                "--mock", "--out", str(out)) == 0
+    _same_bytes(pipeline_dirs / "det", out, "detect_*.jsonl")
+    assert _run("detect", "--corpus", bad, "--no-preprocess", "--mock", "--out", str(out / "raw")) == 0
+    capsys.readouterr()
+    for argv in (
+        ("preprocess", "--corpus", bad, "--profile-csv", str(pipeline_dirs / "profile.csv"),
+         "--out", str(tmp_path / "prep")),
+        ("evaluate", "--corpus", bad, "--detect-dir", str(pipeline_dirs / "det"),
+         "--out", str(tmp_path / "report.csv")),
+        ("trend", "--corpus", bad, "--pred", str(pipeline_dirs / "det" / "detect_merged_ami.jsonl"),
+         "--out", str(tmp_path / "trend.csv")),
+    ):
+        assert _run(*argv) == 1, argv
+        assert "error: labels.jsonl line" in capsys.readouterr().err, argv
+
+
+def test_evaluate_and_trend_need_no_documents_file(pipeline_dirs, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("patients.jsonl", "labels.jsonl"):
+        shutil.copy(pipeline_dirs / "corpus" / name, corpus / name)
+    assert _run("evaluate", "--corpus", str(corpus), "--detect-dir", str(pipeline_dirs / "det"),
+                "--out", str(tmp_path / "report.csv")) == 0
+    assert _run("trend", "--corpus", str(corpus),
+                "--pred", str(pipeline_dirs / "det" / "detect_merged_ami.jsonl"),
+                "--out", str(tmp_path / "trend.csv")) == 0
+
+
 def test_detect_missing_preprocess_artifact_exits_1(pipeline_dirs, tmp_path, capsys):
     code = _run(
         "detect",
@@ -213,7 +299,8 @@ def test_detect_no_preprocess_chunks_each_patient_once(pipeline_dirs, tmp_path, 
     # three conditions share each patient's raw notes
     assert _run("detect", "--corpus", corpus, "--no-preprocess", "--mode", "all", "--mock",
                 "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
-    assert len(calls) == len(set(calls)) == len(_load_corpus_dir(corpus).patients)
+    patients = _load_corpus_dir(corpus, documents=False, labels=False).patients
+    assert len(calls) == len(set(calls)) == len(patients)
 
 
 def test_detect_merged_file_without_the_condition_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -436,7 +523,9 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         "--m", "4", "--seed", "3", "--chunk-budget", str(budget), "--mock",
         "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
     ) == 0
-    samples = sample_document_types(_load_corpus_dir(pipeline_dirs / "corpus"), 4, 3)
+    samples = sample_document_types(
+        _load_corpus_dir(pipeline_dirs / "corpus", documents=True, labels=False), 4, 3
+    )
     docs = [doc for picked in samples.values() for doc in picked]
     chunks = sum(len(chunk_text(doc.text, budget)) for doc in docs)
     assert chunks > len(docs)  # the budget split some documents

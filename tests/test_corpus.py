@@ -3,11 +3,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from notepheno.corpus import (
     Cohort,
     CorpusError,
     SynthSpec,
+    encode_record,
     generate_synthetic,
     load_cohort,
     write_cohort,
@@ -140,3 +143,55 @@ def test_generate_synthetic_positive_patient_has_evidence():
         if per_cond["diabetes"]:
             text = " ".join(d.text for d in cohort.documents if d.patient_id == pid)
             assert "diabetes" in text.lower()
+
+
+def test_unread_files_are_neither_required_nor_checked(tmp_path):
+    docs, pats, labs = _valid_files(tmp_path)
+    docs.write_text("not json\n", encoding="utf-8")
+    labs.unlink()
+    cohort = load_cohort(None, pats, None)
+    assert list(cohort.patients) == ["p1"]
+    assert cohort.documents == () and cohort.labels == ()
+    with pytest.raises(CorpusError, match="documents.jsonl line 1"):
+        load_cohort(docs, pats, None)
+
+
+def test_unread_documents_keep_the_label_checks(tmp_path):
+    docs, pats, labs = _valid_files(tmp_path)
+    docs.unlink()
+    assert load_cohort(None, pats, labs).reference_map("diabetes") == {"p1": 1}
+    _write_lines(labs, [{"patient_id": "ghost", "condition": "diabetes", "registry_label": 1}])
+    with pytest.raises(CorpusError, match="labels.jsonl line 1: unknown patient_id 'ghost'"):
+        load_cohort(None, pats, labs)
+
+
+_texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+_numbers = st.one_of(st.none(), st.floats(), st.integers(-10**6, 10**6))
+_label_records = st.fixed_dictionaries(
+    {
+        "patient_id": _texts,
+        "condition": _texts,
+        "label": st.integers(0, 1),
+        "mode": st.sampled_from(["prompt1", "prompt2", "merged"]),
+        "evidence_doc_ids": st.lists(_texts, max_size=3),
+        "measurements": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "analyte": _texts,
+                    "raw_value": _numbers,
+                    "raw_unit": st.one_of(st.none(), _texts),
+                    "normalized_value": _numbers,
+                    "systolic": _numbers,
+                    "diastolic": _numbers,
+                }
+            ),
+            max_size=3,
+        ),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_records)
+def test_encode_record_matches_json_dumps(record):
+    assert encode_record(record) == json.dumps(record, ensure_ascii=False, sort_keys=True)

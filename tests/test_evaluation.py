@@ -87,3 +87,12 @@ def test_monthly_trend_groups_by_admit_month():
     with pytest.raises(ValueError, match="no patient record"):
         monthly_trend(cohort, {"zz": 1}, {"zz": 1})
 
+
+
+def test_monthly_trend_refuses_mismatched_patients():
+    cohort = _cohort_with_months()
+    reference = {"a": 1, "b": 0, "c": 1}
+    with pytest.raises(ValueError, match=r"missing predictions for \['c'\]"):
+        monthly_trend(cohort, {"a": 1, "b": 1}, reference)
+    with pytest.raises(ValueError, match=r"predictions without reference for \['zz'\]"):
+        monthly_trend(cohort, {"a": 1, "b": 1, "c": 0, "zz": 1}, reference)
