@@ -29,6 +29,8 @@ from .corpus import (
     Cohort,
     CorpusError,
     SynthSpec,
+    _iter_lines,
+    _parse_line,
     encode_record,
     generate_synthetic,
     load_cohort,
@@ -86,13 +88,18 @@ def _write_jsonl(path: Path, records) -> None:
     _atomic_write_text(path, buf.getvalue())
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path, keys: Sequence[str] = ()) -> list[dict]:
+    """The records of a line-record file. A line that is not a JSON object,
+    or that lacks one of `keys` or holds null there, raises CorpusError
+    naming the file and line. An empty merged text is valid."""
+    path = Path(path)
     records = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if raw:
-                records.append(json.loads(raw))
+    for lineno, raw in _iter_lines(path):
+        record = _parse_line(raw, path, lineno)
+        for key in keys:
+            if record.get(key) is None:
+                raise CorpusError(f"{path.name} line {lineno}: missing field {key!r}")
+        records.append(record)
     return records
 
 
@@ -209,34 +216,48 @@ def _ask_all(
     """The request plan of a backend stage, sent in one dispatch.
 
     `jobs` yields `(owner, text, asks)`, `asks` being `(profile, kind)` pairs.
-    Each text is chunked once and each chunk rendered once per ask. A worker
-    renders, completes and parses one request, so neither the prompts nor the
-    raw replies of the stage are ever held together. Returns the parsed
-    replies under `(condition, kind, owner)`, in chunk order; `counts` gets
-    the requests sent and the oversized chunks.
+    Each text is chunked once. An ask is keyed by `(condition, kind, chunk
+    text)`, and each distinct key is rendered and sent once; its parsed reply
+    goes to every owner that asked it. A worker renders, completes and parses
+    one request, so neither the prompts nor the raw replies of the stage are
+    ever held together. Returns the parsed replies under `(condition, kind,
+    owner)`, in chunk order; `counts` gets the requests sent, the asks that
+    shared an earlier ask's request, and the oversized chunks.
     """
+    index: dict[tuple[str, str, str], int] = {}
     items = []
-    oversized = 0
+    # each owner's replies, as indices into `items` until the dispatch returns
+    replies: dict[tuple[str, str, str], list] = defaultdict(list)
+    planned = oversized = 0
     for owner, text, asks in jobs:
         chunks = chunk_text(text, chunk_budget)
         oversized += sum(chunk.oversized for chunk in chunks)
-        items.extend(
-            (owner, profile, kind, chunk.text) for chunk in chunks for profile, kind in asks
-        )
+        planned += len(chunks) * len(asks)
+        for chunk in chunks:
+            for profile, kind in asks:
+                key = (profile.name, kind, chunk.text)
+                at = index.get(key)
+                if at is None:
+                    at = index[key] = len(items)
+                    items.append((profile, kind, chunk.text))
+                replies[profile.name, kind, owner].append(at)
+    del index  # one entry per distinct ask: free it before the replies arrive
     if counts is not None:
         counts["requests"] += len(items)
+        counts["coalesced_requests"] += planned - len(items)
         counts["oversized_chunks"] += oversized
 
     def ask(item):
-        _, profile, kind, text = item
+        profile, kind, text = item
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
-        return parse_extraction_response(reply.text, profile.rule.analyte)
+        # a tuple, as every owner of the ask shares it
+        return tuple(parse_extraction_response(reply.text, profile.rule.analyte))
 
-    replies: dict[tuple[str, str, str], list] = defaultdict(list)
-    for (owner, profile, kind, _), parsed in zip(items, run_parallel(ask, items, parallelism)):
-        replies[profile.name, kind, owner].append(parsed)
+    parsed = run_parallel(ask, items, parallelism)
+    for found in replies.values():
+        found[:] = [parsed[at] for at in found]
     return replies
 
 
@@ -440,12 +461,14 @@ def _cmd_profile(args, config: dict) -> int:
 
 def _backend_block(backend: Backend, counts: Counter) -> dict:
     """The manifest keys of a backend stage. Behind a cache only the misses
-    reach the backend; without one there are no hits."""
+    reach the backend; without one there are no hits. `coalesced_requests`
+    counts the asks that shared an identical ask's request in the stage."""
     cached = isinstance(backend, CachedBackend)
     return {
         "backend_id": backend.backend_id,
         "backend_requests": backend.misses if cached else counts["requests"],
         "cache_hits": backend.hits if cached else 0,
+        "coalesced_requests": counts["coalesced_requests"],
     }
 
 
@@ -562,8 +585,8 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
                 f"preprocess artifact not found: {path}; "
                 "run the preprocess stage or pass --no-preprocess"
             )
-        records = _read_jsonl(path)
-        found = {r["patient_id"]: r["text"] for r in records if r.get("condition") == condition}
+        records = _read_jsonl(path, ("patient_id", "condition", "text"))
+        found = {r["patient_id"]: r["text"] for r in records if r["condition"] == condition}
         if records and not found:
             raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
         texts.append(found)
@@ -640,7 +663,7 @@ def _cmd_detect(args, config: dict) -> int:
 
 
 def _predictions_from_file(path) -> dict[str, int]:
-    return {r["patient_id"]: int(r["label"]) for r in _read_jsonl(path)}
+    return {r["patient_id"]: int(r["label"]) for r in _read_jsonl(path, ("patient_id", "label"))}
 
 
 def _format_metric(est) -> tuple[str, str, str]:
@@ -751,10 +774,14 @@ def _trend_svg(points, condition: str) -> str:
 
 def _cmd_trend(args, config: dict) -> int:
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
-    records = _read_jsonl(args.pred)
-    if not records:
-        raise ValueError(f"{args.pred}: no prediction records")
-    condition = records[0]["condition"]
+    records = _read_jsonl(args.pred, ("patient_id", "condition", "label"))
+    conditions = sorted({r["condition"] for r in records})
+    if len(conditions) != 1:
+        raise ValueError(
+            f"{args.pred}: expected the prediction records of one condition, "
+            f"found {', '.join(conditions) or 'none'}"
+        )
+    condition = conditions[0]
     predicted = {r["patient_id"]: int(r["label"]) for r in records}
     reference = cohort.reference_map(condition)
     points = evaluation.monthly_trend(cohort, predicted, reference)

@@ -247,7 +247,8 @@ def load_profiles(path) -> list[ConditionProfile]:
     """Load condition profiles from a YAML config, overriding the built-ins.
 
     The file holds a top-level ``profiles`` list; each entry mirrors the
-    ConditionProfile fields. Unlisted conditions are not implied.
+    ConditionProfile fields. Unlisted conditions are not implied. Condition
+    names must be unique: replies and artifacts are keyed by them.
     """
     import yaml  # only runs that pass --profiles pay for the import
 
@@ -256,6 +257,8 @@ def load_profiles(path) -> list[ConditionProfile]:
         raise ValueError(f"{path}: expected a top-level 'profiles' list")
     profiles = []
     for entry in raw["profiles"]:
+        if any(p.name == entry["name"] for p in profiles):
+            raise ValueError(f"{path}: duplicate condition name {entry['name']!r}")
         profiles.append(
             ConditionProfile(
                 name=entry["name"],

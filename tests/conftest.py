@@ -162,6 +162,22 @@ def hypertension_profile(profiles):
     return next(p for p in profiles if p.name == "hypertension")
 
 
+def record_prompts(monkeypatch, backend_cls):
+    """Patch `backend_cls.complete` to record every prompt it is sent, from
+    any thread; returns the list it appends to."""
+    prompts = []
+    lock = threading.Lock()
+    inner = backend_cls.complete
+
+    def recording(self, request):
+        with lock:
+            prompts.append(request.prompt)
+        return inner(self, request)
+
+    monkeypatch.setattr(backend_cls, "complete", recording)
+    return prompts
+
+
 def make_cohort(docs, labels=None):
     """Build a cohort from (patient_id, doc_id, doc_type, text) tuples."""
     patients = {}

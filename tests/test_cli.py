@@ -5,11 +5,10 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
-from conftest import make_cohort
+from conftest import make_cohort, record_prompts
 
 import notepheno
 from notepheno import cli, inference
@@ -182,6 +181,96 @@ def test_trend_with_a_patient_missing_from_the_predictions_exits_1(pipeline_dirs
     assert code == 1
     assert f"error: missing predictions for [{dropped!r}]" in capsys.readouterr().err
     assert not (tmp_path / "trend.csv").exists()
+
+
+def test_trend_refuses_a_file_that_mixes_conditions(pipeline_dirs, tmp_path, capsys):
+    det = pipeline_dirs / "det"
+    both = "".join(
+        (det / f"detect_merged_{condition}.jsonl").read_text(encoding="utf-8")
+        for condition in ("ami", "diabetes")
+    )
+    pred = tmp_path / "pred.jsonl"
+    for content, found in ((both, "ami, diabetes"), ("", "none")):
+        pred.write_text(content, encoding="utf-8")
+        code = _run("trend", "--corpus", str(pipeline_dirs / "corpus"), "--pred", str(pred),
+                    "--out", str(tmp_path / "trend.csv"))
+        assert code == 1, found
+        assert f"records of one condition, found {found}" in capsys.readouterr().err
+    assert not (tmp_path / "trend.csv").exists()
+
+
+def _with_line(path: Path, lineno: int, line: str) -> None:
+    """Replace line `lineno` (1-based) of `path`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = line
+    path.write_text("".join(each + "\n" for each in lines), encoding="utf-8")
+
+
+def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline_dirs / "prep", prep)
+    path = prep / "merged_ami.jsonl"
+    line = path.read_text(encoding="utf-8").splitlines()[1]
+    record = json.loads(line)
+    cases = {
+        line[: line.index('"text": "') + 12]: "invalid record (Unterminated string",
+        "[1, 2]": "record is not an object",
+        **{
+            json.dumps({k: v for k, v in record.items() if k != key}): f"missing field {key!r}"
+            for key in ("patient_id", "condition", "text")
+        },
+    }
+    for bad, message in cases.items():
+        _with_line(path, 2, bad)
+        code = _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(prep),
+                    "--condition", "ami", "--mock", "--out", str(tmp_path / "det"))
+        assert code == 1, bad
+        assert f"error: merged_ami.jsonl line 2: {message}" in capsys.readouterr().err, bad
+    # an empty merged text is valid, and labels its patient 0 without a request
+    _with_line(path, 2, json.dumps(dict(record, text="")))
+    assert _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(prep),
+                "--condition", "ami", "--mode", "all", "--mock", "--out", str(tmp_path / "det")) == 0
+    for mode in ("prompt1", "prompt2", "merged"):
+        labels = {r["patient_id"]: r["label"] for r in _read_jsonl(tmp_path / "det" / f"detect_{mode}_ami.jsonl")}
+        assert labels[record["patient_id"]] == 0
+
+
+def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path, capsys):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    path = det / "detect_prompt2_diabetes.jsonl"
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[2])
+    corpus = str(pipeline_dirs / "corpus")
+    for bad, message in (
+        (json.dumps({k: v for k, v in record.items() if k != "label"}), "missing field 'label'"),
+        (json.dumps(dict(record, label=None)), "missing field 'label'"),
+        ('"a string"', "record is not an object"),
+    ):
+        _with_line(path, 3, bad)
+        for argv in (
+            ("evaluate", "--corpus", corpus, "--detect-dir", str(det), "--out", str(tmp_path / "report.csv")),
+            ("trend", "--corpus", corpus, "--pred", str(path), "--out", str(tmp_path / "trend.csv")),
+        ):
+            assert _run(*argv) == 1, (bad, argv[0])
+            err = capsys.readouterr().err
+            assert f"error: detect_prompt2_diabetes.jsonl line 3: {message}" in err, (bad, argv[0])
+
+
+def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_path, capsys):
+    entry = (
+        "- name: ami\n"
+        "  keywords: [troponin, myocardial infarction]\n"
+        "  inference_template: \"Analyze the clinical text: '{text}'. Answer yes or no.\"\n"
+        "  extraction_template: \"Find all the key-value pairs of troponin from the given text: {text}.\"\n"
+        "  rule: {analyte: troponin, comparator: '>', threshold: 14.0, unit: ng/L}\n"
+    )
+    profiles = tmp_path / "profiles.yaml"
+    profiles.write_text("profiles:\n" + entry + entry, encoding="utf-8")
+    code = _run("preprocess", "--corpus", str(pipeline_dirs / "corpus"), "--profiles", str(profiles),
+                "--profile-csv", str(pipeline_dirs / "profile.csv"), "--out", str(tmp_path / "prep"))
+    assert code == 1
+    assert f"error: {profiles}: duplicate condition name 'ami'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("prep/merged_*.jsonl"))
 
 
 def _corpus_with_bad_line(pipeline_dirs, tmp_path, name: str) -> str:
@@ -383,16 +472,7 @@ def test_detect_malformed_backend_reply_exits_2(pipeline_dirs, tmp_path, capsys,
 
 
 def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_path, monkeypatch):
-    calls = []
-    lock = threading.Lock()
-    inner = CachedBackend.complete
-
-    def counting(self, request):
-        with lock:
-            calls.append(request.prompt)
-        return inner(self, request)
-
-    monkeypatch.setattr(CachedBackend, "complete", counting)
+    calls = record_prompts(monkeypatch, CachedBackend)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the worker threads often
     try:
@@ -417,16 +497,22 @@ def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_p
 
 
 def test_cli_import_loads_neither_requests_nor_yaml():
+    # Every pipeline pass starts four stage processes; only the runs that use
+    # an HTTP backend or a YAML file should pay for those imports.
     env = dict(os.environ, PYTHONPATH=str(Path(notepheno.__file__).parents[1]))
     probe = (
-        "import sys, notepheno.cli; "
-        "print(sorted({'requests', 'yaml', 'http.client'} & set(sys.modules)))"
+        "import json, sys; before = set(sys.modules); import notepheno.cli; "
+        "print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    before, added = json.loads(result.stdout)
+    heavy = {"requests", "yaml", "http.client"}
+    assert not heavy & set(before)  # else the comparison below proves nothing
+    assert "notepheno.cli" in added
+    assert not heavy & set(added)
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):
@@ -503,20 +589,8 @@ def test_parallelism_1_starts_no_worker_threads(pipeline_dirs, tmp_path, monkeyp
                 "--mode", "all", "--mock", "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
 
 
-def _count_mock_calls(monkeypatch):
-    prompts = []
-    inner = MockBackend.complete
-
-    def counting(self, request):
-        prompts.append(request.prompt)
-        return inner(self, request)
-
-    monkeypatch.setattr(MockBackend, "complete", counting)
-    return prompts
-
-
 def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_path, monkeypatch):
-    prompts = _count_mock_calls(monkeypatch)
+    prompts = record_prompts(monkeypatch, MockBackend)
     budget = 80
     assert _run(
         "profile", "--corpus", str(pipeline_dirs / "corpus"), "--condition", "diabetes",
@@ -527,29 +601,38 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         _load_corpus_dir(pipeline_dirs / "corpus", documents=True, labels=False), 4, 3
     )
     docs = [doc for picked in samples.values() for doc in picked]
-    chunks = sum(len(chunk_text(doc.text, budget)) for doc in docs)
-    assert chunks > len(docs)  # the budget split some documents
-    assert len(prompts) == chunks
+    chunks = [chunk.text for doc in docs for chunk in chunk_text(doc.text, budget)]
+    assert len(chunks) > len(docs)  # the budget split some documents
+    # one inference request per distinct chunk of the one condition, none twice
+    assert len(prompts) == len(set(prompts)) == len(set(chunks))
     manifest = json.loads((tmp_path / "manifest_profile.json").read_text())
     assert manifest["chunk_budget"] == budget
-
+    assert manifest["coalesced_requests"] == len(chunks) - len(set(chunks))
 
 
 def test_detect_sends_one_request_per_chunk_and_kind(pipeline_dirs, tmp_path, monkeypatch):
-    prompts = _count_mock_calls(monkeypatch)
+    prompts = record_prompts(monkeypatch, MockBackend)
     budget = 80
     assert _run(
         "detect", "--corpus", str(pipeline_dirs / "corpus"),
         "--merged", str(pipeline_dirs / "prep"), "--mode", "all",
         "--chunk-budget", str(budget), "--mock", "--parallelism", "1", "--out", str(tmp_path / "det"),
     ) == 0
-    chunks = [
-        len(chunk_text(record["text"], budget))
+    records = [
+        record
         for condition in ("ami", "diabetes", "hypertension")
         for record in _read_jsonl(pipeline_dirs / "prep" / f"merged_{condition}.jsonl")
     ]
-    assert sum(chunks) > len(chunks)  # the budget split some merged documents
-    assert len(prompts) == sum(chunks) * 2  # one inference and one extraction prompt each
+    chunks = [
+        (record["condition"], chunk.text)
+        for record in records
+        for chunk in chunk_text(record["text"], budget)
+    ]
+    assert len(chunks) > len(records)  # the budget split some merged documents
+    # one inference and one extraction request per distinct (condition, chunk), none twice
+    assert len(prompts) == len(set(prompts)) == len(set(chunks)) * 2
+    manifest = json.loads((tmp_path / "det" / "manifest_detect.json").read_text())
+    assert manifest["coalesced_requests"] == (len(chunks) - len(set(chunks))) * 2
 
 
 @pytest.mark.parametrize("stage", ["profile", "detect"])
@@ -574,7 +657,7 @@ def test_stage_makes_one_dispatch_for_all_conditions(pipeline_dirs, tmp_path, mo
 
 @pytest.mark.parametrize("stage", ["profile", "detect"])
 def test_manifest_backend_requests_without_cache(pipeline_dirs, tmp_path, monkeypatch, stage):
-    prompts = _count_mock_calls(monkeypatch)
+    prompts = record_prompts(monkeypatch, MockBackend)
     corpus = str(pipeline_dirs / "corpus")
     if stage == "profile":
         argv = ["profile", "--corpus", corpus, "--m", "10", "--out", str(tmp_path / "p.csv")]

@@ -100,3 +100,17 @@ def test_load_profiles_rejects_bad_shape(tmp_path):
     path.write_text("- just\n- a list\n", encoding="utf-8")
     with pytest.raises(ValueError, match="profiles"):
         load_profiles(path)
+
+
+def test_load_profiles_rejects_a_duplicate_condition_name(tmp_path):
+    entry = {
+        "name": "ami",
+        "keywords": ["troponin"],
+        "inference_template": "Analyze the clinical text: '{text}', answer yes or no.",
+        "extraction_template": "Find all the key-value pairs of troponin from the given text: {text}.",
+        "rule": {"analyte": "troponin", "comparator": ">", "threshold": 14.0, "unit": "ng/L"},
+    }
+    path = tmp_path / "profiles.yaml"
+    path.write_text(yaml.safe_dump({"profiles": [entry, dict(entry, keywords=["mi"])]}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"profiles\.yaml: duplicate condition name 'ami'"):
+        load_profiles(path)
