@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .inference import Backend, CompletionRequest, GenerationParams
 
@@ -91,7 +91,6 @@ class QuestionResult:
     question_id: str
     correct: bool
     latency_ms: float
-    response: str
 
 
 @dataclass(frozen=True)
@@ -202,37 +201,24 @@ def builtin_questions() -> list[BenchQuestion]:
     ]
 
 
-def run_benchmark(
-    backend: Backend,
-    questions: Sequence[BenchQuestion] | None = None,
-    params: GenerationParams | None = None,
-) -> BenchResult:
-    """Run the questions sequentially against a backend and score them.
+def run_benchmark(backend: Backend, params: GenerationParams | None = None) -> BenchResult:
+    """Run the built-in questions sequentially against a backend and score them.
 
     Sequential on purpose: total wall clock is part of the report. A backend
     failure on a question marks it incorrect and the suite continues.
     """
-    questions = list(questions) if questions is not None else builtin_questions()
     params = params or GenerationParams()
     results: list[QuestionResult] = []
     started = time.monotonic()
-    for question in questions:
+    for question in builtin_questions():
         q_start = time.monotonic()
         try:
             response = backend.complete(CompletionRequest(question.prompt, params)).text
         except Exception:
-            results.append(
-                QuestionResult(question.id, False, (time.monotonic() - q_start) * 1000.0, "")
-            )
-            continue
-        results.append(
-            QuestionResult(
-                question.id,
-                question.grade(response),
-                (time.monotonic() - q_start) * 1000.0,
-                response,
-            )
-        )
+            correct = False
+        else:
+            correct = question.grade(response)
+        results.append(QuestionResult(question.id, correct, (time.monotonic() - q_start) * 1000.0))
     elapsed = time.monotonic() - started
     accuracy = sum(r.correct for r in results) / len(results) if results else 0.0
     return BenchResult(

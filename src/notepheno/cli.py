@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,9 +30,10 @@ from .corpus import (
     Cohort,
     CorpusError,
     SynthSpec,
+    _atomic_write_text,
     _iter_lines,
     _parse_line,
-    encode_record,
+    _write_jsonl,
     generate_synthetic,
     load_cohort,
     write_cohort,
@@ -74,24 +76,11 @@ EXIT_BACKEND = 2
 # ---------------------------------------------------------------------------
 # small IO helpers
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_jsonl(path: Path, records) -> None:
-    buf = io.StringIO()
-    for record in records:
-        buf.write(encode_record(record) + "\n")
-    _atomic_write_text(path, buf.getvalue())
-
-
-def _read_jsonl(path, keys: Sequence[str] = ()) -> list[dict]:
+def _read_jsonl(path, keys: Sequence[str] = (), check=None) -> list[dict]:
     """The records of a line-record file. A line that is not a JSON object,
-    or that lacks one of `keys` or holds null there, raises CorpusError
-    naming the file and line. An empty merged text is valid."""
+    that lacks one of `keys` or holds null there, or for which `check(record)`
+    returns a complaint, raises CorpusError naming the file and line. An empty
+    merged text is valid."""
     path = Path(path)
     records = []
     for lineno, raw in _iter_lines(path):
@@ -99,8 +88,23 @@ def _read_jsonl(path, keys: Sequence[str] = ()) -> list[dict]:
         for key in keys:
             if record.get(key) is None:
                 raise CorpusError(f"{path.name} line {lineno}: missing field {key!r}")
+        complaint = check(record) if check else None
+        if complaint:
+            raise CorpusError(f"{path.name} line {lineno}: {complaint}")
         records.append(record)
     return records
+
+
+def _check_label(record: dict) -> str | None:
+    if record["label"] not in (0, 1):
+        return f"label must be 0 or 1, got {record['label']!r}"
+    return None
+
+
+def _check_text(record: dict) -> str | None:
+    if not isinstance(record["text"], str):
+        return f"text must be a string, got {record['text']!r}"
+    return None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -148,17 +152,21 @@ def _resolve(args, config: dict, key: str, default=None):
 
 
 def _generation_params(args, config: dict) -> GenerationParams:
+    """The `generation` config block over `GenerationParams()`, each value
+    coerced to its default's type; --temperature and --model-id override it.
+    Keys the dataclass does not name are ignored."""
     gen = dict(config.get("generation") or {})
-    if getattr(args, "temperature", None) is not None:
-        gen["temperature"] = args.temperature
-    if getattr(args, "model_id", None) is not None:
-        gen["model_id"] = args.model_id
-    return GenerationParams(
-        temperature=float(gen.get("temperature", 0.5)),
-        top_p=float(gen.get("top_p", 0.9)),
-        top_k=int(gen.get("top_k", 50)),
-        max_new_tokens=int(gen.get("max_new_tokens", 512)),
-        model_id=str(gen.get("model_id", "local-completion-model")),
+    for key in ("temperature", "model_id"):
+        if getattr(args, key, None) is not None:
+            gen[key] = getattr(args, key)
+    defaults = GenerationParams()
+    return dataclasses.replace(
+        defaults,
+        **{
+            f.name: type(getattr(defaults, f.name))(gen[f.name])
+            for f in dataclasses.fields(defaults)
+            if f.name in gen
+        },
     )
 
 
@@ -166,12 +174,12 @@ def _make_backend(args, config: dict) -> Backend:
     backend_url = _resolve(args, config, "backend_url") or os.environ.get(
         "NOTEPHENO_BACKEND_URL"
     )
-    if getattr(args, "mock", False) or not backend_url:
-        if not getattr(args, "mock", False) and not backend_url:
-            raise BackendError("no backend configured: pass --mock or --backend-url")
+    if getattr(args, "mock", False):
         backend: Backend = MockBackend()
-    else:
+    elif backend_url:
         backend = HttpBackend(backend_url)
+    else:
+        raise BackendError("no backend configured: pass --mock or --backend-url")
     cache_dir = _resolve(args, config, "cache_dir") or os.environ.get("NOTEPHENO_CACHE_DIR")
     if cache_dir:
         backend = CachedBackend(backend, ResponseCache(cache_dir))
@@ -495,9 +503,6 @@ def _merged_records(condition: str, merged: Mapping[str, MergedDocument]):
         doc = merged[pid]
         yield {
             "patient_id": pid,
-            "doc_id": f"merged::{pid}::{condition}",
-            "doc_type": "__merged__",
-            "timestamp": doc.first_timestamp.isoformat(),
             "text": doc.text,
             "condition": condition,
             "provenance": [[s.doc_id, s.start, s.end] for s in doc.provenance],
@@ -520,7 +525,7 @@ def _cmd_preprocess(args, config: dict) -> int:
         for profile in _select_profiles(args, config)
     ]
     stats_rows = []
-    for (plan, profile), (merged, stats) in zip(selected, consolidate_all(cohort, selected)):
+    for (plan, profile), (merged, fraction) in zip(selected, consolidate_all(cohort, selected)):
         positives = {
             lab.patient_id for lab in cohort.labels
             if lab.condition == profile.name and lab.registry_label == 1
@@ -530,9 +535,9 @@ def _cmd_preprocess(args, config: dict) -> int:
         stats_rows.append(
             (
                 profile.name,
-                stats.kept_type_count,
+                len(plan.kept_types),
                 f"{plan.threshold_value:.6f}",
-                f"{stats.words_fraction_remaining:.4f}",
+                f"{fraction:.4f}",
                 "" if retention is None else f"{retention:.4f}",
             )
         )
@@ -585,7 +590,7 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
                 f"preprocess artifact not found: {path}; "
                 "run the preprocess stage or pass --no-preprocess"
             )
-        records = _read_jsonl(path, ("patient_id", "condition", "text"))
+        records = _read_jsonl(path, ("patient_id", "condition", "text"), _check_text)
         found = {r["patient_id"]: r["text"] for r in records if r["condition"] == condition}
         if records and not found:
             raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
@@ -663,7 +668,8 @@ def _cmd_detect(args, config: dict) -> int:
 
 
 def _predictions_from_file(path) -> dict[str, int]:
-    return {r["patient_id"]: int(r["label"]) for r in _read_jsonl(path, ("patient_id", "label"))}
+    records = _read_jsonl(path, ("patient_id", "label"), _check_label)
+    return {r["patient_id"]: int(r["label"]) for r in records}
 
 
 def _format_metric(est) -> tuple[str, str, str]:
@@ -774,7 +780,7 @@ def _trend_svg(points, condition: str) -> str:
 
 def _cmd_trend(args, config: dict) -> int:
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
-    records = _read_jsonl(args.pred, ("patient_id", "condition", "label"))
+    records = _read_jsonl(args.pred, ("patient_id", "condition", "label"), _check_label)
     conditions = sorted({r["condition"] for r in records})
     if len(conditions) != 1:
         raise ValueError(

@@ -1,7 +1,9 @@
 """Cohort data model, line-record corpus IO, and synthetic cohort generation."""
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -235,45 +237,61 @@ def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[Re
 encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
+def _atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` beside `path`, then rename it into place, so a failure
+    leaves any earlier file at `path` whole."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _write_jsonl(path, records) -> None:
+    """Write one encoded record per line, atomically (see `_atomic_write_text`)."""
+    buf = io.StringIO()
+    for record in records:
+        buf.write(encode_record(record) + "\n")
+    _atomic_write_text(Path(path), buf.getvalue())
+
+
+def _label_record(label: ReferenceLabel) -> dict:
+    record = {
+        "patient_id": label.patient_id,
+        "condition": label.condition,
+        "registry_label": label.registry_label,
+    }
+    if label.icd_label is not None:
+        record["icd_label"] = label.icd_label
+    return record
+
+
 def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> None:
     """Write a cohort back to the three-file line-record format."""
-    with Path(patients_path).open("w", encoding="utf-8") as handle:
-        for pid in sorted(cohort.patients):
-            patient = cohort.patients[pid]
-            handle.write(
-                encode_record(
-                    {
-                        "patient_id": patient.patient_id,
-                        "admit_date": patient.admit_date.isoformat(),
-                        "attributes": dict(patient.attributes),
-                    }
-                )
-                + "\n"
-            )
-    with Path(documents_path).open("w", encoding="utf-8") as handle:
-        for doc in cohort.documents:
-            handle.write(
-                encode_record(
-                    {
-                        "patient_id": doc.patient_id,
-                        "doc_id": doc.doc_id,
-                        "doc_type": doc.doc_type,
-                        "timestamp": doc.timestamp.isoformat(),
-                        "text": doc.text,
-                    }
-                )
-                + "\n"
-            )
-    with Path(labels_path).open("w", encoding="utf-8") as handle:
-        for label in cohort.labels:
-            record = {
-                "patient_id": label.patient_id,
-                "condition": label.condition,
-                "registry_label": label.registry_label,
+    _write_jsonl(
+        patients_path,
+        (
+            {
+                "patient_id": patient.patient_id,
+                "admit_date": patient.admit_date.isoformat(),
+                "attributes": dict(patient.attributes),
             }
-            if label.icd_label is not None:
-                record["icd_label"] = label.icd_label
-            handle.write(encode_record(record) + "\n")
+            for _, patient in sorted(cohort.patients.items())
+        ),
+    )
+    _write_jsonl(
+        documents_path,
+        (
+            {
+                "patient_id": doc.patient_id,
+                "doc_id": doc.doc_id,
+                "doc_type": doc.doc_type,
+                "timestamp": doc.timestamp.isoformat(),
+                "text": doc.text,
+            }
+            for doc in cohort.documents
+        ),
+    )
+    _write_jsonl(labels_path, (_label_record(label) for label in cohort.labels))
 
 
 @dataclass(frozen=True)

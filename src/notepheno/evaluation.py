@@ -55,7 +55,6 @@ class MetricSet:
     specificity: Estimate | None
     ppv: Estimate | None
     npv: Estimate | None
-    ci_level: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def metrics(cm: ConfusionMatrix, ci_level: float = 0.95) -> MetricSet:
         specificity=_estimate(cm.tn, cm.fp + cm.tn, ci_level),
         ppv=_estimate(cm.tp, cm.tp + cm.fp, ci_level),
         npv=_estimate(cm.tn, cm.tn + cm.fn, ci_level),
-        ci_level=ci_level,
     )
 
 

@@ -71,7 +71,6 @@ class CompletionRequest:
 class CompletionResponse:
     text: str
     latency_ms: float
-    backend_id: str
 
 
 class BackendError(RuntimeError):
@@ -242,7 +241,7 @@ class HttpBackend:
                 raise BackendError(f"completion body is not JSON: {data[:200]!r}") from exc
             text = self._extract_text(payload)
             latency = (time.monotonic() - started) * 1000.0
-            return CompletionResponse(text=text, latency_ms=latency, backend_id=self.backend_id)
+            return CompletionResponse(text=text, latency_ms=latency)
         raise TransportError(f"backend unreachable after {self.max_retries + 1} attempts") from last_error
 
 
@@ -305,7 +304,7 @@ class CachedBackend:
         if cached is not None:
             with self._count_lock:
                 self.hits += 1
-            return CompletionResponse(text=cached, latency_ms=0.0, backend_id=self.backend_id)
+            return CompletionResponse(text=cached, latency_ms=0.0)
         with self._count_lock:
             self.misses += 1
         response = self.inner.complete(request)
@@ -501,7 +500,7 @@ class MockBackend:
             text = self._extraction_response(trigger, extract.group(2), phrase)
         else:
             text = self._inference_response(prompt)
-        return CompletionResponse(text=text, latency_ms=0.0, backend_id=self.backend_id)
+        return CompletionResponse(text=text, latency_ms=0.0)
 
 
 def run_parallel(fn: Callable, items: Sequence, parallelism: int = DEFAULT_PARALLELISM) -> list:

@@ -73,7 +73,6 @@ class MergedDocument:
 
     text: str
     provenance: tuple[SentenceProvenance, ...]
-    first_timestamp: datetime
 
 
 @dataclass(frozen=True)
@@ -206,18 +205,18 @@ def filter_document_types(
 
 def consolidate(
     cohort: Cohort, plan: FilterPlan, profile: ConditionProfile
-) -> tuple[dict[str, MergedDocument], ConsolidationStats]:
+) -> tuple[dict[str, MergedDocument], float]:
     """consolidate_all for a single condition."""
     return consolidate_all(cohort, [(plan, profile)])[0]
 
 
 def consolidate_all(
     cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
-) -> list[tuple[dict[str, MergedDocument], ConsolidationStats]]:
+) -> list[tuple[dict[str, MergedDocument], float]]:
     """Extract keyword sentences from kept-type documents into one merged
     document per patient and condition, ordered by source timestamp (ties by
-    doc_id). Results, `({patient_id: merged}, stats)` per condition, follow
-    the order of `selected`.
+    doc_id). Results, `({patient_id: merged}, words_fraction_remaining)` per
+    condition, follow the order of `selected`.
 
     One pass over the corpus serves every condition: a document kept by any
     condition is split into stripped sentences once, and each condition's
@@ -259,7 +258,7 @@ def consolidate_all(
 
     words_before = cohort.word_count
     results = []
-    for (plan, _), condition_hits in zip(selected, hits):
+    for condition_hits in hits:
         merged: dict[str, MergedDocument] = {}
         words_after = 0
         for patient_id in sorted(condition_hits):
@@ -269,18 +268,9 @@ def consolidate_all(
                 SentenceProvenance(doc_id, offset, offset + len(core))
                 for _, doc_id, offset, core in entries
             )
-            merged[patient_id] = MergedDocument(
-                text=text,
-                provenance=provenance,
-                first_timestamp=entries[0][0],
-            )
+            merged[patient_id] = MergedDocument(text=text, provenance=provenance)
             words_after += len(text.split())
-        stats = ConsolidationStats(
-            words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
-            positive_retention=None,
-            kept_type_count=len(plan.kept_types),
-        )
-        results.append((merged, stats))
+        results.append((merged, (words_after / words_before) if words_before else 1.0))
     return results
 
 

@@ -175,11 +175,11 @@ _HYPERTENSION_EXTRACTION = (
 )
 
 
-def builtin_profiles(*, glucose_comparator: str = ">=") -> list[ConditionProfile]:
+def builtin_profiles() -> list[ConditionProfile]:
     """The three shipped condition profiles.
 
-    The glucose comparator defaults to the guideline's inclusive bound but is
-    switchable because clinical sources word the cut both ways.
+    The glucose comparator is the guideline's inclusive bound; a profiles
+    file can word the cut the other way.
     """
     return [
         ConditionProfile(
@@ -194,9 +194,7 @@ def builtin_profiles(*, glucose_comparator: str = ">=") -> list[ConditionProfile
             keywords=_DIABETES_KEYWORDS,
             inference_template=_DIABETES_INFERENCE,
             extraction_template=_DIABETES_EXTRACTION,
-            rule=ClinicalRule(
-                analyte="glucose", comparator=glucose_comparator, threshold=11.1, unit="mmol/L"
-            ),
+            rule=ClinicalRule(analyte="glucose", comparator=">=", threshold=11.1, unit="mmol/L"),
         ),
         ConditionProfile(
             name="hypertension",

@@ -27,9 +27,7 @@ class ScriptedBackend:
         self.prompts.append(request.prompt)
         if not self.responses:
             raise AssertionError("scripted backend ran out of responses")
-        return CompletionResponse(
-            text=self.responses.pop(0), latency_ms=0.0, backend_id=self.backend_id
-        )
+        return CompletionResponse(text=self.responses.pop(0), latency_ms=0.0)
 
 
 class FailingBackend:

@@ -14,7 +14,7 @@ import notepheno
 from notepheno import cli, inference
 from notepheno.cli import _load_corpus_dir, _read_jsonl, main
 from notepheno.corpus import write_cohort
-from notepheno.inference import CachedBackend, MockBackend, chunk_text
+from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import sample_document_types
 
 
@@ -108,7 +108,7 @@ def test_preprocess_outputs(pipeline_dirs):
         ]
         assert merged, condition
         for record in merged:
-            assert record["doc_type"] == "__merged__"
+            assert set(record) == {"condition", "patient_id", "provenance", "text"}
             assert record["condition"] == condition
             assert record["provenance"]
     with (prep / "consolidation_stats.csv").open() as handle:
@@ -219,6 +219,7 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, ca
             json.dumps({k: v for k, v in record.items() if k != key}): f"missing field {key!r}"
             for key in ("patient_id", "condition", "text")
         },
+        json.dumps(dict(record, text=5)): "text must be a string, got 5",
     }
     for bad, message in cases.items():
         _with_line(path, 2, bad)
@@ -245,6 +246,8 @@ def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path
         (json.dumps({k: v for k, v in record.items() if k != "label"}), "missing field 'label'"),
         (json.dumps(dict(record, label=None)), "missing field 'label'"),
         ('"a string"', "record is not an object"),
+        (json.dumps(dict(record, label=2)), "label must be 0 or 1, got 2"),
+        (json.dumps(dict(record, label="yes")), "label must be 0 or 1, got 'yes'"),
     ):
         _with_line(path, 3, bad)
         for argv in (
@@ -549,6 +552,32 @@ def test_config_file_value_used_when_flag_absent(pipeline_dirs, tmp_path):
     with out.open() as handle:
         rows = list(csv.DictReader(handle))
     assert all(int(r["sampled_count"]) <= 5 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (None, GenerationParams()),
+        ('generation: {top_k: "40", temperature: 0.2}\n', GenerationParams(top_k=40, temperature=0.2)),
+        ("generation: {top_p: 0.5, beam_width: 4}\n", GenerationParams(top_p=0.5)),
+    ],
+)
+def test_generation_config_block_reaches_the_backend(tmp_path, monkeypatch, config, expected):
+    sent = []
+    inner = MockBackend.complete
+
+    def recording(self, request):
+        sent.append(request.params)
+        return inner(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", recording)
+    argv = ["bench", "--mock", "--out", str(tmp_path / "bench.csv")]
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(config, encoding="utf-8")
+        argv = ["--config", str(tmp_path / "cfg.yaml"), *argv]
+    assert _run(*argv) == 0
+    assert sent and set(sent) == {expected}
+    assert all(type(params.top_k) is int for params in sent)
 
 
 def test_bench_command_writes_csv(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from notepheno import corpus
 from notepheno.corpus import (
     Cohort,
     CorpusError,
@@ -123,6 +124,29 @@ def test_generate_synthetic_deterministic(tmp_path):
         write_cohort(cohort, d / "d.jsonl", d / "p.jsonl", d / "l.jsonl")
     for fname in ("d.jsonl", "p.jsonl", "l.jsonl"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")]
+    spec = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=1)
+    write_cohort(generate_synthetic(spec, builtin_profiles())[0], *paths)
+    before = [path.read_bytes() for path in paths]
+    calls = 0
+
+    def failing(record):
+        nonlocal calls
+        calls += 1
+        if calls == 30:  # the tenth document, after the 20 patient records
+            raise OSError("disk full")
+        return encode_record(record)
+
+    monkeypatch.setattr(corpus, "encode_record", failing)
+    other = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=2)
+    with pytest.raises(OSError, match="disk full"):
+        write_cohort(generate_synthetic(other, builtin_profiles())[0], *paths)
+    assert paths[0].read_bytes() == before[0]
+    assert paths[2].read_bytes() == before[2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
 def test_generate_synthetic_truth_matches_labels():

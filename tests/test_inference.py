@@ -190,7 +190,7 @@ class _CountingBackend:
 
     def complete(self, request):
         self.calls += 1
-        return CompletionResponse(f"answer:{request.prompt}", 0.0, self.backend_id)
+        return CompletionResponse(f"answer:{request.prompt}", 0.0)
 
 
 def test_cache_key_depends_on_prompt_and_params():

@@ -143,7 +143,7 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
         ]
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
-    corpus, stats = consolidate(cohort, plan, diabetes_profile)
+    corpus, fraction = consolidate(cohort, plan, diabetes_profile)
     assert set(corpus) == {"p1"}
     merged = corpus["p1"]
     assert merged.text == "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."
@@ -152,7 +152,7 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     for span in merged.provenance:
         fragment = texts[span.doc_id][span.start : span.end]
         assert fragment in merged.text
-    assert 0.0 < stats.words_fraction_remaining < 1.0
+    assert 0.0 < fraction < 1.0
 
 
 def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
@@ -228,7 +228,7 @@ def _consolidate_reference(cohort, plan, profile):
         entries = sorted(entries)
         text = " ".join(core for *_, core in entries)
         provenance = tuple((doc_id, offset, offset + len(core)) for _, doc_id, offset, core in entries)
-        merged[pid] = (text, provenance, entries[0][0])
+        merged[pid] = (text, provenance)
         words_after += len(text.split())
     return merged, words_after / words_before
 
@@ -250,26 +250,25 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     ]
     together = consolidate_all(cohort, selected)
     assert len(together) == len(profiles)
-    for (plan, profile), (corpus, stats) in zip(selected, together):
+    for (plan, profile), (corpus, fraction) in zip(selected, together):
         # a fresh cohort, so no word count is carried over from the pass above
         alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
-        alone, alone_stats = consolidate(alone_cohort, plan, profile)
+        alone, alone_fraction = consolidate(alone_cohort, plan, profile)
         assert corpus == alone
-        assert stats == alone_stats
-        merged, fraction = _consolidate_reference(cohort, plan, profile)
+        assert fraction == alone_fraction
+        merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
         assert {
-            pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance), m.first_timestamp)
+            pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance))
             for pid, m in corpus.items()
         } == merged
-        assert stats.words_fraction_remaining == fraction
-        assert stats.kept_type_count == len(plan.kept_types)
+        assert fraction == reference_fraction
     assert together[0][0] and together[1][0]
     assert not together[2][0]
 
 
 def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus, stats = consolidate(small_cohort, plan, diabetes_profile)
+    corpus, fraction = consolidate(small_cohort, plan, diabetes_profile)
     report = retention_report(small_cohort, {"p1", "p3"}, corpus, 1)
-    assert report.words_fraction_remaining == stats.words_fraction_remaining
+    assert report.words_fraction_remaining == fraction
     assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5

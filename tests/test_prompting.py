@@ -21,11 +21,6 @@ def test_builtin_rules():
     assert (htn.systolic_threshold, htn.diastolic_threshold) == (140.0, 90.0)
 
 
-def test_glucose_comparator_switch():
-    by_name = {p.name: p for p in builtin_profiles(glucose_comparator=">")}
-    assert by_name["diabetes"].rule.comparator == ">"
-
-
 def test_templates_ask_yes_or_no():
     for profile in builtin_profiles():
         assert "yes or no" in profile.inference_template
