@@ -13,7 +13,7 @@ import sys
 import time
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import evaluation
 from .adjudication import (
@@ -105,6 +105,18 @@ def _check_text(record: dict) -> str | None:
     if not isinstance(record["text"], str):
         return f"text must be a string, got {record['text']!r}"
     return None
+
+
+def _check_merged(patients: Mapping) -> Callable[[dict], str | None]:
+    """The check of a merged record: a cohort patient's id and a string text."""
+
+    def check(record: dict) -> str | None:
+        pid = record["patient_id"]
+        if not isinstance(pid, str) or pid not in patients:
+            return f"unknown patient_id {pid!r}"
+        return _check_text(record)
+
+    return check
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -590,7 +602,9 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
                 f"preprocess artifact not found: {path}; "
                 "run the preprocess stage or pass --no-preprocess"
             )
-        records = _read_jsonl(path, ("patient_id", "condition", "text"), _check_text)
+        records = _read_jsonl(
+            path, ("patient_id", "condition", "text"), _check_merged(cohort.patients)
+        )
         found = {r["patient_id"]: r["text"] for r in records if r["condition"] == condition}
         if records and not found:
             raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
@@ -827,7 +841,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mock", action="store_true", help="use the deterministic mock backend")
     parser.add_argument("--backend-url", help="base URL of the completion backend")
     parser.add_argument("--cache-dir", help="response cache directory")
-    parser.add_argument("--parallelism", type=int, help="concurrent backend requests")
     parser.add_argument("--temperature", type=float, help="sampling temperature override")
     parser.add_argument("--model-id", help="backend model identifier")
 
@@ -863,6 +876,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="samples per document type (default 200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunk-budget", type=int)
+    p.add_argument("--parallelism", type=int, help="concurrent backend requests")
     p.add_argument("--out", required=True)
     _add_backend_flags(p)
     p.set_defaults(func=_cmd_profile)
@@ -884,6 +898,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition")
     p.add_argument("--profiles")
     p.add_argument("--chunk-budget", type=int)
+    p.add_argument("--parallelism", type=int, help="concurrent backend requests")
     p.add_argument("--out", required=True)
     _add_backend_flags(p)
     p.set_defaults(func=_cmd_detect)

@@ -12,9 +12,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .preprocess import keyword_regex, sentence_spans
+from .prompting import PLACEHOLDER, ConditionProfile, builtin_profiles
 
 __all__ = [
     "GenerationParams",
@@ -27,8 +28,6 @@ __all__ = [
     "ResponseCache",
     "CachedBackend",
     "MockBackend",
-    "MockTrigger",
-    "default_mock_triggers",
     "Chunk",
     "chunk_text",
     "run_parallel",
@@ -347,51 +346,6 @@ def chunk_text(text: str, max_units: int = DEFAULT_CHUNK_BUDGET) -> list[Chunk]:
     return chunks
 
 
-@dataclass(frozen=True)
-class MockTrigger:
-    """Per-condition behaviour of the deterministic mock backend."""
-
-    condition_phrase: str  # how the inference template names the condition
-    positive_tokens: tuple[str, ...]
-    analyte: str
-    response_name: str  # condition wording used in canned responses
-
-
-def default_mock_triggers() -> dict[str, MockTrigger]:
-    return {
-        "ami": MockTrigger(
-            condition_phrase="acute myocardial infarction",
-            positive_tokens=(
-                "acute myocardial infarction",
-                "myocardial infarction",
-                "stemi",
-                "non-stemi",
-                "nstemi",
-                "ami",
-            ),
-            analyte="troponin",
-            response_name="acute myocardial infarction (AMI)",
-        ),
-        "diabetes": MockTrigger(
-            condition_phrase="diabetes",
-            positive_tokens=("diabetes", "diabetic"),
-            analyte="glucose",
-            response_name="diabetes",
-        ),
-        "hypertension": MockTrigger(
-            condition_phrase="hypertension",
-            positive_tokens=("hypertension", "hypertensive", "htn"),
-            analyte="blood_pressure",
-            response_name="hypertension",
-        ),
-    }
-
-
-_EXTRACT_PROMPT_RE = re.compile(
-    r"^Find all the key-value pairs of (.+?) from the given text: (.*)$", re.DOTALL
-)
-_INFER_PREFIX = "Analyze the clinical text: '"
-
 _MOCK_GLUCOSE_RE = re.compile(
     r"((?:poct\s+)?(?:blood\s+)?glucose[^:\n]*?)\s*:\s*(\d+(?:\.\d+)?)\s*mmol/l",
     re.IGNORECASE,
@@ -405,101 +359,95 @@ _MOCK_BP_RE = re.compile(r"(systolic|diastolic)\s*:?\s*(\d{2,3})", re.IGNORECASE
 class MockBackend:
     """Deterministic stand-in for the completion backend.
 
-    Inference prompts answer "Yes, ..." iff any configured positive token
-    occurs word-bounded in the embedded text; extraction prompts echo each
-    matching key-value lab pattern, one per line. Optional flip rates turn
-    inference verdicts over at a seeded per-prompt probability, for simulating
-    an imperfect model.
+    It answers the prompts of the built-in templates: a prompt belongs to the
+    template whose text before and after the placeholder it carries, and the
+    note is the text between them. Inference prompts answer "Yes, ..." iff
+    one of the condition's positive tokens occurs word-bounded in the note;
+    extraction prompts echo each lab pattern of the condition's analyte, one
+    per line. Any other prompt is a BackendError. Optional flip rates turn
+    inference verdicts over at a seeded per-prompt probability, for
+    simulating an imperfect model.
     """
 
     backend_id = "mock"
 
+    # The words that make the mock answer Yes. The first one names the
+    # condition in replies, with the condition's name in capitals after it
+    # where the two differ.
+    POSITIVE_TOKENS = {
+        "ami": ("acute myocardial infarction", "myocardial infarction",
+                "stemi", "non-stemi", "nstemi", "ami"),
+        "diabetes": ("diabetes", "diabetic"),
+        "hypertension": ("hypertension", "hypertensive", "htn"),
+    }
+
     def __init__(
-        self,
-        triggers: Mapping[str, MockTrigger] | None = None,
-        flip_fn_rate: float = 0.0,
-        flip_fp_rate: float = 0.0,
-        flip_seed: int = 0,
+        self, flip_fn_rate: float = 0.0, flip_fp_rate: float = 0.0, flip_seed: int = 0
     ) -> None:
-        self.triggers = dict(triggers) if triggers is not None else default_mock_triggers()
         self.flip_fn_rate = flip_fn_rate
         self.flip_fp_rate = flip_fp_rate
         self.flip_seed = flip_seed
+        # (prefix, suffix, profile, kind) of every built-in template
+        self._templates = [
+            (*template.split(PLACEHOLDER), profile, kind)
+            for profile in builtin_profiles()
+            for kind, template in (
+                ("inference", profile.inference_template),
+                ("extraction", profile.extraction_template),
+            )
+        ]
         self._token_patterns = {
-            name: keyword_regex(trig.positive_tokens) for name, trig in self.triggers.items()
+            name: keyword_regex(tokens) for name, tokens in self.POSITIVE_TOKENS.items()
         }
 
     def _flip_roll(self, prompt: str) -> float:
         digest = hashlib.sha256(f"{self.flip_seed}:{prompt}".encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big")).random()
 
-    def _find_trigger_for_tail(self, tail: str) -> tuple[str, MockTrigger]:
-        lowered = tail.lower()
-        best = None
-        for name, trigger in self.triggers.items():
-            idx = lowered.find("identify " + trigger.condition_phrase.lower())
-            if idx >= 0 and (best is None or idx < best[0]):
-                best = (idx, name, trigger)
-        if best is None:
-            raise ValueError(f"mock backend cannot identify condition in prompt tail: {tail[:120]!r}")
-        return best[1], best[2]
+    def _recognise(self, prompt: str) -> tuple[ConditionProfile, str, str]:
+        """The profile, kind and note of a prompt rendered from a built-in template."""
+        for prefix, suffix, profile, kind in self._templates:
+            end = len(prompt) - len(suffix)
+            if end >= len(prefix) and prompt.startswith(prefix) and prompt.endswith(suffix):
+                return profile, kind, prompt[len(prefix) : end]
+        raise BackendError(f"mock backend does not recognise the prompt: {prompt[:120]!r}")
 
-    def _trigger_for_analyte_phrase(self, phrase: str) -> MockTrigger:
-        lowered = phrase.lower()
-        if "troponin" in lowered:
-            return next(t for t in self.triggers.values() if t.analyte == "troponin")
-        if "glucose" in lowered or "sugar" in lowered:
-            return next(t for t in self.triggers.values() if t.analyte == "glucose")
-        if "pressure" in lowered:
-            return next(t for t in self.triggers.values() if t.analyte == "blood_pressure")
-        raise ValueError(f"mock backend cannot map analyte phrase {phrase!r}")
-
-    def _extraction_response(self, trigger: MockTrigger, text: str, phrase: str) -> str:
+    def _extraction_response(self, analyte: str, note: str) -> str:
         lines: list[str] = []
-        if trigger.analyte == "glucose":
-            for match in _MOCK_GLUCOSE_RE.finditer(text):
+        if analyte == "glucose":
+            for match in _MOCK_GLUCOSE_RE.finditer(note):
                 key = re.sub(r"\s+", " ", match.group(1)).strip()
                 lines.append(f"{key}: {match.group(2)} mmol/l")
-        elif trigger.analyte == "troponin":
-            for match in _MOCK_TROPONIN_RE.finditer(text):
+        elif analyte == "troponin":
+            for match in _MOCK_TROPONIN_RE.finditer(note):
                 lines.append(f"troponin level: {match.group(1)} {match.group(2)}")
         else:
-            for match in _MOCK_BP_RE.finditer(text):
+            for match in _MOCK_BP_RE.finditer(note):
                 lines.append(f"blood pressure {match.group(1).lower()}: {match.group(2)}")
         if not lines:
-            return f"There are no key-value pairs of {phrase} in the given text."
+            return f"There are no key-value pairs of {analyte.replace('_', ' ')} in the given text."
         return "\n".join(lines)
 
-    def _inference_response(self, prompt: str) -> str:
-        idx = prompt.rfind("', ")
-        if not prompt.startswith(_INFER_PREFIX) or idx < 0:
-            raise ValueError(f"mock backend cannot parse prompt: {prompt[:120]!r}")
-        embedded = prompt[len(_INFER_PREFIX) : idx]
-        tail = prompt[idx:]
-        name, trigger = self._find_trigger_for_tail(tail)
-        positive = self._token_patterns[name].search(embedded) is not None
+    def _inference_response(self, prompt: str, condition: str, note: str) -> str:
+        positive = self._token_patterns[condition].search(note) is not None
         if self.flip_fn_rate or self.flip_fp_rate:
             roll = self._flip_roll(prompt)
             if positive and roll < self.flip_fn_rate:
                 positive = False
             elif not positive and roll < self.flip_fp_rate:
                 positive = True
+        first = self.POSITIVE_TOKENS[condition][0]
+        name = first if first == condition else f"{first} ({condition.upper()})"
         if positive:
-            return f"Yes, the text identifies {trigger.response_name}."
-        return (
-            f"No, there is no clear mention of {trigger.response_name} "
-            "in the given clinical text."
-        )
+            return f"Yes, the text identifies {name}."
+        return f"No, there is no clear mention of {name} in the given clinical text."
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        prompt = request.prompt
-        extract = _EXTRACT_PROMPT_RE.match(prompt)
-        if extract:
-            phrase = extract.group(1)
-            trigger = self._trigger_for_analyte_phrase(phrase)
-            text = self._extraction_response(trigger, extract.group(2), phrase)
+        profile, kind, note = self._recognise(request.prompt)
+        if kind == "inference":
+            text = self._inference_response(request.prompt, profile.name, note)
         else:
-            text = self._inference_response(prompt)
+            text = self._extraction_response(profile.rule.analyte, note)
         return CompletionResponse(text=text, latency_ms=0.0)
 
 

@@ -206,7 +206,8 @@ def _with_line(path: Path, lineno: int, line: str) -> None:
     path.write_text("".join(each + "\n" for each in lines), encoding="utf-8")
 
 
-def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, capsys):
+def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    prompts = record_prompts(monkeypatch, MockBackend)
     prep = tmp_path / "prep"
     shutil.copytree(pipeline_dirs / "prep", prep)
     path = prep / "merged_ami.jsonl"
@@ -220,6 +221,9 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, ca
             for key in ("patient_id", "condition", "text")
         },
         json.dumps(dict(record, text=5)): "text must be a string, got 5",
+        json.dumps(dict(record, patient_id="X" + record["patient_id"])):
+            f"unknown patient_id {'X' + record['patient_id']!r}",
+        json.dumps(dict(record, patient_id=1)): "unknown patient_id 1",
     }
     for bad, message in cases.items():
         _with_line(path, 2, bad)
@@ -227,6 +231,7 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, ca
                     "--condition", "ami", "--mock", "--out", str(tmp_path / "det"))
         assert code == 1, bad
         assert f"error: merged_ami.jsonl line 2: {message}" in capsys.readouterr().err, bad
+    assert prompts == []  # every bad record stops detect before its first request
     # an empty merged text is valid, and labels its patient 0 without a request
     _with_line(path, 2, json.dumps(dict(record, text="")))
     assert _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(prep),
@@ -234,6 +239,31 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, ca
     for mode in ("prompt1", "prompt2", "merged"):
         labels = {r["patient_id"]: r["label"] for r in _read_jsonl(tmp_path / "det" / f"detect_{mode}_ami.jsonl")}
         assert labels[record["patient_id"]] == 0
+
+
+def test_mock_with_a_condition_of_no_builtin_template_exits_2(pipeline_dirs, tmp_path, capsys):
+    profiles = tmp_path / "gout.yaml"
+    profiles.write_text(
+        "profiles:\n"
+        "- name: gout\n"
+        "  keywords: [gout, urate]\n"
+        "  inference_template: \"Analyze the clinical text: '{text}', answer yes or no if you identify gout.\"\n"
+        "  extraction_template: \"Find all the key-value pairs of urate from the given text: {text}.\"\n"
+        "  rule: {analyte: glucose, threshold: 0.42, unit: mmol/L}\n",
+        encoding="utf-8",
+    )
+    code = _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--profiles", str(profiles),
+                "--mock", "--out", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert "backend error: mock backend does not recognise the prompt" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_bench_takes_no_parallelism(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("bench", "--mock", "--parallelism", "2", "--out", str(tmp_path / "bench.csv"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
 
 
 def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Backends, caching, chunking, and the deterministic mock."""
+import dataclasses
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notepheno import inference
+from notepheno.adjudication import parse_extraction_response
 from notepheno.inference import (
     BackendError,
     CachedBackend,
@@ -22,6 +24,7 @@ from notepheno.inference import (
     chunk_text,
     run_parallel,
 )
+from notepheno.preprocess import keyword_regex
 from notepheno.prompting import builtin_profiles, render_prompt
 
 
@@ -316,19 +319,17 @@ def _tokens_and_text(draw):
 @settings(max_examples=300)
 def test_mock_token_pattern_agrees_with_per_token_lookarounds(case):
     tokens, text = case
-    trigger = inference.MockTrigger("the thing", tuple(tokens), "glucose", "the thing")
-    pattern = MockBackend(triggers={"thing": trigger})._token_patterns["thing"]
+    pattern = keyword_regex(tokens)  # the mock's matcher of positive tokens
     reference = _mock_pattern_per_token(tokens)
     assert [(m.span(), m.group(0)) for m in pattern.finditer(text)] == [
         (m.span(), m.group(0)) for m in reference.finditer(text)
     ]
 
 
-@pytest.mark.parametrize("name", sorted(inference.default_mock_triggers()))
+@pytest.mark.parametrize("name", sorted(MockBackend.POSITIVE_TOKENS))
 def test_mock_default_token_patterns_quote_what_the_reference_quotes(name):
-    trigger = inference.default_mock_triggers()[name]
     pattern = MockBackend()._token_patterns[name]
-    reference = _mock_pattern_per_token(trigger.positive_tokens)
+    reference = _mock_pattern_per_token(MockBackend.POSITIVE_TOKENS[name])
     texts = [
         "Non-STEMI ruled in; acute  myocardial\ninfarction, prior AMI. family amity.",
         "Diabetic foot; diabetes mellitus; prediabetes; DIABETES-related.",
@@ -338,3 +339,68 @@ def test_mock_default_token_patterns_quote_what_the_reference_quotes(name):
         assert [(m.span(), m.group(0)) for m in pattern.finditer(text)] == [
             (m.span(), m.group(0)) for m in reference.finditer(text)
         ]
+
+
+# The lab sentences synth writes, the mock's echo of each, and its parse.
+_SYNTH_LABS = {
+    "troponin": (
+        "troponin level: 25.5 ng/L.",
+        "troponin level: 25.5 ng/L",
+        [("raw_value", 25.5), ("normalized_value", 25.5)],
+    ),
+    "glucose": (
+        "glucose - mmol/l random : 13.4 mmol/l.",
+        "glucose - mmol/l random: 13.4 mmol/l",
+        [("raw_value", 13.4), ("normalized_value", 13.4)],
+    ),
+    "blood_pressure": (
+        "blood pressure systolic : 150 diastolic : 95.",
+        "blood pressure systolic: 150\nblood pressure diastolic: 95",
+        [("systolic", 150.0), ("diastolic", 95.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "profile,kind",
+    [(p, kind) for p in builtin_profiles() for kind in ("inference", "extraction")],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_mock_answers_every_builtin_template(profile, kind):
+    backend = MockBackend()
+
+    def ask(note):
+        return backend.complete(CompletionRequest(render_prompt(profile, kind, note).text)).text
+
+    if kind == "inference":
+        for token in MockBackend.POSITIVE_TOKENS[profile.name]:
+            assert ask(f"Seen today: {token.upper()}, stable.").startswith("Yes,"), token
+        assert ask("Routine follow-up, nothing new.").startswith("No,")
+        return
+    sentence, echo, values = _SYNTH_LABS[profile.rule.analyte]
+    reply = ask(f"Seen today. {sentence} Stable.")
+    assert reply == echo
+    (measurement,) = parse_extraction_response(reply, profile.rule.analyte)
+    assert [(key, getattr(measurement, key)) for key, _ in values] == values
+    reply = ask("Routine follow-up, nothing measured.")
+    assert reply.startswith("There are no key-value pairs of")
+    assert parse_extraction_response(reply, profile.rule.analyte) == []
+
+
+def test_mock_follows_a_reworded_builtin_template(monkeypatch):
+    reworded = [
+        dataclasses.replace(p, inference_template=f"Is {p.name} in this note? {{text}}")
+        for p in builtin_profiles()
+    ]
+    monkeypatch.setattr(inference, "builtin_profiles", lambda: reworded)
+    backend = MockBackend()
+
+    def ask(profile):
+        prompt = render_prompt(profile, "inference", "Known diabetes.").text
+        return backend.complete(CompletionRequest(prompt)).text
+
+    assert {p.name: ask(p) for p in reworded} == {
+        "ami": "No, there is no clear mention of acute myocardial infarction (AMI) in the given clinical text.",
+        "diabetes": "Yes, the text identifies diabetes.",
+        "hypertension": "No, there is no clear mention of hypertension in the given clinical text.",
+    }
