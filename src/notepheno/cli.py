@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -22,7 +23,6 @@ from .adjudication import (
     InferredStatus,
     apply_clinical_rule,
     combine_chunk_statuses,
-    merge_patient,
     parse_extraction_response,
     parse_inference_response,
 )
@@ -30,7 +30,7 @@ from .corpus import (
     Cohort,
     CorpusError,
     SynthSpec,
-    _atomic_write_text,
+    _atomic_write,
     _iter_lines,
     _parse_line,
     _write_jsonl,
@@ -124,12 +124,12 @@ def _write_csv(path: Path, header, rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    _atomic_write(path, (buf.getvalue(),))
 
 
 def _write_manifest(out_dir: Path, stage: str, payload: dict) -> None:
-    payload = {"stage": stage, **payload}
-    _atomic_write_text(out_dir / f"manifest_{stage}.json", json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps({"stage": stage, **payload}, indent=2, sort_keys=True)
+    _atomic_write(out_dir / f"manifest_{stage}.json", (text,))
 
 
 def _config_hash(resolved: dict) -> str:
@@ -614,18 +614,18 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
 
 def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
     paths = MODE_PATHS[mode]
+    extraction = "extraction" in paths
     for pid in sorted(findings):
         found = findings[pid]
+        # the label is `merge_patient`'s: 1 iff a path of the mode says Yes
+        yes = [p for p in paths if found.statuses.get(p) is InferredStatus.YES] if found.statuses else []
+        measurements = found.measurements if extraction else ()
         yield {
             "patient_id": pid,
             "condition": condition,
-            "label": merge_patient(found.statuses, mode),
+            "label": int(bool(yes)),
             "mode": mode,
-            "evidence_doc_ids": [
-                f"merged::{pid}#{path}"
-                for path in paths
-                if found.statuses.get(path) is InferredStatus.YES
-            ],
+            "evidence_doc_ids": [f"merged::{pid}#{path}" for path in yes] if yes else [],
             "measurements": [
                 {
                     "analyte": m.analyte,
@@ -635,8 +635,8 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
                     "systolic": m.systolic,
                     "diastolic": m.diastolic,
                 }
-                for m in (found.measurements if "extraction" in paths else ())
-            ],
+                for m in measurements
+            ] if measurements else [],
         }
 
 
@@ -811,7 +811,7 @@ def _cmd_trend(args, config: dict) -> int:
         [(p.month, p.n, f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}") for p in points],
     )
     if args.svg:
-        _atomic_write_text(Path(args.svg), _trend_svg(points, condition))
+        _atomic_write(Path(args.svg), (_trend_svg(points, condition),))
     print(f"wrote {len(points)} monthly trend points for {condition}")
     return EXIT_OK
 
@@ -928,6 +928,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. The cyclic garbage collector is off while it runs: a
+    stage builds no reference cycles per record, so collecting would only
+    rescan its growing heap. The collector's earlier state is restored."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -941,7 +944,13 @@ def main(argv=None) -> int:
             resolved["config_file_values"] = config
             print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
             return EXIT_OK
-        return args.func(args, config)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return args.func(args, config)
+        finally:
+            if collecting:
+                gc.enable()
     except (BackendError, TransportError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -1,7 +1,6 @@
 """Cohort data model, line-record corpus IO, and synthetic cohort generation."""
 from __future__ import annotations
 
-import io
 import json
 import os
 import random
@@ -9,7 +8,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "ClinicalDocument",
@@ -107,34 +106,50 @@ LOW_YIELD_DOC_TYPES = (
 )
 
 
-def _parse_timestamp(raw: str, where: str) -> datetime:
+def _parse_timestamp(raw: str, path: Path, lineno: int) -> datetime:
     try:
         return datetime.fromisoformat(raw)
     except (TypeError, ValueError) as exc:
-        raise CorpusError(f"{where}: bad timestamp {raw!r}") from exc
+        raise CorpusError(f"{path.name} line {lineno}: bad timestamp {raw!r}") from exc
 
 
-def _parse_date(raw: str, where: str) -> date:
+def _parse_date(raw: str, path: Path, lineno: int) -> date:
     try:
         return datetime.fromisoformat(raw).date()
     except (TypeError, ValueError) as exc:
-        raise CorpusError(f"{where}: bad date {raw!r}") from exc
+        raise CorpusError(f"{path.name} line {lineno}: bad date {raw!r}") from exc
+
+
+# The C scanner under `json.loads`, called directly: it skips the whitespace
+# and trailing-data checks, so a line it does not read to its end goes to
+# `json.loads` for the record or the error.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _parse_line(raw: str, path: Path, lineno: int) -> dict:
     try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path.name} line {lineno}: invalid record ({exc.msg})") from exc
+        record, end = _scan_once(raw, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(raw):
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path.name} line {lineno}: invalid record ({exc.msg})") from exc
     if not isinstance(record, dict):
         raise CorpusError(f"{path.name} line {lineno}: record is not an object")
     return record
 
 
-def _require(record: dict, fields: Iterable[str], path: Path, lineno: int) -> None:
-    for name in fields:
-        if name not in record or record[name] in (None, ""):
-            raise CorpusError(f"{path.name} line {lineno}: missing field {name!r}")
+def _require(record: dict, fields: Sequence[str], path: Path, lineno: int) -> list:
+    """The values of `fields` in `record`; the first that is absent, null or
+    empty raises CorpusError naming the file and line."""
+    values = [record.get(name) for name in fields]
+    if None in values or "" in values:
+        for name, value in zip(fields, values):
+            if value in (None, ""):
+                raise CorpusError(f"{path.name} line {lineno}: missing field {name!r}")
+    return values
 
 
 def _iter_lines(path: Path):
@@ -158,100 +173,99 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
     return Cohort(patients=patients, documents=documents, labels=labels)
 
 
-def _load_patients(patients_path: Path) -> dict[str, Patient]:
+def _load_patients(path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
-    for lineno, raw in _iter_lines(patients_path):
-        record = _parse_line(raw, patients_path, lineno)
-        _require(record, ("patient_id", "admit_date"), patients_path, lineno)
-        pid = str(record["patient_id"])
+    for lineno, raw in _iter_lines(path):
+        record = _parse_line(raw, path, lineno)
+        pid, admit = _require(record, ("patient_id", "admit_date"), path, lineno)
+        pid = str(pid)
         if pid in patients:
-            raise CorpusError(f"{patients_path.name} line {lineno}: duplicate patient_id {pid!r}")
+            raise CorpusError(f"{path.name} line {lineno}: duplicate patient_id {pid!r}")
         attributes = record.get("attributes") or {}
         if not isinstance(attributes, dict):
-            raise CorpusError(f"{patients_path.name} line {lineno}: attributes must be a map")
+            raise CorpusError(f"{path.name} line {lineno}: attributes must be a map")
         patients[pid] = Patient(
             patient_id=pid,
-            admit_date=_parse_date(record["admit_date"], f"{patients_path.name} line {lineno}"),
+            admit_date=_parse_date(admit, path, lineno),
             attributes={str(k): str(v) for k, v in attributes.items()},
         )
     return patients
 
 
-def _load_documents(
-    documents_path: Path, patients: Mapping[str, Patient]
-) -> tuple[ClinicalDocument, ...]:
+def _load_documents(path: Path, patients: Mapping[str, Patient]) -> tuple[ClinicalDocument, ...]:
     documents: list[ClinicalDocument] = []
     seen_doc_ids: set[str] = set()
-    for lineno, raw in _iter_lines(documents_path):
-        record = _parse_line(raw, documents_path, lineno)
-        _require(record, ("patient_id", "doc_id", "doc_type", "timestamp"), documents_path, lineno)
-        pid = str(record["patient_id"])
-        doc_id = str(record["doc_id"])
+    fields = ("patient_id", "doc_id", "doc_type", "timestamp")
+    for lineno, raw in _iter_lines(path):
+        record = _parse_line(raw, path, lineno)
+        pid, doc_id, doc_type, timestamp = _require(record, fields, path, lineno)
+        pid, doc_id = str(pid), str(doc_id)
         if doc_id in seen_doc_ids:
-            raise CorpusError(f"{documents_path.name} line {lineno}: duplicate doc_id {doc_id!r}")
+            raise CorpusError(f"{path.name} line {lineno}: duplicate doc_id {doc_id!r}")
         if pid not in patients:
-            raise CorpusError(
-                f"{documents_path.name} line {lineno}: unknown patient_id {pid!r}"
-            )
+            raise CorpusError(f"{path.name} line {lineno}: unknown patient_id {pid!r}")
         seen_doc_ids.add(doc_id)
         documents.append(
             ClinicalDocument(
                 patient_id=pid,
                 doc_id=doc_id,
-                doc_type=str(record["doc_type"]),
-                timestamp=_parse_timestamp(record["timestamp"], f"{documents_path.name} line {lineno}"),
+                doc_type=str(doc_type),
+                timestamp=_parse_timestamp(timestamp, path, lineno),
                 text=str(record.get("text", "")),
             )
         )
     return tuple(documents)
 
 
-def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
+def _load_labels(path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
     labels: list[ReferenceLabel] = []
     seen_label_keys: set[tuple[str, str]] = set()
-    for lineno, raw in _iter_lines(labels_path):
-        record = _parse_line(raw, labels_path, lineno)
-        _require(record, ("patient_id", "condition"), labels_path, lineno)
+    for lineno, raw in _iter_lines(path):
+        record = _parse_line(raw, path, lineno)
+        pid, condition = _require(record, ("patient_id", "condition"), path, lineno)
         if "registry_label" not in record:
-            raise CorpusError(f"{labels_path.name} line {lineno}: missing field 'registry_label'")
-        pid = str(record["patient_id"])
-        condition = str(record["condition"])
+            raise CorpusError(f"{path.name} line {lineno}: missing field 'registry_label'")
+        pid, condition = str(pid), str(condition)
         if pid not in patients:
-            raise CorpusError(f"{labels_path.name} line {lineno}: unknown patient_id {pid!r}")
+            raise CorpusError(f"{path.name} line {lineno}: unknown patient_id {pid!r}")
         key = (pid, condition)
         if key in seen_label_keys:
             raise CorpusError(
-                f"{labels_path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}"
+                f"{path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}"
             )
         seen_label_keys.add(key)
         registry = record["registry_label"]
         icd = record.get("icd_label")
         if registry not in (0, 1) or icd not in (None, 0, 1):
-            raise CorpusError(f"{labels_path.name} line {lineno}: labels must be 0 or 1")
+            raise CorpusError(f"{path.name} line {lineno}: labels must be 0 or 1")
         labels.append(ReferenceLabel(pid, condition, int(registry), None if icd is None else int(icd)))
     return tuple(labels)
 
 
 # The one encoder of every line record the package writes: `json.dumps` with
-# these options gives the same text but builds a new encoder per record.
-encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# these options gives the same text but builds a new encoder per record. The
+# records are trees the package has just built, so no cycle check is needed.
+encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write `text` beside `path`, then rename it into place, so a failure
-    leaves any earlier file at `path` whole."""
+def _atomic_write(path: Path, parts: Iterable[str]) -> None:
+    """Write `parts` in turn to a file beside `path`, then rename it into
+    place, so a failure leaves any earlier file at `path` whole and no
+    temporary file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl(path, records) -> None:
-    """Write one encoded record per line, atomically (see `_atomic_write_text`)."""
-    buf = io.StringIO()
-    for record in records:
-        buf.write(encode_record(record) + "\n")
-    _atomic_write_text(Path(path), buf.getvalue())
+    """Stream one encoded record per line into place (see `_atomic_write`)."""
+    _atomic_write(Path(path), (encode_record(record) + "\n" for record in records))
 
 
 def _label_record(label: ReferenceLabel) -> dict:

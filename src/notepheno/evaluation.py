@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Mapping
 
 from .corpus import Cohort
@@ -102,6 +101,8 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    from statistics import NormalDist  # only evaluate pays for the import
+
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: stage artifacts, exit codes, config handling."""
 import csv
+import gc
 import json
 import os
 import shutil
@@ -542,10 +543,92 @@ def test_cli_import_loads_neither_requests_nor_yaml():
     )
     assert result.returncode == 0, result.stderr
     before, added = json.loads(result.stdout)
-    heavy = {"requests", "yaml", "http.client"}
+    heavy = {"requests", "yaml", "http.client", "statistics"}
     assert not heavy & set(before)  # else the comparison below proves nothing
     assert "notepheno.cli" in added
     assert not heavy & set(added)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(pipeline_dirs, tmp_path, monkeypatch, capsys, collecting):
+    corpus = str(pipeline_dirs / "corpus")
+    gout = tmp_path / "gout.yaml"
+    gout.write_text(
+        "profiles:\n"
+        "- name: gout\n"
+        "  keywords: [gout]\n"
+        "  inference_template: \"Is there gout in '{text}'? yes or no.\"\n"
+        "  extraction_template: \"List urate values in {text}.\"\n"
+        "  rule: {analyte: glucose, threshold: 0.42, unit: mmol/L}\n",
+        encoding="utf-8",
+    )
+    runs = [
+        (0, ["evaluate", "--corpus", corpus, "--detect-dir", str(pipeline_dirs / "det"),
+             "--out", str(tmp_path / "report.csv")]),
+        (1, ["evaluate", "--corpus", str(tmp_path / "missing"), "--detect-dir",
+             str(pipeline_dirs / "det"), "--out", str(tmp_path / "report.csv")]),
+        (2, ["profile", "--corpus", corpus, "--profiles", str(gout), "--mock",
+             "--out", str(tmp_path / "p.csv")]),
+    ]
+    during = []
+    load = cli.load_cohort
+    monkeypatch.setattr(cli, "load_cohort", lambda *paths: during.append(gc.isenabled()) or load(*paths))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for code, argv in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]  # the missing corpus file fails before the load
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 20-patient synth -> profile -> preprocess run like `pipeline_dirs`'s."""
+    root = tmp_path_factory.mktemp("small")
+    corpus = str(root / "corpus")
+    for argv in (
+        ["synth", "--out", corpus, "--n-patients", "20", "--prevalence", "diabetes=0.3",
+         "--prevalence", "ami=0.2", "--prevalence", "hypertension=0.3", "--seed", "5"],
+        ["profile", "--corpus", corpus, "--m", "40", "--seed", "5", "--mock",
+         "--out", str(root / "profile.csv")],
+        ["preprocess", "--corpus", corpus, "--profile-csv", str(root / "profile.csv"),
+         "--percentile", "q1", "--out", str(root / "prep")],
+    ):
+        assert main(argv) == 0
+    return root
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("parallelism", ["1", "4"])
+def test_detect_leaves_no_cycles_that_grow_with_the_cohort(
+    small_pipeline, pipeline_dirs, tmp_path, parallelism, cached
+):
+    # Stages run with the cyclic collector off (see `main`), so a reference
+    # cycle made per record would leak. The cycles left behind must not depend
+    # on the cohort size: 20 and 80 patients, cold and warm cache alike.
+    def cyclic_garbage(root, out):
+        argv = ["detect", "--corpus", str(root / "corpus"), "--merged", str(root / "prep"),
+                "--mode", "all", "--mock", "--parallelism", parallelism, "--out", str(out)]
+        if cached:
+            argv += ["--cache-dir", str(out.parent / "cache")]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    found = []
+    for n, root in (("20", small_pipeline), ("80", pipeline_dirs)):
+        for run in ("cold", "warm") if cached else ("once",):
+            found.append(cyclic_garbage(root, tmp_path / n / run))
+    assert len(set(found)) == 1, found
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notepheno import corpus
@@ -11,6 +11,8 @@ from notepheno.corpus import (
     Cohort,
     CorpusError,
     SynthSpec,
+    _parse_line,
+    _write_jsonl,
     encode_record,
     generate_synthetic,
     load_cohort,
@@ -149,6 +151,24 @@ def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
+def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _write_jsonl(path, ({"n": n} for n in range(10)))
+    before = path.read_bytes()
+
+    def records():
+        for n in range(5):
+            yield {"n": -n, "text": "x" * 10_000}
+        # the five records went to the temporary file, not to `path`
+        assert path.with_name("records.jsonl.tmp").exists()
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_jsonl(path, records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
 def test_generate_synthetic_truth_matches_labels():
     spec = SynthSpec(n_patients=200, prevalence={"diabetes": 0.3}, seed=3)
     cohort, truth = generate_synthetic(spec, builtin_profiles())
@@ -219,3 +239,77 @@ _label_records = st.fixed_dictionaries(
 @given(_label_records)
 def test_encode_record_matches_json_dumps(record):
     assert encode_record(record) == json.dumps(record, ensure_ascii=False, sort_keys=True)
+
+
+def _reference_parse_line(raw, path, lineno):
+    """`_parse_line` as it was before it called the scanner directly."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path.name} line {lineno}: invalid record ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise CorpusError(f"{path.name} line {lineno}: record is not an object")
+    return record
+
+
+def _outcome(parse, raw):
+    try:
+        # dumps tells 1 from 1.0 and True, keeps key order and prints NaN
+        return "record", json.dumps(parse(raw, Path("x.jsonl"), 3))
+    except Exception as exc:  # noqa: BLE001 (the error is the outcome)
+        return type(exc).__name__, str(exc)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _record_lines(draw):
+    line = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    mangle = draw(st.sampled_from(["none", "object", "trailing", "twice", "bom", "truncate"]))
+    if mangle == "object":
+        line = json.dumps({"k": json.loads(line)})
+    elif mangle == "trailing":
+        line += draw(st.sampled_from([" x", "x", " ", "]", "}", ",1"]))
+    elif mangle == "twice":
+        line += line
+    elif mangle == "bom":
+        line = "\ufeff" + line
+    elif mangle == "truncate":
+        line = line[: draw(st.integers(0, max(0, len(line) - 1)))]
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(_record_lines())
+@example('{"a": 1} x')
+@example("{}{}")
+@example('\ufeff{"a": 1}')
+@example('{"a": NaN, "b": -Infinity}')
+@example("NaN")
+@example("-Infinity")
+@example('{"n": 1234567890123456789012345678901234567890}')
+@example('{"s": "\\ud800"}')
+@example('{"a": [1, 2')
+@example('{"a": ')
+@example("[1, 2]")
+@example('"text"')
+@example("3.5")
+@example("")
+@example(" {} ")
+def test_parse_line_returns_or_raises_what_json_loads_does(raw):
+    assert _outcome(_parse_line, raw) == _outcome(_reference_parse_line, raw)
+
+
+def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
+    files = _valid_files(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a valid line")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert load_cohort(*files).patients["p1"].admit_date.isoformat() == "2015-01-02"
