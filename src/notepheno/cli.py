@@ -23,6 +23,7 @@ from .adjudication import (
     InferredStatus,
     apply_clinical_rule,
     combine_chunk_statuses,
+    merge_patient,
     parse_extraction_response,
     parse_inference_response,
 )
@@ -128,8 +129,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_manifest(out_dir: Path, stage: str, payload: dict) -> None:
-    text = json.dumps({"stage": stage, **payload}, indent=2, sort_keys=True)
-    _atomic_write(out_dir / f"manifest_{stage}.json", (text,))
+    payload = {"stage": stage, **payload}
+    _atomic_write(out_dir / f"manifest_{stage}.json", (json.dumps(payload, indent=2, sort_keys=True),))
 
 
 def _config_hash(resolved: dict) -> str:
@@ -617,15 +618,16 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
     extraction = "extraction" in paths
     for pid in sorted(findings):
         found = findings[pid]
-        # the label is `merge_patient`'s: 1 iff a path of the mode says Yes
-        yes = [p for p in paths if found.statuses.get(p) is InferredStatus.YES] if found.statuses else []
-        measurements = found.measurements if extraction else ()
         yield {
             "patient_id": pid,
             "condition": condition,
-            "label": int(bool(yes)),
+            "label": merge_patient(found.statuses, mode),
             "mode": mode,
-            "evidence_doc_ids": [f"merged::{pid}#{path}" for path in yes] if yes else [],
+            "evidence_doc_ids": [
+                f"merged::{pid}#{path}"
+                for path in paths
+                if found.statuses.get(path) is InferredStatus.YES
+            ],
             "measurements": [
                 {
                     "analyte": m.analyte,
@@ -635,8 +637,8 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
                     "systolic": m.systolic,
                     "diastolic": m.diastolic,
                 }
-                for m in measurements
-            ] if measurements else [],
+                for m in (found.measurements if extraction else ())
+            ],
         }
 
 
@@ -929,8 +931,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. The cyclic garbage collector is off while it runs: a
-    stage builds no reference cycles per record, so collecting would only
-    rescan its growing heap. The collector's earlier state is restored."""
+    stage must build no reference cycles per record (tests check detect's), so
+    collecting would only rescan its growing heap. The collector's earlier
+    state is restored."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -173,71 +173,77 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
     return Cohort(patients=patients, documents=documents, labels=labels)
 
 
-def _load_patients(path: Path) -> dict[str, Patient]:
+def _load_patients(patients_path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
-    for lineno, raw in _iter_lines(path):
-        record = _parse_line(raw, path, lineno)
-        pid, admit = _require(record, ("patient_id", "admit_date"), path, lineno)
+    for lineno, raw in _iter_lines(patients_path):
+        record = _parse_line(raw, patients_path, lineno)
+        pid, admit = _require(record, ("patient_id", "admit_date"), patients_path, lineno)
         pid = str(pid)
         if pid in patients:
-            raise CorpusError(f"{path.name} line {lineno}: duplicate patient_id {pid!r}")
+            raise CorpusError(f"{patients_path.name} line {lineno}: duplicate patient_id {pid!r}")
         attributes = record.get("attributes") or {}
         if not isinstance(attributes, dict):
-            raise CorpusError(f"{path.name} line {lineno}: attributes must be a map")
+            raise CorpusError(f"{patients_path.name} line {lineno}: attributes must be a map")
         patients[pid] = Patient(
             patient_id=pid,
-            admit_date=_parse_date(admit, path, lineno),
+            admit_date=_parse_date(admit, patients_path, lineno),
             attributes={str(k): str(v) for k, v in attributes.items()},
         )
     return patients
 
 
-def _load_documents(path: Path, patients: Mapping[str, Patient]) -> tuple[ClinicalDocument, ...]:
+def _load_documents(
+    documents_path: Path, patients: Mapping[str, Patient]
+) -> tuple[ClinicalDocument, ...]:
     documents: list[ClinicalDocument] = []
     seen_doc_ids: set[str] = set()
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
-    for lineno, raw in _iter_lines(path):
-        record = _parse_line(raw, path, lineno)
-        pid, doc_id, doc_type, timestamp = _require(record, fields, path, lineno)
-        pid, doc_id = str(pid), str(doc_id)
+    for lineno, raw in _iter_lines(documents_path):
+        record = _parse_line(raw, documents_path, lineno)
+        pid, doc_id, doc_type, timestamp = _require(record, fields, documents_path, lineno)
+        pid = str(pid)
+        doc_id = str(doc_id)
         if doc_id in seen_doc_ids:
-            raise CorpusError(f"{path.name} line {lineno}: duplicate doc_id {doc_id!r}")
+            raise CorpusError(f"{documents_path.name} line {lineno}: duplicate doc_id {doc_id!r}")
         if pid not in patients:
-            raise CorpusError(f"{path.name} line {lineno}: unknown patient_id {pid!r}")
+            raise CorpusError(
+                f"{documents_path.name} line {lineno}: unknown patient_id {pid!r}"
+            )
         seen_doc_ids.add(doc_id)
         documents.append(
             ClinicalDocument(
                 patient_id=pid,
                 doc_id=doc_id,
                 doc_type=str(doc_type),
-                timestamp=_parse_timestamp(timestamp, path, lineno),
+                timestamp=_parse_timestamp(timestamp, documents_path, lineno),
                 text=str(record.get("text", "")),
             )
         )
     return tuple(documents)
 
 
-def _load_labels(path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
+def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
     labels: list[ReferenceLabel] = []
     seen_label_keys: set[tuple[str, str]] = set()
-    for lineno, raw in _iter_lines(path):
-        record = _parse_line(raw, path, lineno)
-        pid, condition = _require(record, ("patient_id", "condition"), path, lineno)
+    for lineno, raw in _iter_lines(labels_path):
+        record = _parse_line(raw, labels_path, lineno)
+        pid, condition = _require(record, ("patient_id", "condition"), labels_path, lineno)
         if "registry_label" not in record:
-            raise CorpusError(f"{path.name} line {lineno}: missing field 'registry_label'")
-        pid, condition = str(pid), str(condition)
+            raise CorpusError(f"{labels_path.name} line {lineno}: missing field 'registry_label'")
+        pid = str(pid)
+        condition = str(condition)
         if pid not in patients:
-            raise CorpusError(f"{path.name} line {lineno}: unknown patient_id {pid!r}")
+            raise CorpusError(f"{labels_path.name} line {lineno}: unknown patient_id {pid!r}")
         key = (pid, condition)
         if key in seen_label_keys:
             raise CorpusError(
-                f"{path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}"
+                f"{labels_path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}"
             )
         seen_label_keys.add(key)
         registry = record["registry_label"]
         icd = record.get("icd_label")
         if registry not in (0, 1) or icd not in (None, 0, 1):
-            raise CorpusError(f"{path.name} line {lineno}: labels must be 0 or 1")
+            raise CorpusError(f"{labels_path.name} line {lineno}: labels must be 0 or 1")
         labels.append(ReferenceLabel(pid, condition, int(registry), None if icd is None else int(icd)))
     return tuple(labels)
 

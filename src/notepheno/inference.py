@@ -222,7 +222,9 @@ class HttpBackend:
             try:
                 status, data = self._post(body, headers)
             except self._transport_errors as exc:
-                last_error = exc
+                # Without its traceback, which holds this frame, the kept
+                # error makes no reference cycle.
+                last_error = exc.with_traceback(None)
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
             if status >= 500:

@@ -74,9 +74,10 @@ class ScriptedServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    handler = _ScriptedHandler
 
     def __init__(self, outcomes):
-        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        super().__init__(("127.0.0.1", 0), self.handler)
         self.outcomes = list(outcomes)
         self.lock = threading.Lock()
         self.calls = 0
@@ -110,13 +111,38 @@ class ScriptedServer(ThreadingHTTPServer):
                 pass
 
 
+class _OneRequestPerConnection(_ScriptedHandler):
+    protocol_version = "HTTP/1.0"  # the connection closes after every reply
+
+
+class FirstSendDropped(ScriptedServer):
+    """ScriptedServer that drops the first send of each request body and
+    answers a repeat with the scripted outcomes. Every reply closes its
+    connection, so each drop reaches the client as a failed attempt rather
+    than as a stale keep-alive connection."""
+
+    handler = _OneRequestPerConnection
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.seen = set()
+
+    def next_outcome(self, headers, body):
+        outcome = super().next_outcome(headers, body)
+        with self.lock:
+            first = body not in self.seen
+            self.seen.add(body)
+        return DROP if first else outcome
+
+
 @pytest.fixture
 def scripted_server():
-    """Start ScriptedServer(outcomes) on a free port; shut down at teardown."""
+    """Start server_cls(outcomes), a ScriptedServer by default, on a free
+    port; shut down at teardown."""
     started = []
 
-    def start(outcomes):
-        server = ScriptedServer(outcomes)
+    def start(outcomes, server_cls=ScriptedServer):
+        server = server_cls(outcomes)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         started.append((server, thread))

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import make_cohort, record_prompts
+from conftest import FirstSendDropped, make_cohort, record_prompts
 
 import notepheno
 from notepheno import cli, inference
@@ -601,17 +601,30 @@ def small_pipeline(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("backend", ["mock", "http"])
 @pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("parallelism", ["1", "4"])
 def test_detect_leaves_no_cycles_that_grow_with_the_cohort(
-    small_pipeline, pipeline_dirs, tmp_path, parallelism, cached
+    small_pipeline, pipeline_dirs, tmp_path, scripted_server, monkeypatch, parallelism, cached,
+    backend,
 ):
     # Stages run with the cyclic collector off (see `main`), so a reference
     # cycle made per record would leak. The cycles left behind must not depend
-    # on the cohort size: 20 and 80 patients, cold and warm cache alike.
+    # on the cohort size: 20 and 80 patients, cold and warm cache alike. The
+    # HTTP server drops the first send of each request, so every request
+    # keeps a transport error until its retry succeeds.
+    monkeypatch.setattr(inference.time, "sleep", lambda seconds: None)
+    # pytest keeps every log record, and a retry's record holds its error.
+    monkeypatch.setattr(inference.logger, "disabled", True)
+
     def cyclic_garbage(root, out):
         argv = ["detect", "--corpus", str(root / "corpus"), "--merged", str(root / "prep"),
-                "--mode", "all", "--mock", "--parallelism", parallelism, "--out", str(out)]
+                "--mode", "all", "--parallelism", parallelism, "--out", str(out)]
+        if backend == "mock":
+            argv.append("--mock")
+        else:
+            server = scripted_server([_NO_MENTION], FirstSendDropped)
+            argv += ["--backend-url", server.url]
         if cached:
             argv += ["--cache-dir", str(out.parent / "cache")]
         was = gc.isenabled()
@@ -619,6 +632,8 @@ def test_detect_leaves_no_cycles_that_grow_with_the_cohort(
         try:
             gc.collect()
             assert main(argv) == 0
+            if backend == "http":
+                assert server.calls == 2 * len(server.seen)  # each request dropped once
             return gc.collect()
         finally:
             if was:
