@@ -20,7 +20,6 @@ from . import evaluation
 from .adjudication import (
     MODE_PATHS,
     Findings,
-    InferredStatus,
     apply_clinical_rule,
     combine_chunk_statuses,
     merge_patient,
@@ -56,7 +55,6 @@ from .inference import (
 )
 from .preprocess import (
     DocTypeProfile,
-    MergedDocument,
     compute_information_relevance,
     consolidate_all,
     filter_document_types,
@@ -102,12 +100,6 @@ def _check_label(record: dict) -> str | None:
     return None
 
 
-def _check_text(record: dict) -> str | None:
-    if not isinstance(record["text"], str):
-        return f"text must be a string, got {record['text']!r}"
-    return None
-
-
 def _check_merged(patients: Mapping) -> Callable[[dict], str | None]:
     """The check of a merged record: a cohort patient's id and a string text."""
 
@@ -115,7 +107,9 @@ def _check_merged(patients: Mapping) -> Callable[[dict], str | None]:
         pid = record["patient_id"]
         if not isinstance(pid, str) or pid not in patients:
             return f"unknown patient_id {pid!r}"
-        return _check_text(record)
+        if not isinstance(record["text"], str):
+            return f"text must be a string, got {record['text']!r}"
+        return None
 
     return check
 
@@ -496,30 +490,27 @@ def _backend_block(backend: Backend, counts: Counter) -> dict:
 def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
     profiles = []
     with Path(path).open(encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle, restval="")  # a short row's missing fields read ""
+        columns = ("condition", "doc_type", "sampled_count", "positive_count")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
             if row["condition"] != condition:
                 continue
-            profiles.append(
-                DocTypeProfile(
-                    doc_type=row["doc_type"],
-                    sampled_count=int(row["sampled_count"]),
-                    positive_count=int(row["positive_count"]),
-                )
-            )
+            try:
+                sampled, positive = int(row["sampled_count"]), int(row["positive_count"])
+            except ValueError:
+                raise ValueError(f"{path} line {reader.line_num}: missing or non-integer count") from None
+            profiles.append(DocTypeProfile(row["doc_type"], sampled, positive))
     if not profiles:
         raise ValueError(f"{path}: no rows for condition {condition!r}")
     return profiles
 
 
-def _merged_records(condition: str, merged: Mapping[str, MergedDocument]):
+def _merged_records(condition: str, merged: Mapping[str, str]):
     for pid in sorted(merged):
-        doc = merged[pid]
-        yield {
-            "patient_id": pid,
-            "text": doc.text,
-            "condition": condition,
-            "provenance": [[s.doc_id, s.start, s.end] for s in doc.provenance],
-        }
+        yield {"patient_id": pid, "text": merged[pid], "condition": condition}
 
 
 def _cmd_preprocess(args, config: dict) -> int:
@@ -539,10 +530,7 @@ def _cmd_preprocess(args, config: dict) -> int:
     ]
     stats_rows = []
     for (plan, profile), (merged, fraction) in zip(selected, consolidate_all(cohort, selected)):
-        positives = {
-            lab.patient_id for lab in cohort.labels
-            if lab.condition == profile.name and lab.registry_label == 1
-        }
+        positives = {pid for pid, label in cohort.reference_map(profile.name).items() if label}
         retention = positive_retention(positives, merged)
         _write_jsonl(out_dir / f"merged_{profile.name}.jsonl", _merged_records(profile.name, merged))
         stats_rows.append(
@@ -614,8 +602,7 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
 
 
 def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
-    paths = MODE_PATHS[mode]
-    extraction = "extraction" in paths
+    extraction = "extraction" in MODE_PATHS[mode]
     for pid in sorted(findings):
         found = findings[pid]
         yield {
@@ -623,11 +610,6 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
             "condition": condition,
             "label": merge_patient(found.statuses, mode),
             "mode": mode,
-            "evidence_doc_ids": [
-                f"merged::{pid}#{path}"
-                for path in paths
-                if found.statuses.get(path) is InferredStatus.YES
-            ],
             "measurements": [
                 {
                     "analyte": m.analyte,
@@ -819,6 +801,8 @@ def _cmd_trend(args, config: dict) -> int:
 
 
 def _cmd_bench(args, config: dict) -> int:
+    if args.mock:  # it answers only the prompts of the built-in templates
+        raise ValueError("the mock backend answers no benchmark question: pass --backend-url")
     from . import bench  # only the bench command needs the question set
 
     backend = _make_backend(args, config)

@@ -281,12 +281,20 @@ class ResponseCache:
 
     def put(self, request: CompletionRequest, text: str) -> None:
         # Concurrent writers of the same key both land the same content;
-        # os.replace keeps readers from ever seeing a partial file. Each
-        # writer, thread or process, fills its own temporary file.
+        # os.replace keeps readers from ever seeing a partial file. Each writer,
+        # thread or process, fills its own temporary file, removed on failure.
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # e.g. a lone surrogate from a JSON reply
+            raise BackendError(f"reply cannot be stored in the cache: {exc}") from None
         path = self._path(self.key(request))
         tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class CachedBackend:

@@ -6,7 +6,6 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .adjudication import InferredStatus
@@ -16,8 +15,6 @@ from .prompting import ConditionProfile
 __all__ = [
     "DocTypeProfile",
     "FilterPlan",
-    "SentenceProvenance",
-    "MergedDocument",
     "ConsolidationStats",
     "sentence_spans",
     "keyword_regex",
@@ -58,21 +55,6 @@ class FilterPlan:
     percentile: float
     threshold_value: float
     kept_types: frozenset[str]
-
-
-@dataclass(frozen=True)
-class SentenceProvenance:
-    doc_id: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class MergedDocument:
-    """One patient's keyword sentences of one condition, joined in timestamp order."""
-
-    text: str
-    provenance: tuple[SentenceProvenance, ...]
 
 
 @dataclass(frozen=True)
@@ -205,18 +187,18 @@ def filter_document_types(
 
 def consolidate(
     cohort: Cohort, plan: FilterPlan, profile: ConditionProfile
-) -> tuple[dict[str, MergedDocument], float]:
+) -> tuple[dict[str, str], float]:
     """consolidate_all for a single condition."""
     return consolidate_all(cohort, [(plan, profile)])[0]
 
 
 def consolidate_all(
     cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
-) -> list[tuple[dict[str, MergedDocument], float]]:
+) -> list[tuple[dict[str, str], float]]:
     """Extract keyword sentences from kept-type documents into one merged
-    document per patient and condition, ordered by source timestamp (ties by
-    doc_id). Results, `({patient_id: merged}, words_fraction_remaining)` per
-    condition, follow the order of `selected`.
+    text per patient and condition: stripped sentences joined by spaces, notes
+    in source timestamp order (ties by doc_id). Results, `({patient_id: text},
+    words_fraction_remaining)` per condition, follow the order of `selected`.
 
     One pass over the corpus serves every condition: a document kept by any
     condition is split into stripped sentences once, and each condition's
@@ -231,51 +213,38 @@ def consolidate_all(
     for index, (plan, _) in enumerate(selected):
         for doc_type in plan.kept_types:
             keepers[doc_type].append(index)
-    hits: list[dict[str, list[tuple[datetime, str, int, str]]]] = [
-        defaultdict(list) for _ in selected
-    ]
+    # per condition: patient_id -> [(timestamp, doc_id, keyword sentences)], one per note
+    hits: list[dict[str, list]] = [defaultdict(list) for _ in selected]
 
     for doc in cohort.documents:
         indices = keepers.get(doc.doc_type)
         if not indices:
             continue
         text = doc.text
-        sentences = []
-        for start, end in sentence_spans(text):
-            fragment = text[start:end]
-            core = fragment.strip()
-            if core:
-                sentences.append((start + len(fragment) - len(fragment.lstrip()), core))
+        sentences = [core for start, end in sentence_spans(text) if (core := text[start:end].strip())]
         for index in indices:
             search = patterns[index].search
-            found = [
-                (doc.timestamp, doc.doc_id, offset, core)
-                for offset, core in sentences
-                if search(core)
-            ]
+            found = [core for core in sentences if search(core)]
             if found:
-                hits[index][doc.patient_id].extend(found)
+                hits[index][doc.patient_id].append((doc.timestamp, doc.doc_id, found))
 
     words_before = cohort.word_count
     results = []
     for condition_hits in hits:
-        merged: dict[str, MergedDocument] = {}
+        merged: dict[str, str] = {}
         words_after = 0
         for patient_id in sorted(condition_hits):
-            entries = sorted(condition_hits[patient_id])
-            text = " ".join(core for _, _, _, core in entries)
-            provenance = tuple(
-                SentenceProvenance(doc_id, offset, offset + len(core))
-                for _, doc_id, offset, core in entries
-            )
-            merged[patient_id] = MergedDocument(text=text, provenance=provenance)
+            # doc ids are unique, so the sentence lists are never compared
+            notes = sorted(condition_hits[patient_id])
+            text = " ".join(core for _, _, found in notes for core in found)
+            merged[patient_id] = text
             words_after += len(text.split())
         results.append((merged, (words_after / words_before) if words_before else 1.0))
     return results
 
 
 def positive_retention(
-    positives: Collection[str], merged: Mapping[str, MergedDocument]
+    positives: Collection[str], merged: Mapping[str, str]
 ) -> float | None:
     """Fraction of positive patients still holding merged text; None without positives."""
     if not positives:
@@ -286,7 +255,7 @@ def positive_retention(
 def retention_report(
     before: Cohort,
     positives: Collection[str],
-    after: Mapping[str, MergedDocument],
+    after: Mapping[str, str],
     kept_type_count: int,
 ) -> ConsolidationStats:
     """Words remaining plus the fraction of positive patients still holding text.
@@ -295,7 +264,7 @@ def retention_report(
     coerced to a number.
     """
     words_before = before.word_count
-    words_after = sum(len(m.text.split()) for m in after.values())
+    words_after = sum(len(text.split()) for text in after.values())
     return ConsolidationStats(
         words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
         positive_retention=positive_retention(positives, after),

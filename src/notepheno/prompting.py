@@ -251,10 +251,18 @@ def load_profiles(path) -> list[ConditionProfile]:
     import yaml  # only runs that pass --profiles pay for the import
 
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict) or "profiles" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("profiles"), list):
         raise ValueError(f"{path}: expected a top-level 'profiles' list")
     profiles = []
-    for entry in raw["profiles"]:
+    for number, entry in enumerate(raw["profiles"], 1):
+        where = f"{path}: profiles entry {number}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a mapping, got {entry!r}")
+        for key in ("name", "keywords", "inference_template", "extraction_template", "rule"):
+            if entry.get(key) is None:
+                raise ValueError(f"{where}: missing key {key!r}")
+        if not isinstance(entry["rule"], dict) or entry["rule"].get("analyte") is None:
+            raise ValueError(f"{where}: missing key 'rule.analyte'")
         if any(p.name == entry["name"] for p in profiles):
             raise ValueError(f"{path}: duplicate condition name {entry['name']!r}")
         profiles.append(

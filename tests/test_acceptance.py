@@ -26,7 +26,9 @@ from notepheno.preprocess import (
     FilterPlan,
     consolidate,
     filter_document_types,
+    keyword_regex,
     positive_retention,
+    sentence_spans,
 )
 from notepheno.prompting import ClinicalRule, builtin_profiles
 
@@ -155,7 +157,7 @@ def test_criterion_4_synthetic_recovery():
             merged, _ = consolidate(cohort, plan, profile)
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
-                cohort, [({pid: m.text for pid, m in merged.items()}, profile)], noisy, params,
+                cohort, [(merged, profile)], noisy, params,
                 modes=("prompt1",), parallelism=1,
             ))["diabetes"]
             pred = {pid: merge_patient(f.statuses, "prompt1") for pid, f in findings.items()}
@@ -188,7 +190,7 @@ def test_criterion_5_or_mode_algebra():
         merged, _ = consolidate(cohort, plan, profile)
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
-            cohort, [({pid: m.text for pid, m in merged.items()}, profile)],
+            cohort, [(merged, profile)],
             MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
             params, modes=modes, parallelism=1,
         ))["diabetes"]
@@ -217,7 +219,7 @@ def test_criterion_5_or_mode_algebra():
 # 6 -------------------------------------------------------------------------
 
 def test_criterion_6_preprocessing_properties():
-    with criterion(6, "filter monotone in percentile; provenance verbatim; full retention when evidence is kept"):
+    with criterion(6, "filter monotone in percentile; keyword sentences in merged text verbatim and in order; full retention when evidence is kept"):
         rng = random.Random(6)
         for _ in range(200):
             profiles = [
@@ -240,12 +242,19 @@ def test_criterion_6_preprocessing_properties():
             kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
         )
         merged, _ = consolidate(cohort, plan, profile)
-        doc_text = {d.doc_id: d.text for d in cohort.documents}
-        for doc in merged.values():
-            for span in doc.provenance:
-                fragment = doc_text[span.doc_id][span.start : span.end]
-                assert fragment == fragment.strip()
-                assert fragment in doc.text
+        # Each merged text is every stripped keyword sentence of the patient's
+        # kept-type notes, notes in (timestamp, doc_id) order, joined by spaces.
+        pattern = keyword_regex(profile.keywords)
+        expected: dict[str, list[str]] = {}
+        for doc in sorted(cohort.documents, key=lambda d: (d.timestamp, d.doc_id)):
+            if doc.doc_type not in plan.kept_types:
+                continue
+            for start, end in sentence_spans(doc.text):
+                sentence = doc.text[start:end].strip()
+                if sentence and pattern.search(sentence):
+                    expected.setdefault(doc.patient_id, []).append(sentence)
+        assert expected
+        assert merged == {pid: " ".join(sentences) for pid, sentences in expected.items()}
 
         positives = {pid for pid, t in truth.items() if t["diabetes"] == 1}
         assert positive_retention(positives, merged) == 1.0

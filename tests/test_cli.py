@@ -109,9 +109,9 @@ def test_preprocess_outputs(pipeline_dirs):
         ]
         assert merged, condition
         for record in merged:
-            assert set(record) == {"condition", "patient_id", "provenance", "text"}
+            assert set(record) == {"condition", "patient_id", "text"}
             assert record["condition"] == condition
-            assert record["provenance"]
+            assert record["text"]
     with (prep / "consolidation_stats.csv").open() as handle:
         stats = {r["condition"]: r for r in csv.DictReader(handle)}
     assert float(stats["diabetes"]["words_fraction_remaining"]) < 1.0
@@ -129,6 +129,9 @@ def test_detect_writes_nine_label_files_and_manifest(pipeline_dirs):
     ]
     assert len(records) == 80  # every patient labelled, condition-free included
     assert all(r["label"] in (0, 1) for r in records)
+    for name in files:
+        for record in _read_jsonl(det / name):
+            assert set(record) == {"patient_id", "condition", "label", "mode", "measurements"}
 
 
 def test_evaluate_report(pipeline_dirs, tmp_path):
@@ -307,6 +310,24 @@ def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_pat
     assert not list(tmp_path.glob("prep/merged_*.jsonl"))
 
 
+def test_a_malformed_profile_csv_exits_1_naming_the_file_and_line(pipeline_dirs, tmp_path, capsys):
+    corpus = str(pipeline_dirs / "corpus")
+    table = tmp_path / "profile.csv"
+    for content, message in (
+        ("doc_type,sampled_count,positive_count\nA,5,1\n", "line 1: missing column(s) condition"),
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,B,5,1\ndiabetes,A\n",
+         "line 3: missing or non-integer count"),
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,five,1\n",
+         "line 2: missing or non-integer count"),
+    ):
+        table.write_text(content, encoding="utf-8")
+        code = _run("preprocess", "--corpus", corpus, "--condition", "diabetes",
+                    "--profile-csv", str(table), "--out", str(tmp_path / "prep"))
+        assert code == 1, content
+        assert f"error: {table} {message}" in capsys.readouterr().err, content
+    assert not list(tmp_path.glob("prep/*"))
+
+
 def _corpus_with_bad_line(pipeline_dirs, tmp_path, name: str) -> str:
     """A copy of the module's corpus whose `name` file ends in an invalid line."""
     corpus = tmp_path / "bad_corpus"
@@ -446,7 +467,7 @@ def test_detect_empty_merged_file_labels_everyone_0(pipeline_dirs, tmp_path):
     for path in files:
         records = _read_jsonl(path)
         assert len(records) == 80
-        assert all(r["label"] == 0 and not r["evidence_doc_ids"] for r in records)
+        assert all(r["label"] == 0 and not r["measurements"] for r in records)
 
 
 def test_detect_lists_measurements_only_under_extraction_modes(pipeline_dirs):
@@ -460,9 +481,7 @@ def test_detect_lists_measurements_only_under_extraction_modes(pipeline_dirs):
         assert any(r["measurements"] for r in by_mode["prompt2"].values()), condition
         for pid, record in by_mode["merged"].items():
             assert record["measurements"] == by_mode["prompt2"][pid]["measurements"]
-            assert record["evidence_doc_ids"] == (
-                by_mode["prompt1"][pid]["evidence_doc_ids"] + by_mode["prompt2"][pid]["evidence_doc_ids"]
-            )
+            assert record["label"] == max(by_mode["prompt1"][pid]["label"], by_mode["prompt2"][pid]["label"])
 
 
 def test_unknown_condition_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -503,6 +522,17 @@ def test_detect_malformed_backend_reply_exits_2(pipeline_dirs, tmp_path, capsys,
         )
         assert code == 2, parallelism
         assert "not JSON" in capsys.readouterr().err
+
+
+def test_detect_unstorable_reply_with_a_cache_exits_2(pipeline_dirs, tmp_path, capsys, scripted_server):
+    server = scripted_server([(200, b'{"text": "Yes \\ud800"}')])
+    code = _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(pipeline_dirs / "prep"),
+                "--condition", "diabetes", "--backend-url", server.url,
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "det"))
+    assert code == 2
+    assert "backend error: reply cannot be stored in the cache" in capsys.readouterr().err
+    assert server.calls >= 1
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_path, monkeypatch):
@@ -690,7 +720,7 @@ def test_config_file_value_used_when_flag_absent(pipeline_dirs, tmp_path):
         ("generation: {top_p: 0.5, beam_width: 4}\n", GenerationParams(top_p=0.5)),
     ],
 )
-def test_generation_config_block_reaches_the_backend(tmp_path, monkeypatch, config, expected):
+def test_generation_config_block_reaches_the_backend(pipeline_dirs, tmp_path, monkeypatch, config, expected):
     sent = []
     inner = MockBackend.complete
 
@@ -699,7 +729,8 @@ def test_generation_config_block_reaches_the_backend(tmp_path, monkeypatch, conf
         return inner(self, request)
 
     monkeypatch.setattr(MockBackend, "complete", recording)
-    argv = ["bench", "--mock", "--out", str(tmp_path / "bench.csv")]
+    argv = ["profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "2", "--condition", "diabetes",
+            "--mock", "--out", str(tmp_path / "profile.csv")]
     if config is not None:
         (tmp_path / "cfg.yaml").write_text(config, encoding="utf-8")
         argv = ["--config", str(tmp_path / "cfg.yaml"), *argv]
@@ -708,12 +739,23 @@ def test_generation_config_block_reaches_the_backend(tmp_path, monkeypatch, conf
     assert all(type(params.top_k) is int for params in sent)
 
 
-def test_bench_command_writes_csv(tmp_path):
+def test_bench_command_writes_csv(tmp_path, scripted_server):
+    server = scripted_server([(200, {"text": "Yes."})])
     out = tmp_path / "bench.csv"
-    assert _run("bench", "--mock", "--out", str(out)) == 0
+    assert _run("bench", "--backend-url", server.url, "--out", str(out)) == 0
+    assert server.calls == 10
     content = out.read_text()
     assert content.startswith("question,correct,latency_ms")
     assert "accuracy" in content
+
+
+def test_bench_with_the_mock_exits_1_before_any_request(tmp_path, monkeypatch, capsys):
+    prompts = record_prompts(monkeypatch, MockBackend)
+    out = tmp_path / "bench.csv"
+    assert _run("bench", "--mock", "--out", str(out)) == 1
+    assert "the mock backend answers no benchmark question" in capsys.readouterr().err
+    assert not out.exists()
+    assert prompts == []
 
 
 _NO_MENTION = (200, {"text": "No, there is no clear mention of it in the given clinical text."})

@@ -236,6 +236,20 @@ def test_cache_put_same_key_from_many_threads(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [f"{ResponseCache.key(request)}.txt"]
 
 
+def test_cache_put_of_an_unstorable_reply_raises_backend_error_and_leaves_nothing(tmp_path):
+    cache = ResponseCache(tmp_path)
+    request = CompletionRequest("prompt")
+    # json.loads('"\\ud800"') gives a lone surrogate, which UTF-8 cannot encode
+    with pytest.raises(BackendError, match="cannot be stored"):
+        cache.put(request, "reply \ud800")
+    assert list(tmp_path.iterdir()) == []
+    # a write that fails after the temporary file exists removes it
+    (tmp_path / f"{ResponseCache.key(request)}.txt").mkdir()
+    with pytest.raises(OSError):
+        cache.put(request, "reply")
+    assert [p.name for p in tmp_path.iterdir()] == [f"{ResponseCache.key(request)}.txt"]
+
+
 # -- mock backend ------------------------------------------------------------
 
 def _profile(name):

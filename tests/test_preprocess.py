@@ -144,14 +144,7 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
     corpus, fraction = consolidate(cohort, plan, diabetes_profile)
-    assert set(corpus) == {"p1"}
-    merged = corpus["p1"]
-    assert merged.text == "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."
-    # provenance spans point at the exact source fragments
-    texts = {"d1": cohort.documents[0].text, "d2": cohort.documents[1].text}
-    for span in merged.provenance:
-        fragment = texts[span.doc_id][span.start : span.end]
-        assert fragment in merged.text
+    assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
     assert 0.0 < fraction < 1.0
 
 
@@ -219,16 +212,11 @@ def _consolidate_reference(cohort, plan, profile):
             fragment = doc.text[start:end]
             core = fragment.strip()
             if core and pattern.search(core):
-                lead = len(fragment) - len(fragment.lstrip())
-                hits.setdefault(doc.patient_id, []).append(
-                    (doc.timestamp, doc.doc_id, start + lead, core)
-                )
+                hits.setdefault(doc.patient_id, []).append((doc.timestamp, doc.doc_id, start, core))
     merged, words_after = {}, 0
     for pid, entries in hits.items():
-        entries = sorted(entries)
-        text = " ".join(core for *_, core in entries)
-        provenance = tuple((doc_id, offset, offset + len(core)) for _, doc_id, offset, core in entries)
-        merged[pid] = (text, provenance)
+        text = " ".join(core for *_, core in sorted(entries))
+        merged[pid] = text
         words_after += len(text.split())
     return merged, words_after / words_before
 
@@ -257,10 +245,7 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
         assert corpus == alone
         assert fraction == alone_fraction
         merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
-        assert {
-            pid: (m.text, tuple((s.doc_id, s.start, s.end) for s in m.provenance))
-            for pid, m in corpus.items()
-        } == merged
+        assert corpus == merged
         assert fraction == reference_fraction
     assert together[0][0] and together[1][0]
     assert not together[2][0]

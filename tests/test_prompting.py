@@ -95,6 +95,27 @@ def test_load_profiles_rejects_bad_shape(tmp_path):
     path.write_text("- just\n- a list\n", encoding="utf-8")
     with pytest.raises(ValueError, match="profiles"):
         load_profiles(path)
+    entry = {
+        "name": "ami",
+        "keywords": ["troponin"],
+        "inference_template": "Analyze the clinical text: '{text}', answer yes or no.",
+        "extraction_template": "Find all the key-value pairs of troponin from the given text: {text}.",
+        "rule": {"analyte": "troponin", "threshold": 14.0},
+    }
+    cases = [
+        ({"profiles": None}, "expected a top-level 'profiles' list"),
+        ({"profiles": [entry, "gout"]}, "profiles entry 2 must be a mapping, got 'gout'"),
+        ({"profiles": [dict(entry, rule={"threshold": 14.0})]}, "profiles entry 1: missing key 'rule.analyte'"),
+        ({"profiles": [dict(entry, rule="troponin")]}, "profiles entry 1: missing key 'rule.analyte'"),
+    ]
+    for key in ("name", "keywords", "inference_template", "extraction_template", "rule"):
+        without = {k: v for k, v in entry.items() if k != key}
+        cases.append(({"profiles": [entry, without]}, f"profiles entry 2: missing key {key!r}"))
+    for config, message in cases:
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_profiles(path)
+        assert str(exc.value) == f"{path}: {message}", config
 
 
 def test_load_profiles_rejects_a_duplicate_condition_name(tmp_path):
