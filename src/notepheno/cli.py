@@ -136,60 +136,57 @@ def _config_hash(resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 # config and shared argument plumbing
 
-def _load_config(path) -> dict:
+def _load_config(path, args, settings: Mapping[str, Callable]) -> tuple[dict, dict]:
+    """The mapping in the YAML file at `path`, and the flag defaults it sets
+    for the command `args` was parsed for: each key of `settings` that names
+    a flag of the command, its text read by that flag's type, and for a backend
+    command the `generation` block over `GenerationParams()`, each value read
+    by its default's type. A null value sets nothing; other keys, and keys of
+    the block that the dataclass does not name, are ignored. A value that
+    cannot be read raises ValueError naming the file and key."""
     if not path:
-        return {}
+        return {}, {}
     import yaml  # only runs that pass --config pay for the import
 
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if raw is None:
-        return {}
+        raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
-    return raw
+
+    def read(key, convert, value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: cannot read {key} {value!r}: {exc}") from None
+
+    def generation(block) -> GenerationParams:
+        block, base = dict(block), GenerationParams()
+        return dataclasses.replace(base, **{
+            f.name: type(getattr(base, f.name))(block[f.name])
+            for f in dataclasses.fields(base)
+            if block.get(f.name) is not None
+        })
+
+    defaults = {
+        key: read(key, convert, str(raw[key]))  # as the flag would read the same text
+        for key, convert in settings.items()
+        if raw.get(key) is not None and hasattr(args, key)
+    }
+    if raw.get("generation") is not None and hasattr(args, "generation"):
+        defaults["generation"] = read("generation", generation, raw["generation"])
+    return raw, defaults
 
 
-def _resolve(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _generation_params(args, config: dict) -> GenerationParams:
-    """The `generation` config block over `GenerationParams()`, each value
-    coerced to its default's type; --temperature and --model-id override it.
-    Keys the dataclass does not name are ignored."""
-    gen = dict(config.get("generation") or {})
-    for key in ("temperature", "model_id"):
-        if getattr(args, key, None) is not None:
-            gen[key] = getattr(args, key)
-    defaults = GenerationParams()
-    return dataclasses.replace(
-        defaults,
-        **{
-            f.name: type(getattr(defaults, f.name))(gen[f.name])
-            for f in dataclasses.fields(defaults)
-            if f.name in gen
-        },
-    )
-
-
-def _make_backend(args, config: dict) -> Backend:
-    backend_url = _resolve(args, config, "backend_url") or os.environ.get(
-        "NOTEPHENO_BACKEND_URL"
-    )
-    if getattr(args, "mock", False):
+def _make_backend(args) -> Backend:
+    if args.mock:
         backend: Backend = MockBackend()
-    elif backend_url:
-        backend = HttpBackend(backend_url)
+    elif args.backend_url:
+        backend = HttpBackend(args.backend_url)
     else:
         raise BackendError("no backend configured: pass --mock or --backend-url")
-    cache_dir = _resolve(args, config, "cache_dir") or os.environ.get("NOTEPHENO_CACHE_DIR")
-    if cache_dir:
-        backend = CachedBackend(backend, ResponseCache(cache_dir))
+    if args.cache_dir:
+        backend = CachedBackend(backend, ResponseCache(args.cache_dir))
     return backend
 
 
@@ -209,14 +206,12 @@ def _load_corpus_dir(directory, *, documents: bool, labels: bool) -> Cohort:
     return load_cohort(*paths)
 
 
-def _select_profiles(args, config: dict) -> list[ConditionProfile]:
-    profiles_path = _resolve(args, config, "profiles")
-    profiles = load_profiles(profiles_path) if profiles_path else builtin_profiles()
-    condition = getattr(args, "condition", None)
-    if condition:
-        selected = [p for p in profiles if p.name == condition]
+def _select_profiles(args) -> list[ConditionProfile]:
+    profiles = load_profiles(args.profiles) if args.profiles else builtin_profiles()
+    if args.condition:
+        selected = [p for p in profiles if p.name == args.condition]
         if not selected:
-            raise ValueError(f"unknown condition {condition!r}")
+            raise ValueError(f"unknown condition {args.condition!r}")
         return selected
     return profiles
 
@@ -382,32 +377,34 @@ def run_detect(
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _parse_prevalence(entries) -> dict[str, float]:
+def _parse_prevalence(entries, conditions: Sequence[str]) -> dict[str, float]:
     prevalence = {}
     for entry in entries or []:
         if "=" not in entry:
             raise ValueError(f"--prevalence expects name=fraction, got {entry!r}")
         name, _, frac = entry.partition("=")
+        if name.strip() not in conditions:
+            raise ValueError(f"--prevalence {entry!r} names no selected condition: {', '.join(conditions)}")
         prevalence[name.strip()] = float(frac)
     if not prevalence:
         raise ValueError("at least one --prevalence name=fraction is required")
     return prevalence
 
 
-def _cmd_synth(args, config: dict) -> int:
+def _cmd_synth(args) -> int:
     started = time.monotonic()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    profiles = _select_profiles(args)
     spec = SynthSpec(
         n_patients=args.n_patients,
-        prevalence=_parse_prevalence(args.prevalence),
+        prevalence=_parse_prevalence(args.prevalence, [profile.name for profile in profiles]),
         docs_per_patient=(args.docs_min, args.docs_max),
         evidence_fraction_in_kept_types=args.evidence_fraction,
         distractor_rate=args.distractor_rate,
         seed=args.seed,
     )
-    profiles = _select_profiles(args, config)
     cohort, truth = generate_synthetic(spec, profiles)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(
         cohort,
         out_dir / "documents.jsonl",
@@ -436,35 +433,31 @@ def _cmd_synth(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args, config: dict) -> int:
+def _cmd_profile(args) -> int:
     started = time.monotonic()
     cohort = _load_corpus_dir(args.corpus, documents=True, labels=False)
-    backend = _make_backend(args, config)
-    params = _generation_params(args, config)
-    m = int(_resolve(args, config, "m", 200))
-    parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
-    chunk_budget = int(_resolve(args, config, "chunk_budget", DEFAULT_CHUNK_BUDGET))
+    backend = _make_backend(args)
     counts: Counter = Counter()
     relevance = run_profile(
-        cohort, _select_profiles(args, config), backend, params, m=m, seed=args.seed,
-        parallelism=parallelism, chunk_budget=chunk_budget, counts=counts,
+        cohort, _select_profiles(args), backend, args.generation, m=args.m, seed=args.seed,
+        parallelism=args.parallelism, chunk_budget=args.chunk_budget, counts=counts,
     )
     rows = [
         (condition, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
         for condition, table in relevance.items()
         for p in table
     ]
-    _warn_oversized(counts, chunk_budget)
+    _warn_oversized(counts, args.chunk_budget)
     out = Path(args.out)
     _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
     _write_manifest(
         out.parent,
         "profile",
         {
-            "config_hash": _config_hash({"m": m, "seed": args.seed, "chunk_budget": chunk_budget}),
+            "config_hash": _config_hash({"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget}),
             "seed": args.seed,
-            "m": m,
-            "chunk_budget": chunk_budget,
+            "m": args.m,
+            "chunk_budget": args.chunk_budget,
             **_backend_block(backend, counts),
             "oversized_chunks": counts["oversized_chunks"],
             "elapsed_s": round(time.monotonic() - started, 3),
@@ -513,20 +506,19 @@ def _merged_records(condition: str, merged: Mapping[str, str]):
         yield {"patient_id": pid, "text": merged[pid], "condition": condition}
 
 
-def _cmd_preprocess(args, config: dict) -> int:
+def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     cohort = _load_corpus_dir(args.corpus, documents=True, labels=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    percentile = _resolve(args, config, "percentile", "q1")
     selected = [
         (
             filter_document_types(
-                _read_profile_csv(args.profile_csv, profile.name), percentile, condition=profile.name
+                _read_profile_csv(args.profile_csv, profile.name), args.percentile, condition=profile.name
             ),
             profile,
         )
-        for profile in _select_profiles(args, config)
+        for profile in _select_profiles(args)
     ]
     stats_rows = []
     for (plan, profile), (merged, fraction) in zip(selected, consolidate_all(cohort, selected)):
@@ -551,8 +543,8 @@ def _cmd_preprocess(args, config: dict) -> int:
         out_dir,
         "preprocess",
         {
-            "config_hash": _config_hash({"percentile": percentile}),
-            "percentile": str(percentile),
+            "config_hash": _config_hash({"percentile": args.percentile}),
+            "percentile": args.percentile,
             "elapsed_s": round(time.monotonic() - started, 3),
         },
     )
@@ -624,37 +616,34 @@ def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
         }
 
 
-def _cmd_detect(args, config: dict) -> int:
+def _cmd_detect(args) -> int:
     started = time.monotonic()
     # The merged texts come from the preprocess artifact; only the raw notes
     # of --no-preprocess need the documents.
     cohort = _load_corpus_dir(args.corpus, documents=args.no_preprocess, labels=False)
-    backend = _make_backend(args, config)
-    params = _generation_params(args, config)
-    parallelism = int(_resolve(args, config, "parallelism", DEFAULT_PARALLELISM))
-    chunk_budget = int(_resolve(args, config, "chunk_budget", DEFAULT_CHUNK_BUDGET))
+    backend = _make_backend(args)
     modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    profiles = _select_profiles(args, config)
+    profiles = _select_profiles(args)
     texts = _detect_texts(args, cohort, [profile.name for profile in profiles])
     outputs = []
     counts: Counter = Counter()
     for condition, findings in run_detect(
-        cohort, list(zip(texts, profiles)), backend, params, modes=modes,
-        chunk_budget=chunk_budget, parallelism=parallelism, counts=counts,
+        cohort, list(zip(texts, profiles)), backend, args.generation, modes=modes,
+        chunk_budget=args.chunk_budget, parallelism=args.parallelism, counts=counts,
     ):
         for mode in modes:
             path = out_dir / f"detect_{mode}_{condition}.jsonl"
             _write_jsonl(path, _label_records(condition, mode, findings))
             outputs.append(str(path))
-    _warn_oversized(counts, chunk_budget)
+    _warn_oversized(counts, args.chunk_budget)
     _write_manifest(
         out_dir,
         "detect",
         {
-            "config_hash": _config_hash({"modes": modes, "chunk_budget": chunk_budget}),
+            "config_hash": _config_hash({"modes": modes, "chunk_budget": args.chunk_budget}),
             **_backend_block(backend, counts),
             "oversized_chunks": counts["oversized_chunks"],
             "outputs": outputs,
@@ -676,11 +665,10 @@ def _format_metric(est) -> tuple[str, str, str]:
     return (f"{est.point:.3f}", f"{est.low:.3f}", f"{est.high:.3f}")
 
 
-def _cmd_evaluate(args, config: dict) -> int:
+def _cmd_evaluate(args) -> int:
     started = time.monotonic()
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     detect_dir = Path(args.detect_dir)
-    ci_level = float(_resolve(args, config, "ci_level", 0.95))
     header = (
         "method", "condition",
         "sensitivity", "sens_low", "sens_high",
@@ -689,7 +677,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         "npv", "npv_low", "npv_high",
     )
     rows = []
-    for profile in _select_profiles(args, config):
+    for profile in _select_profiles(args):
         condition = profile.name
         reference = cohort.reference_map(condition)
         has_icd = all(
@@ -714,7 +702,7 @@ def _cmd_evaluate(args, config: dict) -> int:
             methods.append(("pipeline_plus_icd", evaluation.combine_or(predictions["merged"], icd)))
         for method, pred in methods:
             cm = evaluation.confusion(pred, reference)
-            ms = evaluation.metrics(cm, ci_level)
+            ms = evaluation.metrics(cm, args.ci_level)
             rows.append(
                 (method, condition)
                 + _format_metric(ms.sensitivity)
@@ -732,8 +720,8 @@ def _cmd_evaluate(args, config: dict) -> int:
         out.parent,
         "evaluate",
         {
-            "config_hash": _config_hash({"ci_level": ci_level}),
-            "ci_level": ci_level,
+            "config_hash": _config_hash({"ci_level": args.ci_level}),
+            "ci_level": args.ci_level,
             "elapsed_s": round(time.monotonic() - started, 3),
         },
     )
@@ -776,7 +764,7 @@ def _trend_svg(points, condition: str) -> str:
     )
 
 
-def _cmd_trend(args, config: dict) -> int:
+def _cmd_trend(args) -> int:
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     records = _read_jsonl(args.pred, ("patient_id", "condition", "label"), _check_label)
     conditions = sorted({r["condition"] for r in records})
@@ -800,14 +788,12 @@ def _cmd_trend(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, config: dict) -> int:
+def _cmd_bench(args) -> int:
     if args.mock:  # it answers only the prompts of the built-in templates
         raise ValueError("the mock backend answers no benchmark question: pass --backend-url")
     from . import bench  # only the bench command needs the question set
 
-    backend = _make_backend(args, config)
-    params = _generation_params(args, config)
-    result = bench.run_benchmark(backend, params=params)
+    result = bench.run_benchmark(_make_backend(args), params=args.generation)
     rows = [
         (r.question_id, int(r.correct), f"{r.latency_ms:.1f}") for r in result.results
     ]
@@ -823,27 +809,54 @@ def _cmd_bench(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mock", action="store_true", help="use the deterministic mock backend")
-    parser.add_argument("--backend-url", help="base URL of the completion backend")
-    parser.add_argument("--cache-dir", help="response cache directory")
-    parser.add_argument("--temperature", type=float, help="sampling temperature override")
-    parser.add_argument("--model-id", help="backend model identifier")
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict[str, Callable]]:
+    """The argument parser, its subcommand parsers by name, and the type of
+    each flag that a config file may set, by its key in the file.
 
+    A flag's default is its built-in value, or the environment variable its
+    help names; `main` puts a config file's values over them."""
+    settings: dict[str, Callable] = {}
 
-def _build_parser() -> argparse.ArgumentParser:
+    def setting(parser, flag, **kwargs) -> None:
+        settings[parser.add_argument(flag, **kwargs).dest] = kwargs.get("type", str)
+
+    # the flags shared by several subcommands, each declared once
+    corpus, out, conditions, dispatch, backend = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    corpus.add_argument("--corpus", required=True, help="corpus directory")
+    out.add_argument("--out", required=True)
+    conditions.add_argument("--condition", help="run this condition only")
+    setting(conditions, "--profiles", help="condition-profile YAML overriding the built-ins")
+    setting(dispatch, "--chunk-budget", type=int, default=DEFAULT_CHUNK_BUDGET,
+            help="characters of text per request (default %(default)s)")
+    setting(dispatch, "--parallelism", type=int, default=DEFAULT_PARALLELISM,
+            help="concurrent backend requests (default %(default)s)")
+    backend.add_argument("--mock", action="store_true", help="use the deterministic mock backend")
+    setting(backend, "--backend-url", default=os.environ.get("NOTEPHENO_BACKEND_URL"),
+            help="base URL of the completion backend (default $NOTEPHENO_BACKEND_URL)")
+    setting(backend, "--cache-dir", default=os.environ.get("NOTEPHENO_CACHE_DIR"),
+            help="response cache directory (default $NOTEPHENO_CACHE_DIR)")
+    backend.add_argument("--temperature", type=float, help="sampling temperature override")
+    backend.add_argument("--model-id", help="backend model identifier override")
+    backend.set_defaults(generation=GenerationParams())
+
     parser = argparse.ArgumentParser(
         prog="notepheno",
         description="Multi-condition phenotyping pipeline over clinical-note corpora.",
     )
-    parser.add_argument("--config", help="YAML config file; flags override its values")
+    parser.add_argument("--config", help="YAML config file of flag defaults; flags override it")
     parser.add_argument(
-        "--print-config", action="store_true", help="dump the resolved configuration and exit"
+        "--print-config", action="store_true",
+        help="print the settings the command would run with, and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic cohort")
-    p.add_argument("--out", required=True)
+    def command(name, func, help, *parents) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", _cmd_synth, "generate a deterministic synthetic cohort", out, conditions)
     p.add_argument("--n-patients", type=int, required=True)
     p.add_argument("--prevalence", action="append", metavar="NAME=FRAC")
     p.add_argument("--seed", type=int, default=0)
@@ -851,66 +864,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs-max", type=int, default=4)
     p.add_argument("--evidence-fraction", type=float, default=1.0)
     p.add_argument("--distractor-rate", type=float, default=0.3)
-    p.add_argument("--condition")
-    p.add_argument("--profiles", help="condition-profile YAML overriding built-ins")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("profile", help="score document-type relevance via backend inference")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--condition")
-    p.add_argument("--profiles")
-    p.add_argument("--m", type=int, help="samples per document type (default 200)")
+    p = command("profile", _cmd_profile, "score document-type relevance via backend inference",
+                corpus, out, conditions, dispatch, backend)
+    setting(p, "--m", type=int, default=200, help="samples per document type (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunk-budget", type=int)
-    p.add_argument("--parallelism", type=int, help="concurrent backend requests")
-    p.add_argument("--out", required=True)
-    _add_backend_flags(p)
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("preprocess", help="filter document types and consolidate keyword sentences")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--condition")
-    p.add_argument("--profiles")
+    p = command("preprocess", _cmd_preprocess, "filter document types and consolidate keyword sentences",
+                corpus, out, conditions)
     p.add_argument("--profile-csv", required=True, help="output of the profile stage")
-    p.add_argument("--percentile", help="0, q1, q2, or a number in [0, 100]")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_preprocess)
+    setting(p, "--percentile", default="q1", help="0, q1, q2, or a number in [0, 100] (default %(default)s)")
 
-    p = sub.add_parser("detect", help="run prompt paths over merged documents and label patients")
-    p.add_argument("--corpus", required=True)
+    p = command("detect", _cmd_detect, "run prompt paths over merged documents and label patients",
+                corpus, out, conditions, dispatch, backend)
     p.add_argument("--merged", help="merged file or preprocess output directory")
     p.add_argument("--no-preprocess", action="store_true", help="run on raw concatenated notes")
     p.add_argument("--mode", choices=(*MODE_PATHS, "all"), default="merged")
-    p.add_argument("--condition")
-    p.add_argument("--profiles")
-    p.add_argument("--chunk-budget", type=int)
-    p.add_argument("--parallelism", type=int, help="concurrent backend requests")
-    p.add_argument("--out", required=True)
-    _add_backend_flags(p)
-    p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("evaluate", help="accuracy report against the reference labels")
-    p.add_argument("--corpus", required=True)
+    p = command("evaluate", _cmd_evaluate, "accuracy report against the reference labels",
+                corpus, out, conditions)
     p.add_argument("--detect-dir", required=True)
-    p.add_argument("--condition")
-    p.add_argument("--profiles")
-    p.add_argument("--ci-level", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    setting(p, "--ci-level", type=float, default=0.95, help="confidence level (default %(default)s)")
 
-    p = sub.add_parser("trend", help="monthly predicted vs reference positive fractions")
-    p.add_argument("--corpus", required=True)
+    p = command("trend", _cmd_trend, "monthly predicted vs reference positive fractions", corpus, out)
     p.add_argument("--pred", required=True, help="a detect output file")
-    p.add_argument("--out", required=True)
     p.add_argument("--svg", help="also write a line chart")
-    p.set_defaults(func=_cmd_trend)
 
-    p = sub.add_parser("bench", help="run the ten-question backend benchmark")
-    p.add_argument("--out", required=True)
-    _add_backend_flags(p)
-    p.set_defaults(func=_cmd_bench)
-
-    return parser
+    command("bench", _cmd_bench, "run the ten-question backend benchmark", out, backend)
+    return parser, commands, settings
 
 
 def main(argv=None) -> int:
@@ -918,23 +899,27 @@ def main(argv=None) -> int:
     stage must build no reference cycles per record (tests check detect's), so
     collecting would only rescan its growing heap. The collector's earlier
     state is restored."""
-    parser = _build_parser()
+    parser, commands, settings = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config, defaults = _load_config(args.config, args, settings)
+        if defaults:  # the file's values, under the flags given
+            commands[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
+        if hasattr(args, "generation"):  # a backend command: its flags over the file's block
+            flags = {k: getattr(args, k) for k in ("temperature", "model_id") if getattr(args, k) is not None}
+            args.generation = dataclasses.replace(args.generation, **flags)
         if args.print_config:
-            resolved = {
-                key: value
-                for key, value in sorted(vars(args).items())
-                if key not in ("func", "print_config") and value is not None
-            }
+            resolved = {k: v for k, v in vars(args).items() if k not in ("func", "print_config")}
+            if hasattr(args, "generation"):
+                resolved["generation"] = dataclasses.asdict(args.generation)
             resolved["config_file_values"] = config
             print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
             return EXIT_OK
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return args.func(args, config)
+            return args.func(args)
         finally:
             if collecting:
                 gc.enable()

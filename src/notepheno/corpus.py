@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
@@ -124,6 +125,7 @@ def _parse_date(raw: str, path: Path, lineno: int) -> date:
 # and trailing-data checks, so a line it does not read to its end goes to
 # `json.loads` for the record or the error.
 _scan_once = json.JSONDecoder().scan_once
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _parse_line(raw: str, path: Path, lineno: int) -> dict:
@@ -138,6 +140,13 @@ def _parse_line(raw: str, path: Path, lineno: int) -> dict:
             raise CorpusError(f"{path.name} line {lineno}: invalid record ({exc.msg})") from exc
     if not isinstance(record, dict):
         raise CorpusError(f"{path.name} line {lineno}: record is not an object")
+    # An unpaired \uD800-\uDFFF escape decodes to a string no stage can write
+    # back. The package writes no such escapes, so other lines skip the check.
+    if "\\u" in raw and _SURROGATE_ESCAPE.search(raw):
+        try:
+            encode_record(record).encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"{path.name} line {lineno}: record holds an unpaired surrogate") from None
     return record
 
 

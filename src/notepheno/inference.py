@@ -158,7 +158,7 @@ class HttpBackend:
                 if isinstance(payload.get(key), str):
                     return payload[key]
             choices = payload.get("choices")
-            if isinstance(choices, list) and choices:
+            if isinstance(choices, list) and choices and isinstance(choices[0], dict):
                 choice = choices[0]
                 if isinstance(choice.get("text"), str):
                     return choice["text"]

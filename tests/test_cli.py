@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: stage artifacts, exit codes, config handling."""
 import csv
+import dataclasses
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from conftest import FirstSendDropped, make_cohort, record_prompts
 import notepheno
 from notepheno import cli, inference
 from notepheno.cli import _load_corpus_dir, _read_jsonl, main
-from notepheno.corpus import write_cohort
+from notepheno.corpus import load_cohort, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import sample_document_types
 
@@ -690,6 +692,8 @@ def test_print_config_dumps_and_exits(tmp_path, capsys):
     assert code == 0
     dumped = json.loads(capsys.readouterr().out)
     assert dumped["config_file_values"]["m"] == 17
+    assert dumped["m"] == 17
+    assert "percentile" not in dumped  # a preprocess setting
 
 
 def test_config_file_value_used_when_flag_absent(pipeline_dirs, tmp_path):
@@ -737,6 +741,175 @@ def test_generation_config_block_reaches_the_backend(pipeline_dirs, tmp_path, mo
     assert _run(*argv) == 0
     assert sent and set(sent) == {expected}
     assert all(type(params.top_k) is int for params in sent)
+
+
+_PROFILE = ("profile", "--corpus", "unused", "--mock", "--out", "unused.csv")
+
+
+def _printed(capsys, *argv) -> dict:
+    assert _run("--print-config", *argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "key, flag, variable, builtin, values",
+    [
+        ("backend_url", "--backend-url", "NOTEPHENO_BACKEND_URL", None,
+         ("http://flag:1", "http://file:2", "http://env:3")),
+        ("cache_dir", "--cache-dir", "NOTEPHENO_CACHE_DIR", None, ("flag-cache", "file-cache", "env-cache")),
+        ("parallelism", "--parallelism", None, 4, (5, 6, None)),
+        ("m", "--m", None, 200, (7, 8, None)),
+    ],
+)
+def test_a_setting_comes_from_the_flag_the_file_the_environment_then_the_default(
+    tmp_path, monkeypatch, capsys, key, flag, variable, builtin, values,
+):
+    from_flag, from_file, from_env = values
+    for name in ("NOTEPHENO_BACKEND_URL", "NOTEPHENO_CACHE_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"{key}: {from_file}\n", encoding="utf-8")
+    with_file = ("--config", str(config), *_PROFILE)
+    assert _printed(capsys, *_PROFILE)[key] == builtin
+    if variable:
+        monkeypatch.setenv(variable, from_env)
+        assert _printed(capsys, *_PROFILE)[key] == from_env
+    assert _printed(capsys, *with_file)[key] == from_file
+    assert _printed(capsys, *with_file, flag, str(from_flag))[key] == from_flag
+
+
+def test_print_config_prints_the_built_in_defaults(capsys):
+    printed = _printed(capsys, *_PROFILE)
+    assert (printed["m"], printed["parallelism"], printed["chunk_budget"]) == (200, 4, 12000)
+    assert printed["generation"] == dataclasses.asdict(GenerationParams())
+    assert _printed(capsys, "preprocess", "--corpus", "c", "--profile-csv", "p", "--out", "o")["percentile"] == "q1"
+    assert _printed(capsys, "evaluate", "--corpus", "c", "--detect-dir", "d", "--out", "o")["ci_level"] == 0.95
+
+
+def test_print_config_resolves_the_generation_block_and_ignores_other_keys(tmp_path, capsys):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(
+        'seed: 3\ngeneration: {top_k: "40", temperature: 0.2, model_id: from-file, beam_width: 4}\n',
+        encoding="utf-8",
+    )
+    printed = _printed(capsys, "--config", str(config), *_PROFILE, "--temperature", "0.3")
+    assert printed["generation"] == dataclasses.asdict(
+        GenerationParams(top_k=40, temperature=0.3, model_id="from-file")
+    )
+    assert printed["seed"] == 0
+    assert printed["config_file_values"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("m: abc\n", "m"), ("parallelism: 2.5\n", "parallelism"), ("generation: {top_k: many}\n", "generation")],
+)
+def test_an_unreadable_config_value_exits_1_naming_the_file_and_key(tmp_path, capsys, text, key):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text, encoding="utf-8")
+    assert _run("--config", str(config), *_PROFILE) == 1
+    assert f"error: {config}: cannot read {key} " in capsys.readouterr().err
+
+
+def test_settings_from_a_config_file_write_the_same_bytes_as_flags(small_pipeline, tmp_path):
+    corpus = str(small_pipeline / "corpus")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(
+        "m: 7\nparallelism: 2\nchunk_budget: 400\npercentile: q2\nci_level: 0.9\n"
+        "generation: {temperature: 0.2}\n",
+        encoding="utf-8",
+    )
+    dispatch = ("--parallelism", "2", "--chunk-budget", "400", "--temperature", "0.2")
+    runs = {
+        "flags": ((), {"profile": ("--m", "7", *dispatch), "preprocess": ("--percentile", "q2"),
+                       "detect": dispatch, "evaluate": ("--ci-level", "0.9")}),
+        "file": (("--config", str(config)), {}),
+    }
+    for name, (top, flags) in runs.items():
+        out = tmp_path / name
+        for stage, *argv in (
+            ("profile", "--corpus", corpus, "--seed", "5", "--mock", "--out", str(out / "profile.csv")),
+            ("preprocess", "--corpus", corpus, "--profile-csv", str(out / "profile.csv"),
+             "--out", str(out / "prep")),
+            ("detect", "--corpus", corpus, "--merged", str(out / "prep"), "--mode", "all", "--mock",
+             "--out", str(out / "det")),
+            ("evaluate", "--corpus", corpus, "--detect-dir", str(out / "det"), "--out", str(out / "report.csv")),
+        ):
+            assert _run(*top, stage, *argv, *flags.get(stage, ())) == 0
+    flags, file = tmp_path / "flags", tmp_path / "file"
+    _same_bytes(flags, file, "*.csv")
+    _same_bytes(flags / "prep", file / "prep", "merged_*.jsonl")
+    _same_bytes(flags / "prep", file / "prep", "consolidation_stats.csv")
+    _same_bytes(flags / "det", file / "det", "detect_*.jsonl")
+    manifests = sorted(path.relative_to(flags) for path in flags.rglob("manifest_*.json"))
+    assert len(manifests) == 4
+    for path in manifests:
+        left, right = (json.loads((root / path).read_text().replace(str(root), "")) for root in (flags, file))
+        left.pop("elapsed_s"), right.pop("elapsed_s")
+        assert left == right, path
+
+
+_SHARED_FLAGS = {
+    "--corpus": ("profile", "preprocess", "detect", "evaluate", "trend"),
+    "--out": ("synth", "profile", "preprocess", "detect", "evaluate", "trend", "bench"),
+    "--condition": ("synth", "profile", "preprocess", "detect", "evaluate"),
+    "--profiles": ("synth", "profile", "preprocess", "detect", "evaluate"),
+    "--chunk-budget": ("profile", "detect"),
+    "--parallelism": ("profile", "detect"),
+    **{flag: ("profile", "detect", "bench")
+       for flag in ("--mock", "--backend-url", "--cache-dir", "--temperature", "--model-id")},
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "profile", "preprocess", "detect", "evaluate", "trend", "bench"])
+def test_each_subcommand_help_lists_its_shared_flags_once(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = {flag: len(re.findall(rf"^  {flag}[ \n]", text, re.M)) for flag in _SHARED_FLAGS}
+    assert listed == {flag: int(command in users) for flag, users in _SHARED_FLAGS.items()}
+
+
+@pytest.mark.parametrize("payload", [{"choices": ["Yes"]}, {"choices": [None]}])
+def test_a_completion_choice_that_is_not_an_object_exits_2(pipeline_dirs, tmp_path, capsys, scripted_server, payload):
+    server = scripted_server([(200, payload)])
+    code = _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "2",
+                "--backend-url", server.url, "--out", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert "backend error: unrecognized completion payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", "\\ud83d\\ude00"])
+def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_path, capsys, escape):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    docs = corpus / "documents.jsonl"
+    lines = docs.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"text": "', f'"text": "{escape} ', 1)
+    docs.write_text("".join(lines), encoding="utf-8")
+    code = _run("preprocess", "--corpus", str(corpus), "--profile-csv", str(pipeline_dirs / "profile.csv"),
+                "--out", str(tmp_path / "prep"))
+    if escape == "\\ud83d\\ude00":  # a valid pair loads and is written back whole
+        assert code == 0
+        cohort = _load_corpus_dir(corpus, documents=True, labels=True)
+        assert cohort.documents[1].text.startswith("\U0001F600 ")
+        write_cohort(cohort, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
+        assert load_cohort(tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl") == cohort
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: documents.jsonl line 2: record holds an unpaired surrogate" in err
+        assert not list((tmp_path / "prep").glob("merged_*"))
+
+
+def test_synth_prevalence_of_an_unselected_condition_exits_1(tmp_path, capsys):
+    for argv in (["--prevalence", "diabetis=0.5"], ["--condition", "ami", "--prevalence", "diabetes=0.5"]):
+        assert _run("synth", "--n-patients", "5", *argv, "--out", str(tmp_path / "c")) == 1
+        err = capsys.readouterr().err
+        assert f"error: --prevalence {argv[-1]!r} names no selected condition: " in err
+        assert "ami" in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_bench_command_writes_csv(tmp_path, scripted_server):

@@ -242,13 +242,19 @@ def test_encode_record_matches_json_dumps(record):
 
 
 def _reference_parse_line(raw, path, lineno):
-    """`_parse_line` as it was before it called the scanner directly."""
+    """`_parse_line` without the direct scanner call, and checking every
+    record, not only the lines with an escape, for a string UTF-8 cannot
+    encode."""
     try:
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path.name} line {lineno}: invalid record ({exc.msg})") from exc
     if not isinstance(record, dict):
         raise CorpusError(f"{path.name} line {lineno}: record is not an object")
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"{path.name} line {lineno}: record holds an unpaired surrogate") from None
     return record
 
 
@@ -294,6 +300,10 @@ def _record_lines(draw):
 @example("-Infinity")
 @example('{"n": 1234567890123456789012345678901234567890}')
 @example('{"s": "\\ud800"}')
+@example('{"s": ["a\\uDC00"]}')
+@example('{"\\uD83D": 1}')
+@example('{"s": "\\ud83d\\ude00"}')
+@example('{"s": "\\\\ud800"}')
 @example('{"a": [1, 2')
 @example('{"a": ')
 @example("[1, 2]")
