@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .prompting import ClinicalRule
+from .prompting import _ANALYTES, ClinicalRule
 
 __all__ = [
     "InferredStatus",
@@ -30,8 +29,7 @@ class InferredStatus(Enum):
     NO_MENTION = "NoMention"
 
 
-@dataclass(frozen=True)
-class LabMeasurement:
+class LabMeasurement(NamedTuple):
     """One extracted laboratory value, normalized to the analyte's canonical unit."""
 
     analyte: str
@@ -51,14 +49,13 @@ MODE_PATHS = {
 }
 
 
-@dataclass(frozen=True)
-class Findings:
+class Findings(NamedTuple):
     """One patient's detect result for one condition: the status of each
     prompt path asked, and the measurements the extraction path found.
     A patient without text has no statuses."""
 
-    statuses: Mapping[str, InferredStatus] = field(default_factory=dict)
-    measurements: tuple[LabMeasurement, ...] = ()
+    statuses: Mapping[str, InferredStatus]
+    measurements: tuple[LabMeasurement, ...]
 
 
 # Status scanning is confined to the response head because backends often
@@ -86,6 +83,7 @@ def parse_inference_response(text: str) -> InferredStatus:
     return InferredStatus.NO_MENTION
 
 
+_DIGIT_RE = re.compile(r"\d")
 _NUMBER = r"(\d+(?:\.\d+)?)"
 _GLUCOSE_RE = re.compile(_NUMBER + r"\s*mmol\s*/\s*l", re.IGNORECASE)
 _TROPONIN_RE = re.compile(_NUMBER + r"\s*(ng\s*/\s*m?l)", re.IGNORECASE)
@@ -118,6 +116,8 @@ def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
     pair systolic/diastolic cues index-wise and also accept "N/M" adjacent to a
     pressure cue; a missing half is recorded as None.
     """
+    if analyte in _ANALYTES and _DIGIT_RE.search(text) is None:
+        return []  # every pattern below needs a digit
     if analyte == "glucose":
         out = []
         for match in _GLUCOSE_RE.finditer(text):

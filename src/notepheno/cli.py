@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from collections import Counter, defaultdict
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -34,6 +35,7 @@ from .corpus import (
     _iter_lines,
     _parse_line,
     _write_jsonl,
+    encode_record,
     generate_synthetic,
     load_cohort,
     write_cohort,
@@ -148,7 +150,10 @@ def _load_config(path, args, settings: Mapping[str, Callable]) -> tuple[dict, di
         return {}, {}
     import yaml  # only runs that pass --config pay for the import
 
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -368,7 +373,7 @@ def run_detect(
                     measurements = tuple(m for chunk in parsed for m in chunk)
                     statuses[path] = apply_clinical_rule(measurements, profile.rule)
             found[pid] = Findings(statuses, measurements)
-        no_text = Findings()
+        no_text = Findings({}, ())
         return {pid: found.get(pid, no_text) for pid in sorted(cohort.patients)}
 
     return ((profile.name, findings(texts, profile)) for texts, profile in selected)
@@ -501,9 +506,12 @@ def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
     return profiles
 
 
-def _merged_records(condition: str, merged: Mapping[str, str]):
+def _merged_lines(condition: str, merged: Mapping[str, str]):
+    """The lines of a merged file: `encode_record` of each patient's record
+    `{patient_id, text, condition}`, built around the file's one condition."""
+    head = '{"condition": ' + encode_record(condition) + ', "patient_id": '
     for pid in sorted(merged):
-        yield {"patient_id": pid, "text": merged[pid], "condition": condition}
+        yield f'{head}{encode_basestring(pid)}, "text": {encode_basestring(merged[pid])}}}\n'
 
 
 def _cmd_preprocess(args) -> int:
@@ -524,7 +532,7 @@ def _cmd_preprocess(args) -> int:
     for (plan, profile), (merged, fraction) in zip(selected, consolidate_all(cohort, selected)):
         positives = {pid for pid, label in cohort.reference_map(profile.name).items() if label}
         retention = positive_retention(positives, merged)
-        _write_jsonl(out_dir / f"merged_{profile.name}.jsonl", _merged_records(profile.name, merged))
+        _atomic_write(out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged))
         stats_rows.append(
             (
                 profile.name,
@@ -593,27 +601,21 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
     return texts
 
 
-def _label_records(condition: str, mode: str, findings: Mapping[str, Findings]):
+def _label_lines(condition: str, mode: str, findings: Mapping[str, Findings]):
+    """The lines of a label file: `encode_record` of each patient's record
+    `{patient_id, condition, label, mode, measurements}`, the measurements
+    being those of the extraction path when `mode` asks it. The keys are in
+    sorted order around the file's one condition and mode; only the patient
+    id, the label and any measurements are encoded per line."""
     extraction = "extraction" in MODE_PATHS[mode]
+    head = '{"condition": ' + encode_record(condition) + ', "label": '
+    tail = ', "mode": ' + encode_record(mode) + ', "patient_id": '
     for pid in sorted(findings):
         found = findings[pid]
-        yield {
-            "patient_id": pid,
-            "condition": condition,
-            "label": merge_patient(found.statuses, mode),
-            "mode": mode,
-            "measurements": [
-                {
-                    "analyte": m.analyte,
-                    "raw_value": m.raw_value,
-                    "raw_unit": m.raw_unit,
-                    "normalized_value": m.normalized_value,
-                    "systolic": m.systolic,
-                    "diastolic": m.diastolic,
-                }
-                for m in (found.measurements if extraction else ())
-            ],
-        }
+        measured = found.measurements if extraction else ()
+        measurements = encode_record([m._asdict() for m in measured]) if measured else "[]"
+        label = merge_patient(found.statuses, mode)
+        yield f'{head}{label}, "measurements": {measurements}{tail}{encode_basestring(pid)}}}\n'
 
 
 def _cmd_detect(args) -> int:
@@ -636,7 +638,7 @@ def _cmd_detect(args) -> int:
     ):
         for mode in modes:
             path = out_dir / f"detect_{mode}_{condition}.jsonl"
-            _write_jsonl(path, _label_records(condition, mode, findings))
+            _atomic_write(path, _label_lines(condition, mode, findings))
             outputs.append(str(path))
     _warn_oversized(counts, args.chunk_budget)
     _write_manifest(

@@ -5,11 +5,12 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ClinicalDocument",
@@ -30,8 +31,9 @@ class CorpusError(ValueError):
     """A corpus file is malformed or internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class ClinicalDocument:
+# The records built per corpus line are named tuples: a frozen dataclass's
+# `__init__` costs more than twice as much per record.
+class ClinicalDocument(NamedTuple):
     """One timestamped note of a named document type belonging to a patient."""
 
     patient_id: str
@@ -41,15 +43,13 @@ class ClinicalDocument:
     text: str
 
 
-@dataclass(frozen=True)
-class Patient:
+class Patient(NamedTuple):
     patient_id: str
     admit_date: date
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class ReferenceLabel:
+class ReferenceLabel(NamedTuple):
     """Per-patient, per-condition reference standard (registry plus optional ICD)."""
 
     patient_id: str
@@ -150,15 +150,13 @@ def _parse_line(raw: str, path: Path, lineno: int) -> dict:
     return record
 
 
-def _require(record: dict, fields: Sequence[str], path: Path, lineno: int) -> list:
-    """The values of `fields` in `record`; the first that is absent, null or
-    empty raises CorpusError naming the file and line."""
-    values = [record.get(name) for name in fields]
-    if None in values or "" in values:
-        for name, value in zip(fields, values):
-            if value in (None, ""):
-                raise CorpusError(f"{path.name} line {lineno}: missing field {name!r}")
-    return values
+def _require(record: dict, fields: Sequence[str], path: Path, lineno: int) -> None:
+    """Raise CorpusError naming the file, the line and the first of `fields`
+    that is absent, null or empty in `record`. The loaders call it only for a
+    record that lacks one, so a whole record costs one `get` per field."""
+    for name in fields:
+        if record.get(name) in (None, ""):
+            raise CorpusError(f"{path.name} line {lineno}: missing field {name!r}")
 
 
 def _iter_lines(path: Path):
@@ -186,18 +184,17 @@ def _load_patients(patients_path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
     for lineno, raw in _iter_lines(patients_path):
         record = _parse_line(raw, patients_path, lineno)
-        pid, admit = _require(record, ("patient_id", "admit_date"), patients_path, lineno)
+        values = pid, admit = record.get("patient_id"), record.get("admit_date")
+        if None in values or "" in values:
+            _require(record, ("patient_id", "admit_date"), patients_path, lineno)
         pid = str(pid)
         if pid in patients:
             raise CorpusError(f"{patients_path.name} line {lineno}: duplicate patient_id {pid!r}")
         attributes = record.get("attributes") or {}
         if not isinstance(attributes, dict):
             raise CorpusError(f"{patients_path.name} line {lineno}: attributes must be a map")
-        patients[pid] = Patient(
-            patient_id=pid,
-            admit_date=_parse_date(admit, patients_path, lineno),
-            attributes={str(k): str(v) for k, v in attributes.items()},
-        )
+        attributes = {str(k): str(v) for k, v in attributes.items()}
+        patients[pid] = Patient(pid, _parse_date(admit, patients_path, lineno), attributes)
     return patients
 
 
@@ -209,7 +206,12 @@ def _load_documents(
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
     for lineno, raw in _iter_lines(documents_path):
         record = _parse_line(raw, documents_path, lineno)
-        pid, doc_id, doc_type, timestamp = _require(record, fields, documents_path, lineno)
+        get = record.get
+        values = pid, doc_id, doc_type, timestamp = (
+            get("patient_id"), get("doc_id"), get("doc_type"), get("timestamp")
+        )
+        if None in values or "" in values:
+            _require(record, fields, documents_path, lineno)
         pid = str(pid)
         doc_id = str(doc_id)
         if doc_id in seen_doc_ids:
@@ -221,11 +223,8 @@ def _load_documents(
         seen_doc_ids.add(doc_id)
         documents.append(
             ClinicalDocument(
-                patient_id=pid,
-                doc_id=doc_id,
-                doc_type=str(doc_type),
-                timestamp=_parse_timestamp(timestamp, documents_path, lineno),
-                text=str(record.get("text", "")),
+                pid, doc_id, str(doc_type), _parse_timestamp(timestamp, documents_path, lineno),
+                str(get("text", "")),
             )
         )
     return tuple(documents)
@@ -236,7 +235,9 @@ def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[Re
     seen_label_keys: set[tuple[str, str]] = set()
     for lineno, raw in _iter_lines(labels_path):
         record = _parse_line(raw, labels_path, lineno)
-        pid, condition = _require(record, ("patient_id", "condition"), labels_path, lineno)
+        values = pid, condition = record.get("patient_id"), record.get("condition")
+        if None in values or "" in values:
+            _require(record, ("patient_id", "condition"), labels_path, lineno)
         if "registry_label" not in record:
             raise CorpusError(f"{labels_path.name} line {lineno}: missing field 'registry_label'")
         pid = str(pid)

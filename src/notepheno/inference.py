@@ -9,10 +9,9 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .preprocess import keyword_regex, sentence_spans
 from .prompting import PLACEHOLDER, ConditionProfile, builtin_profiles
@@ -60,14 +59,12 @@ class GenerationParams:
             raise ValueError("max_new_tokens must be positive")
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     prompt: str
     params: GenerationParams = GenerationParams()
 
 
-@dataclass(frozen=True)
-class CompletionResponse:
+class CompletionResponse(NamedTuple):
     text: str
     latency_ms: float
 
@@ -321,8 +318,7 @@ class CachedBackend:
         return response
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     text: str
     oversized: bool = False
 
@@ -469,8 +465,13 @@ def run_parallel(fn: Callable, items: Sequence, parallelism: int = DEFAULT_PARAL
     whole stage: at most `parallelism` connections. Parallelism 1, or a single
     item, runs inline on the calling thread. The first exception an item
     raises cancels the items not yet started and propagates to the caller.
+    A parallelism below 1 raises ValueError.
     """
-    if parallelism <= 1 or len(items) <= 1:
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
+    if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays for the import
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, items))

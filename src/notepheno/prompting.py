@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "ClinicalRule",
@@ -68,8 +69,7 @@ class ConditionProfile:
                 )
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     condition: str
     kind: str  # inference | extraction
     text: str
@@ -225,9 +225,7 @@ def render_prompt(profile: ConditionProfile, kind: str, text: str) -> RenderedPr
     template = (
         profile.extraction_template if kind == "extraction" else profile.inference_template
     )
-    return RenderedPrompt(
-        condition=profile.name, kind=kind, text=template.replace(PLACEHOLDER, text, 1)
-    )
+    return RenderedPrompt(profile.name, kind, template.replace(PLACEHOLDER, text, 1))
 
 
 def _rule_from_config(raw: dict) -> ClinicalRule:
@@ -250,7 +248,10 @@ def load_profiles(path) -> list[ConditionProfile]:
     """
     import yaml  # only runs that pass --profiles pay for the import
 
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("profiles"), list):
         raise ValueError(f"{path}: expected a top-level 'profiles' list")
     profiles = []

@@ -1,4 +1,6 @@
 """Response parsing, threshold rules, and per-patient label merging."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,83 @@ def test_implausible_values_dropped():
     assert parse_extraction_response("systolic: 400", "blood_pressure") == []
     with pytest.raises(ValueError):
         parse_extraction_response("anything", "cholesterol")
+
+
+# The parser as it was before replies without a digit skipped the patterns,
+# kept as the reference.
+_NUMBER = r"(\d+(?:\.\d+)?)"
+_OLD_GLUCOSE_RE = re.compile(_NUMBER + r"\s*mmol\s*/\s*l", re.IGNORECASE)
+_OLD_TROPONIN_RE = re.compile(_NUMBER + r"\s*(ng\s*/\s*m?l)", re.IGNORECASE)
+_OLD_SYSTOLIC_RE = re.compile(r"systolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_OLD_DIASTOLIC_RE = re.compile(r"diastolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_OLD_BP_PAIR_RE = re.compile(
+    r"(?:blood\s+pressure|(?<!\w)bp(?!\w))[^0-9\n]{0,20}(\d{2,3})\s*/\s*(\d{2,3})", re.IGNORECASE
+)
+
+
+def _old_parse_extraction_response(text, analyte):
+    def plausible(value, low, high):
+        return low < value <= high
+
+    if analyte == "glucose":
+        return [
+            LabMeasurement("glucose", v, "mmol/L", normalized_value=v)
+            for v in (float(m.group(1)) for m in _OLD_GLUCOSE_RE.finditer(text))
+            if plausible(v, 0.5, 100.0)
+        ]
+    if analyte == "troponin":
+        out = []
+        for match in _OLD_TROPONIN_RE.finditer(text):
+            value = float(match.group(1))
+            unit = re.sub(r"\s+", "", match.group(2))
+            normalized = value * 1000.0 if unit.lower() == "ng/ml" else value
+            if plausible(normalized, 0.0, 1e6):
+                out.append(LabMeasurement("troponin", value, unit, normalized_value=normalized))
+        return out
+    if analyte == "blood_pressure":
+        sys_vs = [v for v in (float(m.group(1)) for m in _OLD_SYSTOLIC_RE.finditer(text)) if plausible(v, 50.0, 300.0)]
+        dia_vs = [v for v in (float(m.group(1)) for m in _OLD_DIASTOLIC_RE.finditer(text)) if plausible(v, 20.0, 200.0)]
+        out = [
+            LabMeasurement("blood_pressure", None, "mmHg",
+                           systolic=sys_vs[i] if i < len(sys_vs) else None,
+                           diastolic=dia_vs[i] if i < len(dia_vs) else None)
+            for i in range(max(len(sys_vs), len(dia_vs)))
+        ]
+        for match in _OLD_BP_PAIR_RE.finditer(text):
+            sys_v, dia_v = float(match.group(1)), float(match.group(2))
+            if plausible(sys_v, 50.0, 300.0) and plausible(dia_v, 20.0, 200.0):
+                out.append(LabMeasurement("blood_pressure", None, "mmHg", systolic=sys_v, diastolic=dia_v))
+        return out
+    raise ValueError(f"unknown analyte {analyte!r}")
+
+
+# reply fragments: the units and cues of every pattern, ASCII and non-ASCII
+# decimal digits, and the separators between them
+_REPLY_PARTS = st.sampled_from([
+    "glucose", "mmol/l", " mmol / L", "troponin level: ", "ng/mL", "ng / l", "systolic : ",
+    "diastolic", "blood pressure ", "BP ", "/", ".", " ", "\n", ":", "1", "12", "7.5", "140",
+    "95", "٣", "５", "١٤٠", "x", "No key-value pairs.",
+])
+_replies = st.one_of(st.lists(_REPLY_PARTS, max_size=12).map("".join), st.text(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replies, st.sampled_from(["glucose", "troponin", "blood_pressure"]))
+def test_parse_extraction_matches_the_reference_parser(text, analyte):
+    assert parse_extraction_response(text, analyte) == _old_parse_extraction_response(text, analyte)
+
+
+def test_non_ascii_digits_are_read_as_before():
+    for text, analyte in (("glucose: ٣.٥ mmol/l", "glucose"), ("troponin level: ５８ ng/L", "troponin")):
+        found = parse_extraction_response(text, analyte)
+        assert found and found == _old_parse_extraction_response(text, analyte)
+
+
+@given(st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=40))
+@settings(max_examples=50)
+def test_a_digit_free_reply_still_refuses_an_unknown_analyte(text):
+    with pytest.raises(ValueError, match="unknown analyte 'cholesterol'"):
+        parse_extraction_response(text, "cholesterol")
 
 
 # -- clinical rules ----------------------------------------------------------

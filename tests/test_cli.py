@@ -562,9 +562,9 @@ def test_detect_cache_counters_match_calls_at_parallelism_4(pipeline_dirs, tmp_p
     assert manifest["cache_hits"] == made  # warm: every call was a hit
 
 
-def test_cli_import_loads_neither_requests_nor_yaml():
-    # Every pipeline pass starts four stage processes; only the runs that use
-    # an HTTP backend or a YAML file should pay for those imports.
+def _modules_of_a_fresh_cli_import() -> tuple[list, list]:
+    """The modules a fresh interpreter holds before `import notepheno.cli`,
+    and the ones that import adds."""
     env = dict(os.environ, PYTHONPATH=str(Path(notepheno.__file__).parents[1]))
     probe = (
         "import json, sys; before = set(sys.modules); import notepheno.cli; "
@@ -574,11 +574,61 @@ def test_cli_import_loads_neither_requests_nor_yaml():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    before, added = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_cli_import_loads_neither_requests_nor_yaml():
+    # Every pipeline pass starts four stage processes; only the runs that use
+    # an HTTP backend or a YAML file should pay for those imports.
+    before, added = _modules_of_a_fresh_cli_import()
     heavy = {"requests", "yaml", "http.client", "statistics"}
     assert not heavy & set(before)  # else the comparison below proves nothing
     assert "notepheno.cli" in added
     assert not heavy & set(added)
+
+
+def test_cli_import_loads_no_thread_pool():
+    # Only a threaded dispatch (parallelism above 1) pays for the pool's import.
+    before, added = _modules_of_a_fresh_cli_import()
+    assert "notepheno.cli" in added
+    assert "concurrent.futures" not in before + added
+
+
+@pytest.mark.parametrize("where", ["--config", "--profiles"])
+def test_a_malformed_yaml_file_exits_1_naming_the_file(tmp_path, capsys, where):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("m: [1\n", encoding="utf-8")
+    if where == "--config":
+        argv = ["--config", str(bad), "profile"]
+    else:
+        argv = ["profile", "--profiles", str(bad)]
+    corpus = tmp_path / "corpus"
+    assert _run("synth", "--out", str(corpus), "--n-patients", "3", "--prevalence", "ami=0.5") == 0
+    capsys.readouterr()
+    assert _run(*argv, "--corpus", str(corpus), "--mock", "--out", str(tmp_path / "p.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid YAML: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parallelism_below_1_exits_1_naming_the_value(pipeline_dirs, tmp_path, capsys, value):
+    out = tmp_path / "p.csv"
+    assert _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "5", "--mock",
+                "--parallelism", value, "--out", str(out)) == 1
+    assert f"error: parallelism must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parallelism_0_from_a_config_file_exits_1(pipeline_dirs, tmp_path, capsys):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("parallelism: 0\n", encoding="utf-8")
+    out = tmp_path / "det"
+    assert _run("--config", str(config), "detect", "--corpus", str(pipeline_dirs / "corpus"),
+                "--merged", str(pipeline_dirs / "prep"), "--mock", "--out", str(out)) == 1
+    assert "error: parallelism must be at least 1, got 0" in capsys.readouterr().err
+    assert not list(out.glob("detect_*.jsonl"))
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -950,10 +1000,13 @@ def test_stage_keeps_one_connection_per_worker(pipeline_dirs, tmp_path, scripted
 
 
 def test_parallelism_1_starts_no_worker_threads(pipeline_dirs, tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
     def no_threads(*args, **kwargs):
         raise AssertionError("a thread pool was created at parallelism 1")
 
-    monkeypatch.setattr(inference, "ThreadPoolExecutor", no_threads)
+    # every import of the pool class, however spelt, builds it through this
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_threads)
     corpus = str(pipeline_dirs / "corpus")
     assert _run("profile", "--corpus", corpus, "--m", "5", "--mock", "--parallelism", "1",
                 "--out", str(tmp_path / "p.csv")) == 0

@@ -300,6 +300,12 @@ def test_mock_flips_are_deterministic():
     assert any(t.startswith("Yes,") for t in answers_a)
 
 
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_run_parallel_refuses_a_parallelism_below_1(parallelism):
+    with pytest.raises(ValueError, match=f"parallelism must be at least 1, got {parallelism}"):
+        run_parallel(str, ["a"], parallelism)
+
+
 def test_run_parallel_preserves_order():
     backend = _CountingBackend()
     reqs = [CompletionRequest(f"q{i}") for i in range(20)]
