@@ -87,10 +87,10 @@ _DIGIT_RE = re.compile(r"\d")
 _NUMBER = r"(\d+(?:\.\d+)?)"
 _GLUCOSE_RE = re.compile(_NUMBER + r"\s*mmol\s*/\s*l", re.IGNORECASE)
 _TROPONIN_RE = re.compile(_NUMBER + r"\s*(ng\s*/\s*m?l)", re.IGNORECASE)
-_SYSTOLIC_RE = re.compile(r"systolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
-_DIASTOLIC_RE = re.compile(r"diastolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_SYSTOLIC_RE = re.compile(r"systolic[^\d\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_DIASTOLIC_RE = re.compile(r"diastolic[^\d\n]{0,20}" + _NUMBER, re.IGNORECASE)
 _BP_PAIR_RE = re.compile(
-    r"(?:blood\s+pressure|(?<!\w)bp(?!\w))[^0-9\n]{0,20}(\d{2,3})\s*/\s*(\d{2,3})",
+    r"(?:blood\s+pressure|(?<!\w)bp(?!\w))[^\d\n]{0,20}(\d{2,3})\s*/\s*(\d{2,3})",
     re.IGNORECASE,
 )
 

@@ -390,7 +390,10 @@ def _parse_prevalence(entries, conditions: Sequence[str]) -> dict[str, float]:
         name, _, frac = entry.partition("=")
         if name.strip() not in conditions:
             raise ValueError(f"--prevalence {entry!r} names no selected condition: {', '.join(conditions)}")
-        prevalence[name.strip()] = float(frac)
+        try:
+            prevalence[name.strip()] = float(frac)
+        except ValueError as exc:
+            raise ValueError(f"--prevalence {entry!r}: {exc}") from None
     if not prevalence:
         raise ValueError("at least one --prevalence name=fraction is required")
     return prevalence
@@ -403,8 +406,6 @@ def _cmd_synth(args) -> int:
         n_patients=args.n_patients,
         prevalence=_parse_prevalence(args.prevalence, [profile.name for profile in profiles]),
         docs_per_patient=(args.docs_min, args.docs_max),
-        evidence_fraction_in_kept_types=args.evidence_fraction,
-        distractor_rate=args.distractor_rate,
         seed=args.seed,
     )
     cohort, truth = generate_synthetic(spec, profiles)
@@ -500,7 +501,10 @@ def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
                 sampled, positive = int(row["sampled_count"]), int(row["positive_count"])
             except ValueError:
                 raise ValueError(f"{path} line {reader.line_num}: missing or non-integer count") from None
-            profiles.append(DocTypeProfile(row["doc_type"], sampled, positive))
+            try:
+                profiles.append(DocTypeProfile(row["doc_type"], sampled, positive))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not profiles:
         raise ValueError(f"{path}: no rows for condition {condition!r}")
     return profiles
@@ -520,12 +524,7 @@ def _cmd_preprocess(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     selected = [
-        (
-            filter_document_types(
-                _read_profile_csv(args.profile_csv, profile.name), args.percentile, condition=profile.name
-            ),
-            profile,
-        )
+        (filter_document_types(_read_profile_csv(args.profile_csv, profile.name), args.percentile), profile)
         for profile in _select_profiles(args)
     ]
     stats_rows = []
@@ -864,8 +863,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict[str, Callable]]
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--docs-min", type=int, default=2)
     p.add_argument("--docs-max", type=int, default=4)
-    p.add_argument("--evidence-fraction", type=float, default=1.0)
-    p.add_argument("--distractor-rate", type=float, default=0.3)
 
     p = command("profile", _cmd_profile, "score document-type relevance via backend inference",
                 corpus, out, conditions, dispatch, backend)

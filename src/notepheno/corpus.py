@@ -331,8 +331,6 @@ class SynthSpec:
     n_patients: int
     prevalence: Mapping[str, float]
     docs_per_patient: tuple[int, int] = (2, 4)
-    evidence_fraction_in_kept_types: float = 1.0
-    distractor_rate: float = 0.3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -344,12 +342,9 @@ class SynthSpec:
         lo, hi = self.docs_per_patient
         if lo < 1 or hi < lo:
             raise ValueError("docs_per_patient must be a nonempty ascending range")
-        if not 0.0 <= self.evidence_fraction_in_kept_types <= 1.0:
-            raise ValueError("evidence_fraction_in_kept_types must be in [0, 1]")
-        if not 0.0 <= self.distractor_rate <= 1.0:
-            raise ValueError("distractor_rate must be in [0, 1]")
 
 
+_DISTRACTOR_RATE = 0.3  # share of documents given one distractor sentence
 _DISTRACTOR_SENTENCES = (
     "Vital signs stable throughout the shift.",
     "Diet and activity as tolerated.",
@@ -387,12 +382,10 @@ def _lab_sentence(rule, rng: random.Random, positive: bool) -> str:
 def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dict[str, int]]]:
     """Generate a deterministic synthetic cohort and its planted truth.
 
-    Positive patients receive at least one document carrying condition evidence
-    (a diagnosis sentence, sometimes also an over-threshold lab sentence),
-    placed in a high-yield document type with probability
-    ``evidence_fraction_in_kept_types``. Every document opens with a baseline
-    sentence that matches generic keywords, so every patient owns extractable
-    text regardless of status.
+    Positive patients receive condition evidence (a diagnosis sentence,
+    sometimes also an over-threshold lab sentence) in one high-yield document.
+    Every document opens with a baseline sentence that matches generic
+    keywords, so every patient owns extractable text regardless of status.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
@@ -425,7 +418,7 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
             sentences = [
                 f"Patient age {age}, weight {rng.randint(50, 110)} kg, medication list reviewed."
             ]
-            if rng.random() < spec.distractor_rate:
+            if rng.random() < _DISTRACTOR_RATE:
                 sentences.append(rng.choice(_DISTRACTOR_SENTENCES))
             doc_plans.append((doc_type, sentences))
 
@@ -435,19 +428,8 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
             truth[pid][profile.name] = int(positive)
             if positive:
                 high_idx = [k for k, (t, _) in enumerate(doc_plans) if t in HIGH_YIELD_DOC_TYPES]
-                low_idx = [k for k, (t, _) in enumerate(doc_plans) if t not in HIGH_YIELD_DOC_TYPES]
-                if rng.random() < spec.evidence_fraction_in_kept_types:
-                    target = rng.choice(high_idx)
-                else:
-                    if not low_idx:
-                        doc_plans.append(
-                            (
-                                rng.choice(LOW_YIELD_DOC_TYPES),
-                                [f"Patient age {age}, medication list reviewed."],
-                            )
-                        )
-                        low_idx = [len(doc_plans) - 1]
-                    target = rng.choice(low_idx)
+                rng.random()  # an unused draw, kept so that seeded cohorts stay the same
+                target = rng.choice(high_idx)
                 diagnosis = _DIAGNOSIS_SENTENCES.get(
                     profile.name, f"Documented diagnosis of {profile.name}."
                 )

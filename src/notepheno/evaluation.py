@@ -126,8 +126,11 @@ def metrics(cm: ConfusionMatrix, ci_level: float = 0.95) -> MetricSet:
     """The four diagnostic accuracy ratios with Wilson score intervals.
 
     A ratio with zero denominator is undefined and reported as None, never
-    coerced to 0 or 1.
+    coerced to 0 or 1. A level outside (0, 1) is refused even when no ratio
+    is defined.
     """
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
     return MetricSet(
         sensitivity=_estimate(cm.tp, cm.tp + cm.fn, ci_level),
         specificity=_estimate(cm.tn, cm.fp + cm.tn, ci_level),

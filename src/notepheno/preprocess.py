@@ -51,8 +51,6 @@ class DocTypeProfile:
 
 @dataclass(frozen=True)
 class FilterPlan:
-    condition: str
-    percentile: float
     threshold_value: float
     kept_types: frozenset[str]
 
@@ -164,9 +162,7 @@ def resolve_percentile(label) -> float:
     return value
 
 
-def filter_document_types(
-    profiles: list[DocTypeProfile], percentile, condition: str = ""
-) -> FilterPlan:
+def filter_document_types(profiles: list[DocTypeProfile], percentile) -> FilterPlan:
     """Keep document types whose relevance strictly exceeds the percentile cut.
 
     The threshold is the nearest-rank percentile over all per-type relevance
@@ -175,14 +171,11 @@ def filter_document_types(
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    p = resolve_percentile(percentile)
     irs = sorted(profile.ir for profile in profiles)
-    rank = math.ceil(p / 100.0 * len(irs))
+    rank = math.ceil(resolve_percentile(percentile) / 100.0 * len(irs))
     threshold = 0.0 if rank < 1 else irs[rank - 1]
     kept = frozenset(profile.doc_type for profile in profiles if profile.ir > threshold)
-    return FilterPlan(
-        condition=condition, percentile=p, threshold_value=threshold, kept_types=kept
-    )
+    return FilterPlan(threshold_value=threshold, kept_types=kept)
 
 
 def consolidate(

@@ -30,7 +30,6 @@ class ClinicalRule:
     analyte: str
     comparator: str = ">="
     threshold: float | None = None
-    unit: str = ""
     systolic_threshold: float | None = None
     diastolic_threshold: float | None = None
 
@@ -187,14 +186,14 @@ def builtin_profiles() -> list[ConditionProfile]:
             keywords=_AMI_KEYWORDS,
             inference_template=_AMI_INFERENCE,
             extraction_template=_AMI_EXTRACTION,
-            rule=ClinicalRule(analyte="troponin", comparator=">", threshold=14.0, unit="ng/L"),
+            rule=ClinicalRule(analyte="troponin", comparator=">", threshold=14.0),
         ),
         ConditionProfile(
             name="diabetes",
             keywords=_DIABETES_KEYWORDS,
             inference_template=_DIABETES_INFERENCE,
             extraction_template=_DIABETES_EXTRACTION,
-            rule=ClinicalRule(analyte="glucose", comparator=">=", threshold=11.1, unit="mmol/L"),
+            rule=ClinicalRule(analyte="glucose", comparator=">=", threshold=11.1),
         ),
         ConditionProfile(
             name="hypertension",
@@ -204,7 +203,6 @@ def builtin_profiles() -> list[ConditionProfile]:
             rule=ClinicalRule(
                 analyte="blood_pressure",
                 comparator=">=",
-                unit="mmHg",
                 systolic_threshold=140.0,
                 diastolic_threshold=90.0,
             ),
@@ -233,7 +231,6 @@ def _rule_from_config(raw: dict) -> ClinicalRule:
         analyte=raw["analyte"],
         comparator=raw.get("comparator", ">="),
         threshold=raw.get("threshold"),
-        unit=raw.get("unit", ""),
         systolic_threshold=raw.get("systolic_threshold"),
         diastolic_threshold=raw.get("diastolic_threshold"),
     )

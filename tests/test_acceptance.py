@@ -153,7 +153,7 @@ def test_criterion_4_synthetic_recovery():
             type_profiles = run_profile(
                 cohort, [profile], clean, params, m=60, seed=seed, parallelism=1
             )["diabetes"]
-            plan = filter_document_types(type_profiles, "q1", condition="diabetes")
+            plan = filter_document_types(type_profiles, "q1")
             merged, _ = consolidate(cohort, plan, profile)
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
@@ -181,12 +181,7 @@ def test_criterion_5_or_mode_algebra():
         params = GenerationParams()
         spec = SynthSpec(n_patients=300, prevalence={"diabetes": 0.3}, seed=42)
         cohort, truth = generate_synthetic(spec, [profile])
-        plan = FilterPlan(
-            condition="diabetes",
-            percentile=0.0,
-            threshold_value=0.0,
-            kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
-        )
+        plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
         merged, _ = consolidate(cohort, plan, profile)
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
@@ -235,12 +230,7 @@ def test_criterion_6_preprocessing_properties():
         spec = SynthSpec(n_patients=250, prevalence={"diabetes": 0.4}, seed=13)
         cohort, truth = generate_synthetic(spec, [profile])
         assert len(cohort.documents) >= 500
-        plan = FilterPlan(
-            condition="diabetes",
-            percentile=0.0,
-            threshold_value=0.0,
-            kept_types=frozenset(HIGH_YIELD_DOC_TYPES),
-        )
+        plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
         merged, _ = consolidate(cohort, plan, profile)
         # Each merged text is every stripped keyword sentence of the patient's
         # kept-type notes, notes in (timestamp, doc_id) order, joined by spaces.

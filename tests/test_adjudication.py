@@ -87,14 +87,15 @@ def test_implausible_values_dropped():
 
 
 # The parser as it was before replies without a digit skipped the patterns,
-# kept as the reference.
+# kept as the reference. Its blood-pressure cues skip `[^\d\n]`, as the
+# parser's do, so no cue eats the first digit of a non-ASCII reading.
 _NUMBER = r"(\d+(?:\.\d+)?)"
 _OLD_GLUCOSE_RE = re.compile(_NUMBER + r"\s*mmol\s*/\s*l", re.IGNORECASE)
 _OLD_TROPONIN_RE = re.compile(_NUMBER + r"\s*(ng\s*/\s*m?l)", re.IGNORECASE)
-_OLD_SYSTOLIC_RE = re.compile(r"systolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
-_OLD_DIASTOLIC_RE = re.compile(r"diastolic[^0-9\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_OLD_SYSTOLIC_RE = re.compile(r"systolic[^\d\n]{0,20}" + _NUMBER, re.IGNORECASE)
+_OLD_DIASTOLIC_RE = re.compile(r"diastolic[^\d\n]{0,20}" + _NUMBER, re.IGNORECASE)
 _OLD_BP_PAIR_RE = re.compile(
-    r"(?:blood\s+pressure|(?<!\w)bp(?!\w))[^0-9\n]{0,20}(\d{2,3})\s*/\s*(\d{2,3})", re.IGNORECASE
+    r"(?:blood\s+pressure|(?<!\w)bp(?!\w))[^\d\n]{0,20}(\d{2,3})\s*/\s*(\d{2,3})", re.IGNORECASE
 )
 
 
@@ -156,6 +157,13 @@ def test_non_ascii_digits_are_read_as_before():
         assert found and found == _old_parse_extraction_response(text, analyte)
 
 
+def test_blood_pressure_cues_read_non_ascii_digits_whole():
+    (pair,) = parse_extraction_response("BP ١٦٥/٩٥", "blood_pressure")
+    assert (pair.systolic, pair.diastolic) == (165.0, 95.0)
+    (systolic,) = parse_extraction_response("systolic: １５０", "blood_pressure")
+    assert (systolic.systolic, systolic.diastolic) == (150.0, None)
+
+
 @given(st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=40))
 @settings(max_examples=50)
 def test_a_digit_free_reply_still_refuses_an_unknown_analyte(text):
@@ -165,10 +173,10 @@ def test_a_digit_free_reply_still_refuses_an_unknown_analyte(text):
 
 # -- clinical rules ----------------------------------------------------------
 
-GLUCOSE_RULE = ClinicalRule(analyte="glucose", comparator=">=", threshold=11.1, unit="mmol/L")
-TROPONIN_RULE = ClinicalRule(analyte="troponin", comparator=">", threshold=14.0, unit="ng/L")
+GLUCOSE_RULE = ClinicalRule(analyte="glucose", comparator=">=", threshold=11.1)
+TROPONIN_RULE = ClinicalRule(analyte="troponin", comparator=">", threshold=14.0)
 BP_RULE = ClinicalRule(
-    analyte="blood_pressure", systolic_threshold=140.0, diastolic_threshold=90.0, unit="mmHg"
+    analyte="blood_pressure", systolic_threshold=140.0, diastolic_threshold=90.0
 )
 
 
@@ -187,7 +195,7 @@ def _bp(sys_v, dia_v):
 def test_glucose_boundary_inclusive():
     assert apply_clinical_rule([_glucose(11.1)], GLUCOSE_RULE) is InferredStatus.YES
     assert apply_clinical_rule([_glucose(11.09)], GLUCOSE_RULE) is InferredStatus.NO
-    strict = ClinicalRule(analyte="glucose", comparator=">", threshold=11.1, unit="mmol/L")
+    strict = ClinicalRule(analyte="glucose", comparator=">", threshold=11.1)
     assert apply_clinical_rule([_glucose(11.1)], strict) is InferredStatus.NO
 
 

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import re
@@ -321,6 +322,10 @@ def test_a_malformed_profile_csv_exits_1_naming_the_file_and_line(pipeline_dirs,
          "line 3: missing or non-integer count"),
         ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,five,1\n",
          "line 2: missing or non-integer count"),
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,B,5,1\ndiabetes,A,3,5\n",
+         "line 3: positive_count must lie in [0, sampled_count]"),
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,-2,-3\n",
+         "line 2: positive_count must lie in [0, sampled_count]"),
     ):
         table.write_text(content, encoding="utf-8")
         code = _run("preprocess", "--corpus", corpus, "--condition", "diabetes",
@@ -619,6 +624,21 @@ def test_parallelism_below_1_exits_1_naming_the_value(pipeline_dirs, tmp_path, c
                 "--parallelism", value, "--out", str(out)) == 1
     assert f"error: parallelism must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_ci_level_outside_0_1_exits_1_naming_the_setting(pipeline_dirs, tmp_path, capsys, where):
+    argv = ["evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(pipeline_dirs / "det"),
+            "--out", str(tmp_path / "report.csv")]
+    if where == "flag":
+        argv += ["--ci-level", "1.5"]
+    else:
+        config = tmp_path / "cfg.yaml"
+        config.write_text("ci_level: 1.5\n", encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    assert _run(*argv) == 1
+    assert "error: ci_level must be in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_parallelism_0_from_a_config_file_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -951,6 +971,29 @@ def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_pa
         err = capsys.readouterr().err
         assert "error: documents.jsonl line 2: record holds an unpaired surrogate" in err
         assert not list((tmp_path / "prep").glob("merged_*"))
+
+
+def test_synth_prevalence_that_is_not_a_number_names_the_flag(tmp_path, capsys):
+    assert _run("synth", "--n-patients", "5", "--prevalence", "ami=abc", "--out", str(tmp_path / "c")) == 1
+    assert "error: --prevalence 'ami=abc': could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+# sha256 of the files of one small seeded cohort. Every random draw of
+# `generate_synthetic` moves these, also a draw whose value goes unused.
+_PINNED_COHORT = {
+    "documents.jsonl": "d50483b352676bbe7628fc3061935891e7f3d18212662581fcde6dc9a03642f5",
+    "labels.jsonl": "16b6c3cc6497ee6487948116baadb704f056d265672fd9c68e9831318e144b72",
+    "patients.jsonl": "53c42141e7639954e5bf12283568fa881feb515d20728be204244bc8b60c9c17",
+    "truth.jsonl": "0695aadbbbe383cd54f775328e5927a1a0a95f0eedd3d6af4e8da50917f8b9d2",
+}
+
+
+def test_a_seeded_synth_cohort_keeps_its_bytes(tmp_path):
+    assert _run("synth", "--out", str(tmp_path), "--n-patients", "40", "--prevalence", "ami=0.2",
+                "--prevalence", "diabetes=0.3", "--prevalence", "hypertension=0.35", "--seed", "3") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _PINNED_COHORT}
+    assert digests == _PINNED_COHORT
 
 
 def test_synth_prevalence_of_an_unselected_condition_exits_1(tmp_path, capsys):

@@ -62,6 +62,13 @@ def test_metrics_undefined_are_none():
     assert ms2.specificity is None and ms2.ppv is not None
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_metrics_refuse_a_level_outside_0_1_even_when_every_ratio_is_undefined(level):
+    for cm in (ConfusionMatrix(tp=3, fn=1, tn=5, fp=2), ConfusionMatrix(tp=0, fn=0, tn=0, fp=0)):
+        with pytest.raises(ValueError, match=r"ci_level must be in \(0, 1\), got "):
+            metrics(cm, level)
+
+
 def test_combine_or():
     assert combine_or({"a": 1, "b": 0}, {"a": 0, "b": 0}) == {"a": 1, "b": 0}
     with pytest.raises(ValueError, match="key sets differ"):

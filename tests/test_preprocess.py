@@ -99,7 +99,7 @@ def test_filter_quartile_fixture():
         DocTypeProfile("C", 10, 0),
         DocTypeProfile("D", 10, 0),
     ]
-    plan = filter_document_types(profiles, "q1", condition="diabetes")
+    plan = filter_document_types(profiles, "q1")
     assert plan.threshold_value == 0.0
     assert plan.kept_types == {"A", "B"}
     plan0 = filter_document_types(profiles, 0)
@@ -233,9 +233,7 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
         "diabetes": frozenset(doc_types[: len(doc_types) // 2 + 1]),
         "hypertension": frozenset(),
     }
-    selected = [
-        (FilterPlan(p.name, 0.0, 0.0, kept[p.name]), p) for p in profiles
-    ]
+    selected = [(FilterPlan(0.0, kept[p.name]), p) for p in profiles]
     together = consolidate_all(cohort, selected)
     assert len(together) == len(profiles)
     for (plan, profile), (corpus, fraction) in zip(selected, together):

@@ -14,9 +14,9 @@ from notepheno.prompting import (
 def test_builtin_rules():
     by_name = {p.name: p for p in builtin_profiles()}
     ami = by_name["ami"].rule
-    assert (ami.analyte, ami.comparator, ami.threshold, ami.unit) == ("troponin", ">", 14.0, "ng/L")
+    assert (ami.analyte, ami.comparator, ami.threshold) == ("troponin", ">", 14.0)
     dia = by_name["diabetes"].rule
-    assert (dia.analyte, dia.comparator, dia.threshold, dia.unit) == ("glucose", ">=", 11.1, "mmol/L")
+    assert (dia.analyte, dia.comparator, dia.threshold) == ("glucose", ">=", 11.1)
     htn = by_name["hypertension"].rule
     assert (htn.systolic_threshold, htn.diastolic_threshold) == (140.0, 90.0)
 
