@@ -60,7 +60,7 @@ from .preprocess import (
     compute_information_relevance,
     consolidate_all,
     filter_document_types,
-    positive_retention,
+    retention_report,
     sample_document_types,
 )
 from .prompting import ConditionProfile, builtin_profiles, load_profiles, render_prompt
@@ -124,15 +124,14 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, (buf.getvalue(),))
 
 
-def _write_manifest(out_dir: Path, stage: str, payload: dict) -> None:
-    payload = {"stage": stage, **payload}
+def _write_manifest(out_dir: Path, stage: str, started: float, settings: dict, **observed) -> None:
+    """Write `manifest_<stage>.json`: the JSON-native `settings` the stage ran
+    with, `config_hash` (a sha256 of exactly those settings), what the stage
+    `observed`, and `elapsed_s` since `started`."""
+    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+    payload = {"stage": stage, "config_hash": config_hash, **settings, **observed,
+               "elapsed_s": round(time.monotonic() - started, 3)}
     _atomic_write(out_dir / f"manifest_{stage}.json", (json.dumps(payload, indent=2, sort_keys=True),))
-
-
-def _config_hash(resolved: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +236,13 @@ def _ask_all(
     one request, so neither the prompts nor the raw replies of the stage are
     ever held together. Returns the parsed replies under `(condition, kind,
     owner)`, in chunk order; `counts` gets the requests sent, the asks that
-    shared an earlier ask's request, and the oversized chunks.
+    shared an earlier ask's request, and the oversized chunks. The oversized
+    chunks are also logged, in one warning for the whole stage, so a corpus of
+    long notes does not log one line per chunk. A chunk budget below 1 raises
+    ValueError before any text is chunked.
     """
+    if chunk_budget < 1:
+        raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
     index: dict[tuple[str, str, str], int] = {}
     items = []
     # each owner's replies, as indices into `items` until the dispatch returns
@@ -257,6 +261,13 @@ def _ask_all(
                     items.append((profile, kind, chunk.text))
                 replies[profile.name, kind, owner].append(at)
     del index  # one entry per distinct ask: free it before the replies arrive
+    if oversized:
+        logger.warning(
+            "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
+            "characters and were sent whole",
+            oversized,
+            chunk_budget,
+        )
     if counts is not None:
         counts["requests"] += len(items)
         counts["coalesced_requests"] += planned - len(items)
@@ -274,18 +285,6 @@ def _ask_all(
     for found in replies.values():
         found[:] = [parsed[at] for at in found]
     return replies
-
-
-def _warn_oversized(counts: Counter, chunk_budget: int) -> None:
-    # One warning per stage: a corpus of long notes would otherwise log one
-    # line per chunk.
-    if counts["oversized_chunks"]:
-        logger.warning(
-            "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
-            "characters and were sent whole",
-            counts["oversized_chunks"],
-            chunk_budget,
-        )
 
 
 def run_profile(
@@ -401,6 +400,11 @@ def _parse_prevalence(entries, conditions: Sequence[str]) -> dict[str, float]:
 
 def _cmd_synth(args) -> int:
     started = time.monotonic()
+    if args.n_patients < 1:
+        raise ValueError(f"--n-patients must be at least 1, got {args.n_patients}")
+    if not 1 <= args.docs_min <= args.docs_max:
+        raise ValueError(f"--docs-min and --docs-max must satisfy 1 <= min <= max, "
+                         f"got {args.docs_min} and {args.docs_max}")
     profiles = _select_profiles(args)
     spec = SynthSpec(
         n_patients=args.n_patients,
@@ -425,16 +429,8 @@ def _cmd_synth(args) -> int:
             for cond, label in sorted(truth[pid].items())
         ),
     )
-    _write_manifest(
-        out_dir,
-        "synth",
-        {
-            "config_hash": _config_hash({"spec": spec.__dict__}),
-            "seed": spec.seed,
-            "n_patients": spec.n_patients,
-            "elapsed_s": round(time.monotonic() - started, 3),
-        },
-    )
+    _write_manifest(out_dir, "synth", started, {"spec": dataclasses.asdict(spec)},
+                    seed=spec.seed, n_patients=spec.n_patients)
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
 
@@ -453,36 +449,27 @@ def _cmd_profile(args) -> int:
         for condition, table in relevance.items()
         for p in table
     ]
-    _warn_oversized(counts, args.chunk_budget)
     out = Path(args.out)
     _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
-    _write_manifest(
-        out.parent,
-        "profile",
-        {
-            "config_hash": _config_hash({"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget}),
-            "seed": args.seed,
-            "m": args.m,
-            "chunk_budget": args.chunk_budget,
-            **_backend_block(backend, counts),
-            "oversized_chunks": counts["oversized_chunks"],
-            "elapsed_s": round(time.monotonic() - started, 3),
-        },
-    )
+    _write_manifest(out.parent, "profile", started,
+                    {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget},
+                    **_backend_block(backend, counts))
     print(f"wrote document-type relevance table to {out}")
     return EXIT_OK
 
 
 def _backend_block(backend: Backend, counts: Counter) -> dict:
-    """The manifest keys of a backend stage. Behind a cache only the misses
-    reach the backend; without one there are no hits. `coalesced_requests`
-    counts the asks that shared an identical ask's request in the stage."""
+    """The manifest keys of a backend stage, from its `_ask_all` counts.
+    Behind a cache only the misses reach the backend; without one there are
+    no hits. `coalesced_requests` counts the asks that shared an identical
+    ask's request in the stage."""
     cached = isinstance(backend, CachedBackend)
     return {
         "backend_id": backend.backend_id,
         "backend_requests": backend.misses if cached else counts["requests"],
         "cache_hits": backend.hits if cached else 0,
         "coalesced_requests": counts["coalesced_requests"],
+        "oversized_chunks": counts["oversized_chunks"],
     }
 
 
@@ -521,24 +508,24 @@ def _merged_lines(condition: str, merged: Mapping[str, str]):
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     cohort = _load_corpus_dir(args.corpus, documents=True, labels=True)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     selected = [
         (filter_document_types(_read_profile_csv(args.profile_csv, profile.name), args.percentile), profile)
         for profile in _select_profiles(args)
     ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stats_rows = []
-    for (plan, profile), (merged, fraction) in zip(selected, consolidate_all(cohort, selected)):
+    for (plan, profile), merged in zip(selected, consolidate_all(cohort, selected)):
         positives = {pid for pid, label in cohort.reference_map(profile.name).items() if label}
-        retention = positive_retention(positives, merged)
+        stats = retention_report(cohort, positives, merged, len(plan.kept_types))
         _atomic_write(out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged))
         stats_rows.append(
             (
                 profile.name,
-                len(plan.kept_types),
+                stats.kept_type_count,
                 f"{plan.threshold_value:.6f}",
-                f"{fraction:.4f}",
-                "" if retention is None else f"{retention:.4f}",
+                f"{stats.words_fraction_remaining:.4f}",
+                "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}",
             )
         )
     _write_csv(
@@ -546,15 +533,7 @@ def _cmd_preprocess(args) -> int:
         ("condition", "kept_type_count", "ir_threshold", "words_fraction_remaining", "positive_retention"),
         stats_rows,
     )
-    _write_manifest(
-        out_dir,
-        "preprocess",
-        {
-            "config_hash": _config_hash({"percentile": args.percentile}),
-            "percentile": args.percentile,
-            "elapsed_s": round(time.monotonic() - started, 3),
-        },
-    )
+    _write_manifest(out_dir, "preprocess", started, {"percentile": args.percentile})
     print(f"wrote consolidated corpus and stats to {out_dir}")
     return EXIT_OK
 
@@ -639,18 +618,8 @@ def _cmd_detect(args) -> int:
             path = out_dir / f"detect_{mode}_{condition}.jsonl"
             _atomic_write(path, _label_lines(condition, mode, findings))
             outputs.append(str(path))
-    _warn_oversized(counts, args.chunk_budget)
-    _write_manifest(
-        out_dir,
-        "detect",
-        {
-            "config_hash": _config_hash({"modes": modes, "chunk_budget": args.chunk_budget}),
-            **_backend_block(backend, counts),
-            "oversized_chunks": counts["oversized_chunks"],
-            "outputs": outputs,
-            "elapsed_s": round(time.monotonic() - started, 3),
-        },
-    )
+    _write_manifest(out_dir, "detect", started, {"modes": list(modes), "chunk_budget": args.chunk_budget},
+                    **_backend_block(backend, counts), outputs=outputs)
     print(f"wrote {len(outputs)} label file(s) to {out_dir}")
     return EXIT_OK
 
@@ -717,15 +686,7 @@ def _cmd_evaluate(args) -> int:
     print(f"{'method':<18}{'condition':<14}{'sens':>8}{'spec':>8}{'ppv':>8}{'npv':>8}")
     for row in rows:
         print(f"{row[0]:<18}{row[1]:<14}{row[2]:>8}{row[5]:>8}{row[8]:>8}{row[11]:>8}")
-    _write_manifest(
-        out.parent,
-        "evaluate",
-        {
-            "config_hash": _config_hash({"ci_level": args.ci_level}),
-            "ci_level": args.ci_level,
-            "elapsed_s": round(time.monotonic() - started, 3),
-        },
-    )
+    _write_manifest(out.parent, "evaluate", started, {"ci_level": args.ci_level})
     return EXIT_OK
 
 

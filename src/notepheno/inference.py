@@ -35,6 +35,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ENV_API_KEY = "NOTEPHENO_API_KEY"
+COMPLETION_ROUTE = "/v1/completions"  # appended to the backend's base URL
+REQUEST_TIMEOUT_S = 120.0  # per socket operation of an HTTP request
 
 DEFAULT_CHUNK_BUDGET = 12000
 DEFAULT_PARALLELISM = 4
@@ -110,13 +112,7 @@ class HttpBackend:
     """
 
     def __init__(
-        self,
-        base_url: str,
-        route: str = "/v1/completions",
-        api_key: str | None = None,
-        timeout: float = 120.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
+        self, base_url: str, api_key: str | None = None, max_retries: int = 3, backoff_s: float = 0.5
     ) -> None:
         # Imported here, not at module level: http.client (and the email
         # package under it) costs every stage process tens of milliseconds,
@@ -124,7 +120,7 @@ class HttpBackend:
         import http.client
         from urllib.parse import urlsplit
 
-        self.url = base_url.rstrip("/") + route
+        self.url = base_url.rstrip("/") + COMPLETION_ROUTE
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise BackendError(f"backend URL must be http:// or https://, got {self.url!r}")
@@ -136,17 +132,13 @@ class HttpBackend:
         self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._transport_errors = (OSError, http.client.HTTPException)
         self._local = threading.local()
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
-        self.timeout = timeout
+        api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.backend_id = f"http:{self.url}"
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
 
     @staticmethod
     def _extract_text(payload) -> str:
@@ -168,11 +160,11 @@ class HttpBackend:
         held = getattr(self._local, "held", None)
         if held is None:
             held = self._local.held = _ThreadConnection(
-                self._connection_cls(self._host, self._port, timeout=self.timeout)
+                self._connection_cls(self._host, self._port, timeout=REQUEST_TIMEOUT_S)
             )
         return held.conn
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST on this thread's connection; (status, body) of the reply.
 
         A reused connection that fails before any response arrives is closed
@@ -183,13 +175,13 @@ class HttpBackend:
         reused = conn.sock is not None  # a closed connection reconnects on request()
         try:
             try:
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 response = conn.getresponse()
             except _STALE_CONNECTION_ERRORS:
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 response = conn.getresponse()
             return response.status, response.read()
         except BaseException:
@@ -210,14 +202,13 @@ class HttpBackend:
                 "max_tokens": params.max_new_tokens,
             }
         ).encode("utf-8")
-        headers = self._headers()
         started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
-                status, data = self._post(body, headers)
+                status, data = self._post(body)
             except self._transport_errors as exc:
                 # Without its traceback, which holds this frame, the kept
                 # error makes no reference cycle.

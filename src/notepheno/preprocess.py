@@ -147,18 +147,14 @@ def compute_information_relevance(
 
 def resolve_percentile(label) -> float:
     """Map the CLI spelling of a threshold level ('0', 'q1', 'q2', or a number)."""
-    if isinstance(label, (int, float)):
-        value = float(label)
-    else:
-        text = str(label).strip().lower()
-        if text == "q1":
-            value = 25.0
-        elif text == "q2":
-            value = 50.0
-        else:
-            value = float(text)
+    text = str(label).strip().lower()
+    named = {"q1": 25.0, "q2": 50.0}
+    try:
+        value = named[text] if text in named else float(text)
+    except ValueError:  # not a number: refused below, as is one outside [0, 100]
+        value = math.nan
     if not 0.0 <= value <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {label!r}")
+        raise ValueError(f"percentile must be 0, q1, q2, or a number in [0, 100], got {label!r}")
     return value
 
 
@@ -178,20 +174,18 @@ def filter_document_types(profiles: list[DocTypeProfile], percentile) -> FilterP
     return FilterPlan(threshold_value=threshold, kept_types=kept)
 
 
-def consolidate(
-    cohort: Cohort, plan: FilterPlan, profile: ConditionProfile
-) -> tuple[dict[str, str], float]:
+def consolidate(cohort: Cohort, plan: FilterPlan, profile: ConditionProfile) -> dict[str, str]:
     """consolidate_all for a single condition."""
     return consolidate_all(cohort, [(plan, profile)])[0]
 
 
 def consolidate_all(
     cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
-) -> list[tuple[dict[str, str], float]]:
+) -> list[dict[str, str]]:
     """Extract keyword sentences from kept-type documents into one merged
     text per patient and condition: stripped sentences joined by spaces, notes
-    in source timestamp order (ties by doc_id). Results, `({patient_id: text},
-    words_fraction_remaining)` per condition, follow the order of `selected`.
+    in source timestamp order (ties by doc_id). Results, one `{patient_id:
+    text}` per condition, follow the order of `selected`.
 
     One pass over the corpus serves every condition: a document kept by any
     condition is split into stripped sentences once, and each condition's
@@ -221,18 +215,14 @@ def consolidate_all(
             if found:
                 hits[index][doc.patient_id].append((doc.timestamp, doc.doc_id, found))
 
-    words_before = cohort.word_count
     results = []
     for condition_hits in hits:
         merged: dict[str, str] = {}
-        words_after = 0
         for patient_id in sorted(condition_hits):
             # doc ids are unique, so the sentence lists are never compared
             notes = sorted(condition_hits[patient_id])
-            text = " ".join(core for _, _, found in notes for core in found)
-            merged[patient_id] = text
-            words_after += len(text.split())
-        results.append((merged, (words_after / words_before) if words_before else 1.0))
+            merged[patient_id] = " ".join(core for _, _, found in notes for core in found)
+        results.append(merged)
     return results
 
 

@@ -154,7 +154,7 @@ def test_criterion_4_synthetic_recovery():
                 cohort, [profile], clean, params, m=60, seed=seed, parallelism=1
             )["diabetes"]
             plan = filter_document_types(type_profiles, "q1")
-            merged, _ = consolidate(cohort, plan, profile)
+            merged = consolidate(cohort, plan, profile)
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
                 cohort, [(merged, profile)], noisy, params,
@@ -182,7 +182,7 @@ def test_criterion_5_or_mode_algebra():
         spec = SynthSpec(n_patients=300, prevalence={"diabetes": 0.3}, seed=42)
         cohort, truth = generate_synthetic(spec, [profile])
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged, _ = consolidate(cohort, plan, profile)
+        merged = consolidate(cohort, plan, profile)
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
             cohort, [(merged, profile)],
@@ -231,7 +231,7 @@ def test_criterion_6_preprocessing_properties():
         cohort, truth = generate_synthetic(spec, [profile])
         assert len(cohort.documents) >= 500
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged, _ = consolidate(cohort, plan, profile)
+        merged = consolidate(cohort, plan, profile)
         # Each merged text is every stripped keyword sentence of the patient's
         # kept-type notes, notes in (timestamp, doc_id) order, joined by spaces.
         pattern = keyword_regex(profile.keywords)
@@ -307,7 +307,12 @@ def test_criterion_8_warm_cache_determinism(tmp_path):
 
 
 def test_criterion_8_warm_cache_determinism_parallelism_4(tmp_path):
-    """Criterion 8 with four workers writing and reading the cache at once."""
+    """Criterion 8 with four workers writing and reading the cache at once.
+
+    It cannot reach the race of two threads writing one cache key: a stage
+    sends each distinct prompt once, so no two of its requests share a key.
+    `test_cache_put_same_key_from_many_threads` in test_inference.py guards
+    that race."""
     corpus = tmp_path / "corpus"
     cache = tmp_path / "cache"
     assert main([

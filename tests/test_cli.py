@@ -20,6 +20,7 @@ from notepheno.cli import _load_corpus_dir, _read_jsonl, main
 from notepheno.corpus import load_cohort, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import sample_document_types
+from notepheno.prompting import builtin_profiles
 
 
 def _run(*argv):
@@ -651,6 +652,51 @@ def test_parallelism_0_from_a_config_file_exits_1(pipeline_dirs, tmp_path, capsy
     assert not list(out.glob("detect_*.jsonl"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-patients", "0"], "--n-patients must be at least 1, got 0"),
+    (["--docs-min", "0"], "--docs-min and --docs-max must satisfy 1 <= min <= max, got 0 and 4"),
+    (["--docs-min", "5", "--docs-max", "3"], "--docs-min and --docs-max must satisfy 1 <= min <= max, got 5 and 3"),
+])
+def test_a_bad_synth_size_exits_1_naming_the_flag_and_value(tmp_path, capsys, argv, message):
+    argv = ["synth", "--n-patients", "5", *argv, "--prevalence", "ami=0.5", "--out", str(tmp_path / "c")]
+    assert _run(*argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_unreadable_percentile_exits_1_naming_the_setting_and_spellings(pipeline_dirs, tmp_path, capsys, where):
+    argv = ["preprocess", "--corpus", str(pipeline_dirs / "corpus"),
+            "--profile-csv", str(pipeline_dirs / "profile.csv"), "--out", str(tmp_path / "prep")]
+    if where == "flag":
+        argv += ["--percentile", "abc"]
+    else:
+        config = tmp_path / "cfg.yaml"
+        config.write_text("percentile: abc\n", encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    assert _run(*argv) == 1
+    assert "error: percentile must be 0, q1, q2, or a number in [0, 100], got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "prep").exists()
+
+
+@pytest.mark.parametrize("stage", ["profile", "detect"])
+def test_a_chunk_budget_below_1_exits_1_before_any_work(pipeline_dirs, tmp_path, capsys, monkeypatch, stage):
+    prompts = record_prompts(monkeypatch, MockBackend)
+    corpus = str(pipeline_dirs / "corpus")
+    if stage == "profile":  # text to chunk
+        argv = ["profile", "--corpus", corpus, "--m", "5", "--out", str(tmp_path / "p.csv")]
+    else:  # three empty merged files: nothing to chunk
+        for condition in ("ami", "diabetes", "hypertension"):
+            (tmp_path / f"merged_{condition}.jsonl").write_text("", encoding="utf-8")
+        argv = ["detect", "--corpus", corpus, "--merged", str(tmp_path), "--mode", "all",
+                "--out", str(tmp_path / "det")]
+    assert _run(*argv, "--mock", "--chunk-budget", "0") == 1
+    assert "error: chunk_budget must be at least 1, got 0" in capsys.readouterr().err
+    assert not prompts
+    assert not list(tmp_path.rglob("manifest_*")) and not list(tmp_path.rglob("detect_*"))
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(pipeline_dirs, tmp_path, monkeypatch, capsys, collecting):
     corpus = str(pipeline_dirs / "corpus")
@@ -1138,11 +1184,26 @@ def test_manifest_backend_requests_without_cache(pipeline_dirs, tmp_path, monkey
     assert manifest["cache_hits"] == 0
 
 
+# one sentence longer than a chunk budget of 60
+_LONG_SENTENCE = "Diabetes noted with " + "stable readings " * 6 + "today."
+
+
+def test_a_library_run_detect_warns_once_of_its_oversized_chunk(caplog):
+    texts = {"p1": "Short note. " + _LONG_SENTENCE, "p2": "Diabetes on diet. Review soon."}
+    cohort = make_cohort([(pid, f"d{pid}", "DischargeSummary", text) for pid, text in texts.items()])
+    diabetes = [p for p in builtin_profiles() if p.name == "diabetes"]
+    labelled = dict(cli.run_detect(cohort, [(texts, diabetes[0])], MockBackend(), GenerationParams(),
+                                   modes=tuple(cli.MODE_PATHS), chunk_budget=60))
+    assert set(labelled["diabetes"]) == {"p1", "p2"}
+    warnings = [r for r in caplog.records if "chunk budget" in r.getMessage()]
+    assert len(warnings) == 1
+    assert warnings[0].getMessage().startswith("1 chunk(s)")
+
+
 def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):
-    long_sentence = "Diabetes noted with " + "stable readings " * 6 + "today."
     cohort = make_cohort(
         [
-            ("p1", "d1", "DischargeSummary", "Short note. " + long_sentence),
+            ("p1", "d1", "DischargeSummary", "Short note. " + _LONG_SENTENCE),
             ("p2", "d2", "DischargeSummary", "Diabetes on diet. Review soon."),
         ],
         labels=[("p1", "diabetes", 1, 1), ("p2", "diabetes", 1, 1)],
@@ -1151,7 +1212,7 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
     corpus.mkdir()
     write_cohort(cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
     budget = "60"
-    assert len(long_sentence) > 60
+    assert len(_LONG_SENTENCE) > 60
     stages = {
         "profile": ["profile", "--corpus", str(corpus), "--m", "5", "--out", str(tmp_path / "p" / "p.csv")],
         "detect": ["detect", "--corpus", str(corpus), "--no-preprocess", "--mode", "all",
@@ -1168,3 +1229,51 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
         warnings = [r for r in caplog.records if "chunk budget" in r.getMessage()]
         assert len(warnings) == 1, stage
         assert warnings[0].getMessage().startswith("1 chunk(s)")
+
+
+def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp_path):
+    assert _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(pipeline_dirs / "det"),
+                "--out", str(tmp_path / "report.csv")) == 0
+    dirs = {"synth": pipeline_dirs / "corpus", "profile": pipeline_dirs, "preprocess": pipeline_dirs / "prep",
+            "detect": pipeline_dirs / "det", "evaluate": tmp_path}
+    settings = {  # the settings each stage's manifest records
+        "synth": ("spec",),
+        "profile": ("m", "seed", "chunk_budget"),
+        "preprocess": ("percentile",),
+        "detect": ("modes", "chunk_budget"),
+        "evaluate": ("ci_level",),
+    }
+    manifests = {}
+    for stage, keys in settings.items():
+        manifest = manifests[stage] = json.loads((dirs[stage] / f"manifest_{stage}.json").read_text())
+        recorded = json.dumps({key: manifest[key] for key in keys}, sort_keys=True)
+        assert manifest["config_hash"] == hashlib.sha256(recorded.encode("utf-8")).hexdigest()[:16], stage
+        assert manifest["stage"] == stage and manifest["elapsed_s"] >= 0
+    assert manifests["detect"]["modes"] == list(cli.MODE_PATHS)
+    assert manifests["detect"]["chunk_budget"] == inference.DEFAULT_CHUNK_BUDGET
+    assert manifests["synth"]["spec"] == {
+        "n_patients": 80, "prevalence": {"diabetes": 0.3, "ami": 0.2, "hypertension": 0.3},
+        "docs_per_patient": [2, 4], "seed": 5,
+    }
+
+
+def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, tmp_path, monkeypatch):
+    reports = []
+    report = cli.retention_report
+
+    def recording(*args):
+        reports.append(report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "retention_report", recording)
+    assert _run("preprocess", "--corpus", str(pipeline_dirs / "corpus"), "--profile-csv",
+                str(pipeline_dirs / "profile.csv"), "--percentile", "q1", "--out", str(tmp_path)) == 0
+    assert len(reports) == 3  # one per condition
+    with (tmp_path / "consolidation_stats.csv").open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["words_fraction_remaining"] for row in rows] == [
+        f"{r.words_fraction_remaining:.4f}" for r in reports
+    ]
+    assert (tmp_path / "consolidation_stats.csv").read_bytes() == (
+        pipeline_dirs / "prep" / "consolidation_stats.csv"
+    ).read_bytes()

@@ -143,14 +143,14 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
         ]
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
-    corpus, fraction = consolidate(cohort, plan, diabetes_profile)
+    corpus = consolidate(cohort, plan, diabetes_profile)
     assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
-    assert 0.0 < fraction < 1.0
+    assert 0.0 < retention_report(cohort, {"p1"}, corpus, 1).words_fraction_remaining < 1.0
 
 
 def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus, _ = consolidate(small_cohort, plan, diabetes_profile)
+    corpus = consolidate(small_cohort, plan, diabetes_profile)
     stats = retention_report(small_cohort, set(), corpus, 1)
     assert stats.positive_retention is None
     stats2 = retention_report(small_cohort, {"p1"}, corpus, 1)
@@ -236,22 +236,26 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     selected = [(FilterPlan(0.0, kept[p.name]), p) for p in profiles]
     together = consolidate_all(cohort, selected)
     assert len(together) == len(profiles)
-    for (plan, profile), (corpus, fraction) in zip(selected, together):
-        # a fresh cohort, so no word count is carried over from the pass above
+    for (plan, profile), corpus in zip(selected, together):
+        fraction = retention_report(cohort, set(), corpus, len(plan.kept_types)).words_fraction_remaining
+        # a fresh cohort, so no word count is carried over from the report above
         alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
-        alone, alone_fraction = consolidate(alone_cohort, plan, profile)
+        alone = consolidate(alone_cohort, plan, profile)
         assert corpus == alone
-        assert fraction == alone_fraction
+        assert fraction == retention_report(alone_cohort, set(), alone, len(plan.kept_types)).words_fraction_remaining
         merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
         assert corpus == merged
         assert fraction == reference_fraction
-    assert together[0][0] and together[1][0]
-    assert not together[2][0]
+    assert together[0] and together[1]
+    assert not together[2]
 
 
-def test_retention_report_reuses_consolidation_word_count(small_cohort, diabetes_profile):
+def test_retention_report_counts_merged_words_over_the_cohort(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus, fraction = consolidate(small_cohort, plan, diabetes_profile)
+    corpus = consolidate(small_cohort, plan, diabetes_profile)
     report = retention_report(small_cohort, {"p1", "p3"}, corpus, 1)
-    assert report.words_fraction_remaining == fraction
+    words = sum(len(text.split()) for text in corpus.values())
+    assert 0 < words < small_cohort.word_count
+    assert report.words_fraction_remaining == words / small_cohort.word_count
     assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5
+    assert report.kept_type_count == 1
