@@ -32,8 +32,7 @@ from .corpus import (
     CorpusError,
     SynthSpec,
     _atomic_write,
-    _iter_lines,
-    _parse_line,
+    _records,
     _write_jsonl,
     encode_record,
     generate_synthetic,
@@ -77,43 +76,15 @@ EXIT_BACKEND = 2
 # ---------------------------------------------------------------------------
 # small IO helpers
 
-def _read_jsonl(path, keys: Sequence[str] = (), check=None) -> list[dict]:
-    """The records of a line-record file. A line that is not a JSON object,
-    that lacks one of `keys` or holds null there, or for which `check(record)`
-    returns a complaint, raises CorpusError naming the file and line. An empty
-    merged text is valid."""
-    path = Path(path)
-    records = []
-    for lineno, raw in _iter_lines(path):
-        record = _parse_line(raw, path, lineno)
-        for key in keys:
-            if record.get(key) is None:
-                raise CorpusError(f"{path.name} line {lineno}: missing field {key!r}")
-        complaint = check(record) if check else None
-        if complaint:
-            raise CorpusError(f"{path.name} line {lineno}: {complaint}")
-        records.append(record)
-    return records
-
-
-def _check_label(record: dict) -> str | None:
-    if record["label"] not in (0, 1):
-        return f"label must be 0 or 1, got {record['label']!r}"
+def _check_merged(pid, text, patients: Mapping) -> str | None:
+    """The complaint, if any, about a merged record: a cohort patient's string text (maybe empty)."""
+    if text is None:
+        return "missing field 'text'"
+    if not isinstance(pid, str) or pid not in patients:
+        return f"unknown patient_id {pid!r}"
+    if not isinstance(text, str):
+        return f"text must be a string, got {text!r}"
     return None
-
-
-def _check_merged(patients: Mapping) -> Callable[[dict], str | None]:
-    """The check of a merged record: a cohort patient's id and a string text."""
-
-    def check(record: dict) -> str | None:
-        pid = record["patient_id"]
-        if not isinstance(pid, str) or pid not in patients:
-            return f"unknown patient_id {pid!r}"
-        if not isinstance(record["text"], str):
-            return f"text must be a string, got {record['text']!r}"
-        return None
-
-    return check
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -545,7 +516,8 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
     map shared by every condition.
 
     A merged file that holds records, but none for a condition, is refused:
-    it was written for other conditions. An empty file labels all patients 0.
+    it was written for other conditions. So is a second record of one patient
+    for one condition. An empty file labels all patients 0.
     """
     if args.no_preprocess:
         by_patient: dict[str, list] = defaultdict(list)
@@ -569,11 +541,19 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
                 f"preprocess artifact not found: {path}; "
                 "run the preprocess stage or pass --no-preprocess"
             )
-        records = _read_jsonl(
-            path, ("patient_id", "condition", "text"), _check_merged(cohort.patients)
-        )
-        found = {r["patient_id"]: r["text"] for r in records if r["condition"] == condition}
-        if records and not found:
+        found: dict[str, str] = {}
+        held = False
+        for lineno, record, (pid, cond) in _records(path, ("patient_id", "condition")):
+            text = record.get("text")
+            complaint = _check_merged(pid, text, cohort.patients)
+            if not complaint and cond == condition:
+                if pid in found:
+                    complaint = f"duplicate record for {pid!r}/{condition!r}"
+                found[pid] = text
+            if complaint:
+                raise CorpusError(f"{path.name} line {lineno}: {complaint}")
+            held = True
+        if held and not found:
             raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
         texts.append(found)
     return texts
@@ -624,9 +604,29 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _predictions_from_file(path) -> dict[str, int]:
-    records = _read_jsonl(path, ("patient_id", "label"), _check_label)
-    return {r["patient_id"]: int(r["label"]) for r in records}
+def _predictions(path, condition: str | None = None) -> tuple[str, dict[str, int]]:
+    """The one condition of a detect label file and its `{patient_id: label}`.
+    A record must hold a string `patient_id` and `condition`, a `label` of 0
+    or 1, and name its patient once, or CorpusError names the file and line.
+    A file of no condition, of several, or not of `condition` raises ValueError."""
+    found: dict[str, dict[str, int]] = defaultdict(dict)
+    for lineno, _, (pid, cond, label) in _records(path, ("patient_id", "condition", "label")):
+        if not isinstance(pid, str) or not isinstance(cond, str):
+            name, value = ("condition", cond) if isinstance(pid, str) else ("patient_id", pid)
+            complaint = f"{name} must be a string, got {value!r}"
+        elif label not in (0, 1):
+            complaint = f"label must be 0 or 1, got {label!r}"
+        elif pid in found[cond]:
+            complaint = f"duplicate label for {pid!r}/{cond!r}"
+        else:
+            found[cond][pid] = int(label)
+            continue
+        raise CorpusError(f"{Path(path).name} line {lineno}: {complaint}")
+    if len(found) != 1 or condition not in (None, *found):
+        wanted = "one condition" if condition is None else f"condition {condition!r}"
+        raise ValueError(f"{path}: expected the prediction records of {wanted}, "
+                         f"found {', '.join(sorted(found)) or 'none'}")
+    return next(iter(found.items()))
 
 
 def _format_metric(est) -> tuple[str, str, str]:
@@ -662,7 +662,8 @@ def _cmd_evaluate(args) -> int:
                 raise FileNotFoundError(
                     f"detect artifact not found: {path}; run detect --mode all first"
                 )
-            predictions[mode] = _predictions_from_file(path)
+            predictions[mode] = _predictions(path, condition)[1]
+            evaluation._require_same_patients(predictions[mode], reference, f"{path}: ")
         methods: list[tuple[str, dict[str, int]]] = []
         if has_icd:
             icd = cohort.reference_map(condition, icd=True)
@@ -728,15 +729,7 @@ def _trend_svg(points, condition: str) -> str:
 
 def _cmd_trend(args) -> int:
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
-    records = _read_jsonl(args.pred, ("patient_id", "condition", "label"), _check_label)
-    conditions = sorted({r["condition"] for r in records})
-    if len(conditions) != 1:
-        raise ValueError(
-            f"{args.pred}: expected the prediction records of one condition, "
-            f"found {', '.join(conditions) or 'none'}"
-        )
-    condition = conditions[0]
-    predicted = {r["patient_id"]: int(r["label"]) for r in records}
+    condition, predicted = _predictions(args.pred)
     reference = cohort.reference_map(condition)
     points = evaluation.monthly_trend(cohort, predicted, reference)
     _write_csv(
@@ -886,7 +879,7 @@ def main(argv=None) -> int:
     except (BackendError, TransportError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (CorpusError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -150,21 +151,28 @@ def _parse_line(raw: str, path: Path, lineno: int) -> dict:
     return record
 
 
-def _require(record: dict, fields: Sequence[str], path: Path, lineno: int) -> None:
-    """Raise CorpusError naming the file, the line and the first of `fields`
-    that is absent, null or empty in `record`. The loaders call it only for a
-    record that lacks one, so a whole record costs one `get` per field."""
-    for name in fields:
-        if record.get(name) in (None, ""):
-            raise CorpusError(f"{path.name} line {lineno}: missing field {name!r}")
-
-
-def _iter_lines(path: Path):
+def _records(path, fields: Sequence[str]):
+    """Yield `(lineno, record, values)` for each non-blank line of the
+    line-record file at `path`: its JSON object and the values of `fields`
+    (two or more). A line that is not an object, or whose value of a field
+    is absent, null or empty, raises CorpusError naming the file, the line
+    and the first such field."""
+    path = Path(path)
+    values_of = itemgetter(*fields)  # a C call per record, where `map(record.get, …)` costs 4x
     with path.open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             raw = raw.strip()
-            if raw:
-                yield lineno, raw
+            if not raw:
+                continue
+            record = _parse_line(raw, path, lineno)
+            try:
+                values = values_of(record)
+            except KeyError:
+                values = (None,)
+            if None in values or "" in values:
+                missing = next(name for name in fields if record.get(name) in (None, ""))
+                raise CorpusError(f"{path.name} line {lineno}: missing field {missing!r}")
+            yield lineno, record, values
 
 
 def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
@@ -182,11 +190,7 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
 
 def _load_patients(patients_path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
-    for lineno, raw in _iter_lines(patients_path):
-        record = _parse_line(raw, patients_path, lineno)
-        values = pid, admit = record.get("patient_id"), record.get("admit_date")
-        if None in values or "" in values:
-            _require(record, ("patient_id", "admit_date"), patients_path, lineno)
+    for lineno, record, (pid, admit) in _records(patients_path, ("patient_id", "admit_date")):
         pid = str(pid)
         if pid in patients:
             raise CorpusError(f"{patients_path.name} line {lineno}: duplicate patient_id {pid!r}")
@@ -204,27 +208,18 @@ def _load_documents(
     documents: list[ClinicalDocument] = []
     seen_doc_ids: set[str] = set()
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
-    for lineno, raw in _iter_lines(documents_path):
-        record = _parse_line(raw, documents_path, lineno)
-        get = record.get
-        values = pid, doc_id, doc_type, timestamp = (
-            get("patient_id"), get("doc_id"), get("doc_type"), get("timestamp")
-        )
-        if None in values or "" in values:
-            _require(record, fields, documents_path, lineno)
+    for lineno, record, (pid, doc_id, doc_type, timestamp) in _records(documents_path, fields):
         pid = str(pid)
         doc_id = str(doc_id)
         if doc_id in seen_doc_ids:
             raise CorpusError(f"{documents_path.name} line {lineno}: duplicate doc_id {doc_id!r}")
         if pid not in patients:
-            raise CorpusError(
-                f"{documents_path.name} line {lineno}: unknown patient_id {pid!r}"
-            )
+            raise CorpusError(f"{documents_path.name} line {lineno}: unknown patient_id {pid!r}")
         seen_doc_ids.add(doc_id)
         documents.append(
             ClinicalDocument(
                 pid, doc_id, str(doc_type), _parse_timestamp(timestamp, documents_path, lineno),
-                str(get("text", "")),
+                str(record.get("text", "")),
             )
         )
     return tuple(documents)
@@ -233,11 +228,7 @@ def _load_documents(
 def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
     labels: list[ReferenceLabel] = []
     seen_label_keys: set[tuple[str, str]] = set()
-    for lineno, raw in _iter_lines(labels_path):
-        record = _parse_line(raw, labels_path, lineno)
-        values = pid, condition = record.get("patient_id"), record.get("condition")
-        if None in values or "" in values:
-            _require(record, ("patient_id", "condition"), labels_path, lineno)
+    for lineno, record, (pid, condition) in _records(labels_path, ("patient_id", "condition")):
         if "registry_label" not in record:
             raise CorpusError(f"{labels_path.name} line {lineno}: missing field 'registry_label'")
         pid = str(pid)
@@ -246,9 +237,7 @@ def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[Re
             raise CorpusError(f"{labels_path.name} line {lineno}: unknown patient_id {pid!r}")
         key = (pid, condition)
         if key in seen_label_keys:
-            raise CorpusError(
-                f"{labels_path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}"
-            )
+            raise CorpusError(f"{labels_path.name} line {lineno}: duplicate label for {pid!r}/{condition!r}")
         seen_label_keys.add(key)
         registry = record["registry_label"]
         icd = record.get("icd_label")

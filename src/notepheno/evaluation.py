@@ -64,9 +64,9 @@ class TrendPoint:
     n: int
 
 
-def _require_same_patients(predicted: Mapping[str, int], reference: Mapping[str, int]) -> None:
+def _require_same_patients(predicted: Mapping[str, int], reference: Mapping[str, int], source="") -> None:
     """Key sets must match exactly; a patient missing a prediction is an
-    error, never silently negative."""
+    error, never silently negative. The message starts with `source`."""
     missing = sorted(set(reference) - set(predicted))
     extra = sorted(set(predicted) - set(reference))
     if missing or extra:
@@ -75,7 +75,7 @@ def _require_same_patients(predicted: Mapping[str, int], reference: Mapping[str,
             parts.append(f"missing predictions for {missing[:10]}")
         if extra:
             parts.append(f"predictions without reference for {extra[:10]}")
-        raise ValueError("; ".join(parts))
+        raise ValueError(source + "; ".join(parts))
 
 
 def confusion(

@@ -16,7 +16,7 @@ from conftest import FirstSendDropped, make_cohort, record_prompts
 
 import notepheno
 from notepheno import cli, inference
-from notepheno.cli import _load_corpus_dir, _read_jsonl, main
+from notepheno.cli import _load_corpus_dir, main
 from notepheno.corpus import load_cohort, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import sample_document_types
@@ -25,6 +25,11 @@ from notepheno.prompting import builtin_profiles
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _read_jsonl(path):
+    """The records of a line-record file a stage wrote."""
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 @pytest.fixture(scope="module")
@@ -219,9 +224,10 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, mo
     prep = tmp_path / "prep"
     shutil.copytree(pipeline_dirs / "prep", prep)
     path = prep / "merged_ami.jsonl"
-    line = path.read_text(encoding="utf-8").splitlines()[1]
+    first, line = path.read_text(encoding="utf-8").splitlines()[:2]
     record = json.loads(line)
     cases = {
+        first: f"duplicate record for {json.loads(first)['patient_id']!r}/'ami'",
         line[: line.index('"text": "') + 12]: "invalid record (Unterminated string",
         "[1, 2]": "record is not an object",
         **{
@@ -278,9 +284,14 @@ def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path
     det = tmp_path / "det"
     shutil.copytree(pipeline_dirs / "det", det)
     path = det / "detect_prompt2_diabetes.jsonl"
-    record = json.loads(path.read_text(encoding="utf-8").splitlines()[2])
+    second, line = path.read_text(encoding="utf-8").splitlines()[1:3]
+    record = json.loads(line)
     corpus = str(pipeline_dirs / "corpus")
     for bad, message in (
+        (second, f"duplicate label for {json.loads(second)['patient_id']!r}/'diabetes'"),
+        (json.dumps(dict(record, patient_id=["x"])), "patient_id must be a string, got ['x']"),
+        (json.dumps(dict(record, condition=["ami"])), "condition must be a string, got ['ami']"),
+        (json.dumps({k: v for k, v in record.items() if k != "condition"}), "missing field 'condition'"),
         (json.dumps({k: v for k, v in record.items() if k != "label"}), "missing field 'label'"),
         (json.dumps(dict(record, label=None)), "missing field 'label'"),
         ('"a string"', "record is not an object"),
@@ -295,6 +306,52 @@ def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path
             assert _run(*argv) == 1, (bad, argv[0])
             err = capsys.readouterr().err
             assert f"error: detect_prompt2_diabetes.jsonl line 3: {message}" in err, (bad, argv[0])
+
+
+def test_evaluate_refuses_a_label_file_of_another_condition(pipeline_dirs, tmp_path, capsys):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    path = det / "detect_merged_ami.jsonl"
+    path.write_text(path.read_text(encoding="utf-8").replace('"condition": "ami"', '"condition": "diabetes"'),
+                    encoding="utf-8")
+    code = _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(det),
+                "--out", str(tmp_path / "report.csv"))
+    assert code == 1
+    assert f"error: {path}: expected the prediction records of condition 'ami', found diabetes" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_evaluate_names_the_label_file_whose_patients_differ(pipeline_dirs, tmp_path, capsys):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    path = det / "detect_merged_ami.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in lines[:-1]), encoding="utf-8")
+    dropped = json.loads(lines[-1])["patient_id"]
+    code = _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(det),
+                "--out", str(tmp_path / "report.csv"))
+    assert code == 1
+    assert f"error: {path}: missing predictions for [{dropped!r}]" in capsys.readouterr().err
+
+
+def test_detect_with_a_cache_dir_that_is_a_file_exits_1(pipeline_dirs, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("", encoding="utf-8")
+    code = _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(pipeline_dirs / "prep"),
+                "--mock", "--cache-dir", str(cache), "--out", str(tmp_path / "det"))
+    assert code == 1
+    assert f"error: [Errno 17] File exists: '{cache}'" in capsys.readouterr().err
+
+
+def test_profile_with_an_out_that_is_a_directory_exits_1(pipeline_dirs, tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    out.mkdir()
+    code = _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "2", "--mock", "--out", str(out))
+    assert code == 1
+    assert "error: [Errno 21] Is a directory: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv"]  # no temporary file left
 
 
 def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_path, capsys):

@@ -105,6 +105,59 @@ def test_duplicate_label_rejected(tmp_path):
         load_cohort(docs, pats, labs)
 
 
+_REQUIRED = {
+    "patients.jsonl": ("patient_id", "admit_date"),
+    "documents.jsonl": ("patient_id", "doc_id", "doc_type", "timestamp"),
+    "labels.jsonl": ("patient_id", "condition"),
+}
+
+
+@pytest.mark.parametrize("name,field", [(n, f) for n, fields in _REQUIRED.items() for f in fields])
+@pytest.mark.parametrize("value", ["absent", None, ""])
+def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, field, value):
+    files = _valid_files(tmp_path)
+    path = tmp_path / name
+    record = json.loads(path.read_text())
+    if value == "absent":
+        del record[field]
+    else:
+        record[field] = value
+    _write_lines(path, [record])
+    with pytest.raises(CorpusError, match=f"^{name} line 1: missing field '{field}'$"):
+        load_cohort(*files)
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("documents.jsonl", {"timestamp": "noon"}, "line 1: bad timestamp 'noon'"),
+        ("documents.jsonl", {"timestamp": 5}, "line 1: bad timestamp 5"),
+        ("patients.jsonl", {"admit_date": "2015-13-01"}, "line 1: bad date '2015-13-01'"),
+        ("patients.jsonl", {"attributes": ["age", "61"]}, "line 1: attributes must be a map"),
+        ("labels.jsonl", {"registry_label": None}, "line 1: labels must be 0 or 1"),
+        ("labels.jsonl", {"icd_label": 2}, "line 1: labels must be 0 or 1"),
+    ],
+)
+def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, message):
+    files = _valid_files(tmp_path)
+    path = tmp_path / name
+    _write_lines(path, [{**json.loads(path.read_text()), **edit}])
+    with pytest.raises(CorpusError, match=f"^{name} {message}$"):
+        load_cohort(*files)
+
+
+def test_a_duplicate_patient_and_a_label_without_registry_label_are_refused(tmp_path):
+    docs, pats, labs = _valid_files(tmp_path)
+    record = json.loads(pats.read_text())
+    pats.write_text("\n" + json.dumps(record) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^patients.jsonl line 4: duplicate patient_id 'p1'$"):
+        load_cohort(docs, pats, labs)
+    _write_lines(pats, [record])
+    _write_lines(labs, [{"patient_id": "p1", "condition": "diabetes", "icd_label": 1}])
+    with pytest.raises(CorpusError, match="^labels.jsonl line 1: missing field 'registry_label'$"):
+        load_cohort(docs, pats, labs)
+
+
 def test_synth_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(n_patients=0, prevalence={"diabetes": 0.3})
