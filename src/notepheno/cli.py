@@ -36,6 +36,7 @@ from .corpus import (
     _write_jsonl,
     encode_record,
     generate_synthetic,
+    iter_documents,
     load_cohort,
     write_cohort,
 )
@@ -85,6 +86,15 @@ def _check_merged(pid, text, patients: Mapping) -> str | None:
     if not isinstance(text, str):
         return f"text must be a string, got {text!r}"
     return None
+
+
+def _out_file(path, flag: str = "--out") -> Path:
+    """The file a flag names for a stage to write, refused before the stage
+    reads or sends anything if it is a directory."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{flag} {path} is a directory, not a file")
+    return path
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -165,20 +175,22 @@ def _make_backend(args) -> Backend:
     return backend
 
 
+def _corpus_file(directory, name: str) -> Path:
+    path = Path(directory) / name
+    if not path.exists():
+        raise FileNotFoundError(f"corpus file missing: {path}")
+    return path
+
+
 def _load_corpus_dir(directory, *, documents: bool, labels: bool) -> Cohort:
     """The cohort of a corpus directory, read from only the files a stage
     uses: the patients file always, the documents and labels files when
     asked. A file left unread is neither required nor checked."""
-    directory = Path(directory)
-    paths = (
-        directory / "documents.jsonl" if documents else None,
-        directory / "patients.jsonl",
-        directory / "labels.jsonl" if labels else None,
+    return load_cohort(
+        _corpus_file(directory, "documents.jsonl") if documents else None,
+        _corpus_file(directory, "patients.jsonl"),
+        _corpus_file(directory, "labels.jsonl") if labels else None,
     )
-    for path in paths:
-        if path is not None and not path.exists():
-            raise FileNotFoundError(f"corpus file missing: {path}")
-    return load_cohort(*paths)
 
 
 def _select_profiles(args) -> list[ConditionProfile]:
@@ -269,13 +281,39 @@ def run_profile(
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
     counts: Counter | None = None,
 ) -> dict[str, list[DocTypeProfile]]:
-    """Sample documents per type, infer each for every condition, and score relevance.
+    """Sample documents per type, infer each for every condition, and score
+    relevance (see `_score_samples`)."""
+    docs = cohort.documents
+    picked = sample_document_types(docs, m, seed)
+    samples = {doc_type: [docs[at] for at in positions] for doc_type, positions in picked.items()}
+    return _score_samples(samples, profiles, backend, params, parallelism, chunk_budget, counts)
+
+
+def _sample_documents_file(path: Path, patients: Mapping, m: int, seed: int) -> dict[str, list]:
+    """`sample_document_types` over a documents file, which is read twice
+    and never held: the first pass checks every line and keeps each
+    document's id and position, the second parses only the sampled lines."""
+    picked = sample_document_types(iter_documents(path, patients), m, seed)
+    wanted = sorted(at for positions in picked.values() for at in positions)
+    read = dict(zip(wanted, iter_documents(path, patients, only=frozenset(wanted))))
+    return {doc_type: [read[at] for at in positions] for doc_type, positions in picked.items()}
+
+
+def _score_samples(
+    samples: Mapping[str, list],
+    profiles: Sequence[ConditionProfile],
+    backend: Backend,
+    params: GenerationParams,
+    parallelism: int,
+    chunk_budget: int,
+    counts: Counter | None,
+) -> dict[str, list[DocTypeProfile]]:
+    """Infer each sampled document for every condition and score relevance.
 
     One sample serves every condition, and all inference requests go out in
     one dispatch. Returns the relevance table per condition name; `counts` is
     as in `_ask_all`.
     """
-    samples = sample_document_types(cohort, m, seed)
     docs = [doc for doc_type in sorted(samples) for doc in samples[doc_type]]
     asks = [(profile, "inference") for profile in profiles]
     replies = _ask_all(
@@ -408,19 +446,21 @@ def _cmd_synth(args) -> int:
 
 def _cmd_profile(args) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus, documents=True, labels=False)
+    out = _out_file(args.out)
+    documents = _corpus_file(args.corpus, "documents.jsonl")
+    patients = _load_corpus_dir(args.corpus, documents=False, labels=False).patients
     backend = _make_backend(args)
+    profiles = _select_profiles(args)
     counts: Counter = Counter()
-    relevance = run_profile(
-        cohort, _select_profiles(args), backend, args.generation, m=args.m, seed=args.seed,
-        parallelism=args.parallelism, chunk_budget=args.chunk_budget, counts=counts,
+    relevance = _score_samples(
+        _sample_documents_file(documents, patients, args.m, args.seed), profiles, backend, args.generation,
+        args.parallelism, args.chunk_budget, counts,
     )
     rows = [
         (condition, p.doc_type, p.sampled_count, p.positive_count, f"{p.ir:.6f}")
         for condition, table in relevance.items()
         for p in table
     ]
-    out = Path(args.out)
     _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
     _write_manifest(out.parent, "profile", started,
                     {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget},
@@ -478,17 +518,26 @@ def _merged_lines(condition: str, merged: Mapping[str, str]):
 
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
-    cohort = _load_corpus_dir(args.corpus, documents=True, labels=True)
+    documents = _corpus_file(args.corpus, "documents.jsonl")
+    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     selected = [
         (filter_document_types(_read_profile_csv(args.profile_csv, profile.name), args.percentile), profile)
         for profile in _select_profiles(args)
     ]
+    # the stage needs the labels only as each condition's positive patients:
+    # the rest is freed before the notes stream
+    patients = cohort.patients
+    positives = [
+        {pid for pid, label in cohort.reference_map(profile.name).items() if label} for _, profile in selected
+    ]
+    del cohort
+    counts: Counter = Counter()
+    consolidated = consolidate_all(iter_documents(documents, patients), selected, counts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_rows = []
-    for (plan, profile), merged in zip(selected, consolidate_all(cohort, selected)):
-        positives = {pid for pid, label in cohort.reference_map(profile.name).items() if label}
-        stats = retention_report(cohort, positives, merged, len(plan.kept_types))
+    for (plan, profile), merged, positive in zip(selected, consolidated, positives):
+        stats = retention_report(counts["words"], positive, merged, len(plan.kept_types))
         _atomic_write(out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged))
         stats_rows.append(
             (
@@ -604,28 +653,34 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _predictions(path, condition: str | None = None) -> tuple[str, dict[str, int]]:
+def _predictions(path, condition: str | None = None, mode: str | None = None) -> tuple[str, dict[str, int]]:
     """The one condition of a detect label file and its `{patient_id: label}`.
-    A record must hold a string `patient_id` and `condition`, a `label` of 0
-    or 1, and name its patient once, or CorpusError names the file and line.
-    A file of no condition, of several, or not of `condition` raises ValueError."""
+    A record must hold a string `patient_id`, `condition` and `mode`, a
+    `label` of 0 or 1, and name its patient once, or CorpusError names the
+    file and line. A file of no condition, of several, or not of `condition`
+    raises ValueError, and so does one of several modes or not of `mode`."""
     found: dict[str, dict[str, int]] = defaultdict(dict)
-    for lineno, _, (pid, cond, label) in _records(path, ("patient_id", "condition", "label")):
-        if not isinstance(pid, str) or not isinstance(cond, str):
-            name, value = ("condition", cond) if isinstance(pid, str) else ("patient_id", pid)
-            complaint = f"{name} must be a string, got {value!r}"
+    modes: set[str] = set()
+    fields = ("patient_id", "condition", "mode", "label")
+    for lineno, _, (pid, cond, record_mode, label) in _records(path, fields):
+        strings = {"patient_id": pid, "condition": cond, "mode": record_mode}
+        wrong = next((name for name, value in strings.items() if not isinstance(value, str)), None)
+        if wrong:
+            complaint = f"{wrong} must be a string, got {strings[wrong]!r}"
         elif label not in (0, 1):
             complaint = f"label must be 0 or 1, got {label!r}"
         elif pid in found[cond]:
             complaint = f"duplicate label for {pid!r}/{cond!r}"
         else:
             found[cond][pid] = int(label)
+            modes.add(record_mode)
             continue
         raise CorpusError(f"{Path(path).name} line {lineno}: {complaint}")
-    if len(found) != 1 or condition not in (None, *found):
-        wanted = "one condition" if condition is None else f"condition {condition!r}"
-        raise ValueError(f"{path}: expected the prediction records of {wanted}, "
-                         f"found {', '.join(sorted(found)) or 'none'}")
+    for name, wanted, held in (("condition", condition, found), ("mode", mode, modes)):
+        if len(held) != 1 or wanted not in (None, *held):
+            expected = f"one {name}" if wanted is None else f"{name} {wanted!r}"
+            raise ValueError(f"{path}: expected the prediction records of {expected}, "
+                             f"found {', '.join(sorted(held)) or 'none'}")
     return next(iter(found.items()))
 
 
@@ -637,6 +692,7 @@ def _format_metric(est) -> tuple[str, str, str]:
 
 def _cmd_evaluate(args) -> int:
     started = time.monotonic()
+    out = _out_file(args.out)
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     detect_dir = Path(args.detect_dir)
     header = (
@@ -662,7 +718,7 @@ def _cmd_evaluate(args) -> int:
                 raise FileNotFoundError(
                     f"detect artifact not found: {path}; run detect --mode all first"
                 )
-            predictions[mode] = _predictions(path, condition)[1]
+            predictions[mode] = _predictions(path, condition, mode)[1]
             evaluation._require_same_patients(predictions[mode], reference, f"{path}: ")
         methods: list[tuple[str, dict[str, int]]] = []
         if has_icd:
@@ -681,7 +737,6 @@ def _cmd_evaluate(args) -> int:
                 + _format_metric(ms.ppv)
                 + _format_metric(ms.npv)
             )
-    out = Path(args.out)
     _write_csv(out, header, rows)
     # human-readable echo
     print(f"{'method':<18}{'condition':<14}{'sens':>8}{'spec':>8}{'ppv':>8}{'npv':>8}")
@@ -728,17 +783,19 @@ def _trend_svg(points, condition: str) -> str:
 
 
 def _cmd_trend(args) -> int:
+    out = _out_file(args.out)
+    svg = _out_file(args.svg, "--svg") if args.svg else None
     cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
     condition, predicted = _predictions(args.pred)
     reference = cohort.reference_map(condition)
     points = evaluation.monthly_trend(cohort, predicted, reference)
     _write_csv(
-        Path(args.out),
+        out,
         ("month", "n", "reference_pct", "predicted_pct"),
         [(p.month, p.n, f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}") for p in points],
     )
-    if args.svg:
-        _atomic_write(Path(args.svg), (_trend_svg(points, condition),))
+    if svg:
+        _atomic_write(svg, (_trend_svg(points, condition),))
     print(f"wrote {len(points)} monthly trend points for {condition}")
     return EXIT_OK
 
@@ -746,6 +803,7 @@ def _cmd_trend(args) -> int:
 def _cmd_bench(args) -> int:
     if args.mock:  # it answers only the prompts of the built-in templates
         raise ValueError("the mock backend answers no benchmark question: pass --backend-url")
+    out = _out_file(args.out)
     from . import bench  # only the bench command needs the question set
 
     result = bench.run_benchmark(_make_backend(args), params=args.generation)
@@ -753,7 +811,7 @@ def _cmd_bench(args) -> int:
         (r.question_id, int(r.correct), f"{r.latency_ms:.1f}") for r in result.results
     ]
     rows.append(("accuracy", f"{result.accuracy:.2f}", f"{result.elapsed_s:.2f}"))
-    _write_csv(Path(args.out), ("question", "correct", "latency_ms"), rows)
+    _write_csv(out, ("question", "correct", "latency_ms"), rows)
     print(
         f"benchmark accuracy {result.accuracy:.0%} in {result.elapsed_s:.1f}s "
         f"({result.backend_id})"

@@ -7,11 +7,10 @@ import random
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ClinicalDocument",
@@ -21,6 +20,7 @@ __all__ = [
     "SynthSpec",
     "CorpusError",
     "load_cohort",
+    "iter_documents",
     "write_cohort",
     "generate_synthetic",
     "HIGH_YIELD_DOC_TYPES",
@@ -67,11 +67,6 @@ class Cohort:
     documents: tuple[ClinicalDocument, ...]
     labels: tuple[ReferenceLabel, ...]
 
-    @cached_property
-    def word_count(self) -> int:
-        """Whitespace-separated words over all documents, counted once per cohort."""
-        return sum(len(doc.text.split()) for doc in self.documents)
-
     def reference_map(self, condition: str, *, icd: bool = False) -> dict[str, int]:
         """Per-patient label map for one condition (registry or ICD)."""
         out: dict[str, int] = {}
@@ -106,13 +101,6 @@ LOW_YIELD_DOC_TYPES = (
     "PharmacyPlan",
     "VascularAccess",
 )
-
-
-def _parse_timestamp(raw: str, path: Path, lineno: int) -> datetime:
-    try:
-        return datetime.fromisoformat(raw)
-    except (TypeError, ValueError) as exc:
-        raise CorpusError(f"{path.name} line {lineno}: bad timestamp {raw!r}") from exc
 
 
 def _parse_date(raw: str, path: Path, lineno: int) -> date:
@@ -151,19 +139,24 @@ def _parse_line(raw: str, path: Path, lineno: int) -> dict:
     return record
 
 
-def _records(path, fields: Sequence[str]):
+def _records(path, fields: Sequence[str], only: Collection[int] | None = None):
     """Yield `(lineno, record, values)` for each non-blank line of the
     line-record file at `path`: its JSON object and the values of `fields`
     (two or more). A line that is not an object, or whose value of a field
     is absent, null or empty, raises CorpusError naming the file, the line
-    and the first such field."""
+    and the first such field. With `only`, a collection of record positions
+    (0 for the first non-blank line), the other lines are skipped unparsed."""
     path = Path(path)
     values_of = itemgetter(*fields)  # a C call per record, where `map(record.get, …)` costs 4x
     with path.open(encoding="utf-8") as handle:
+        position = -1
         for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
+            if raw.isspace():
                 continue
+            position += 1
+            if only is not None and position not in only:
+                continue
+            raw = raw.strip()
             record = _parse_line(raw, path, lineno)
             try:
                 values = values_of(record)
@@ -183,7 +176,7 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
     file unread and that part of the cohort empty.
     """
     patients = _load_patients(Path(patients_path))
-    documents = () if documents_path is None else _load_documents(Path(documents_path), patients)
+    documents = () if documents_path is None else tuple(iter_documents(documents_path, patients))
     labels = () if labels_path is None else _load_labels(Path(labels_path), patients)
     return Cohort(patients=patients, documents=documents, labels=labels)
 
@@ -202,27 +195,36 @@ def _load_patients(patients_path: Path) -> dict[str, Patient]:
     return patients
 
 
-def _load_documents(
-    documents_path: Path, patients: Mapping[str, Patient]
-) -> tuple[ClinicalDocument, ...]:
-    documents: list[ClinicalDocument] = []
+def iter_documents(
+    documents_path, patients: Mapping[str, Patient], only: Collection[int] | None = None
+) -> Iterator[ClinicalDocument]:
+    """Yield the documents of a documents file in file order, each line
+    checked as it is read: a missing field, a `doc_id` seen on an earlier
+    line, a `patient_id` not in `patients`, a bad timestamp or an unpaired
+    surrogate raises CorpusError naming the file and the line.
+
+    With `only`, a collection of document positions (0 for the file's first
+    document), only those lines are parsed, checked and yielded: a second
+    pass over a file whose every line a first pass has checked.
+    """
+    path = Path(documents_path)
     seen_doc_ids: set[str] = set()
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
-    for lineno, record, (pid, doc_id, doc_type, timestamp) in _records(documents_path, fields):
+    for lineno, record, (pid, doc_id, doc_type, timestamp) in _records(path, fields, only):
         pid = str(pid)
         doc_id = str(doc_id)
         if doc_id in seen_doc_ids:
-            raise CorpusError(f"{documents_path.name} line {lineno}: duplicate doc_id {doc_id!r}")
+            raise CorpusError(f"{path.name} line {lineno}: duplicate doc_id {doc_id!r}")
         if pid not in patients:
-            raise CorpusError(f"{documents_path.name} line {lineno}: unknown patient_id {pid!r}")
+            raise CorpusError(f"{path.name} line {lineno}: unknown patient_id {pid!r}")
         seen_doc_ids.add(doc_id)
-        documents.append(
-            ClinicalDocument(
-                pid, doc_id, str(doc_type), _parse_timestamp(timestamp, documents_path, lineno),
-                str(record.get("text", "")),
-            )
-        )
-    return tuple(documents)
+        try:
+            when = datetime.fromisoformat(timestamp)
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{path.name} line {lineno}: bad timestamp {timestamp!r}") from exc
+        # `tuple.__new__` skips the named tuple's Python-level `__new__`, about
+        # a fifth of the cost of checking and building a document
+        yield tuple.__new__(ClinicalDocument, (pid, doc_id, str(doc_type), when, str(record.get("text", ""))))
 
 
 def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -105,21 +105,30 @@ def keyword_regex(keywords: Iterable[str]) -> re.Pattern:
     return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)", re.IGNORECASE)
 
 
-def sample_document_types(
-    cohort: Cohort, m: int, seed: int
-) -> dict[str, list[ClinicalDocument]]:
-    """Sample up to m documents per document type, uniformly without replacement."""
+def sample_document_types(documents: Iterable[ClinicalDocument], m: int, seed: int) -> dict[str, list[int]]:
+    """Sample up to m documents per document type, uniformly without replacement.
+
+    Returns per type the positions in `documents` (0 for the first) of its
+    sampled documents, in doc_id order. A type's documents are sampled in
+    doc_id order, so the pick depends on the ids and types alone. `documents`
+    is read once, and only each one's id and position are kept, so it may be
+    a stream of a corpus file.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    by_type: dict[str, list[ClinicalDocument]] = defaultdict(list)
-    for doc in sorted(cohort.documents, key=lambda d: d.doc_id):
-        by_type[doc.doc_type].append(doc)
-    samples: dict[str, list[ClinicalDocument]] = {}
+    doc_ids: list[str] = []  # by position
+    by_type: dict[str, list[int]] = defaultdict(list)
+    for doc in documents:
+        by_type[doc.doc_type].append(len(doc_ids))
+        doc_ids.append(doc.doc_id)
+    doc_id_of = doc_ids.__getitem__
+    samples: dict[str, list[int]] = {}
     for doc_type in sorted(by_type):
-        docs = by_type[doc_type]
+        positions = by_type[doc_type]
+        positions.sort(key=doc_id_of)
         rng = random.Random(f"{seed}:{doc_type}")
-        picked = docs if len(docs) <= m else rng.sample(docs, m)
-        samples[doc_type] = sorted(picked, key=lambda d: d.doc_id)
+        picked = positions if len(positions) <= m else sorted(rng.sample(positions, m), key=doc_id_of)
+        samples[doc_type] = picked
     return samples
 
 
@@ -175,21 +184,26 @@ def filter_document_types(profiles: list[DocTypeProfile], percentile) -> FilterP
 
 
 def consolidate(cohort: Cohort, plan: FilterPlan, profile: ConditionProfile) -> dict[str, str]:
-    """consolidate_all for a single condition."""
-    return consolidate_all(cohort, [(plan, profile)])[0]
+    """consolidate_all of a cohort's documents for a single condition."""
+    return consolidate_all(cohort.documents, [(plan, profile)])[0]
 
 
 def consolidate_all(
-    cohort: Cohort, selected: Sequence[tuple[FilterPlan, ConditionProfile]]
+    documents: Iterable[ClinicalDocument],
+    selected: Sequence[tuple[FilterPlan, ConditionProfile]],
+    counts: Counter | None = None,
 ) -> list[dict[str, str]]:
     """Extract keyword sentences from kept-type documents into one merged
     text per patient and condition: stripped sentences joined by spaces, notes
     in source timestamp order (ties by doc_id). Results, one `{patient_id:
     text}` per condition, follow the order of `selected`.
 
-    One pass over the corpus serves every condition: a document kept by any
-    condition is split into stripped sentences once, and each condition's
-    keywords are tested only on documents of its own kept types.
+    One pass over `documents`, which may be a stream read once, serves every
+    condition: a document kept by any condition is split into stripped
+    sentences once, each condition's keywords are tested only on documents of
+    its own kept types, and only the keyword sentences are held. `counts`, if
+    given, gets the whitespace-separated words of all documents under
+    "words", counted in the same pass.
 
     Patients without keyword sentences in kept-type documents have no merged
     document; they receive a negative label downstream without any inference.
@@ -203,17 +217,22 @@ def consolidate_all(
     # per condition: patient_id -> [(timestamp, doc_id, keyword sentences)], one per note
     hits: list[dict[str, list]] = [defaultdict(list) for _ in selected]
 
-    for doc in cohort.documents:
+    words = 0
+    for doc in documents:
+        text = doc.text
+        if counts is not None:
+            words += len(text.split())
         indices = keepers.get(doc.doc_type)
         if not indices:
             continue
-        text = doc.text
         sentences = [core for start, end in sentence_spans(text) if (core := text[start:end].strip())]
         for index in indices:
             search = patterns[index].search
             found = [core for core in sentences if search(core)]
             if found:
                 hits[index][doc.patient_id].append((doc.timestamp, doc.doc_id, found))
+    if counts is not None:
+        counts["words"] += words
 
     results = []
     for condition_hits in hits:
@@ -236,17 +255,17 @@ def positive_retention(
 
 
 def retention_report(
-    before: Cohort,
+    words_before: int,
     positives: Collection[str],
     after: Mapping[str, str],
     kept_type_count: int,
 ) -> ConsolidationStats:
-    """Words remaining plus the fraction of positive patients still holding text.
+    """Words remaining out of `words_before` (all the corpus's words), plus the
+    fraction of positive patients still holding text.
 
     With zero positives the retention is undefined and reported as None, never
     coerced to a number.
     """
-    words_before = before.word_count
     words_after = sum(len(text.split()) for text in after.values())
     return ConsolidationStats(
         words_fraction_remaining=(words_after / words_before) if words_before else 1.0,

@@ -11,6 +11,7 @@ import pytest
 
 from notepheno.corpus import ClinicalDocument, Cohort, Patient, ReferenceLabel
 from notepheno.inference import CompletionResponse
+from notepheno.preprocess import sample_document_types
 from notepheno.prompting import builtin_profiles
 
 
@@ -216,6 +217,12 @@ def make_cohort(docs, labels=None):
         ReferenceLabel(pid, cond, reg, icd) for pid, cond, reg, icd in (labels or [])
     )
     return Cohort(patients=patients, documents=tuple(documents), labels=label_objs)
+
+
+def sampled_documents(cohort, m, seed):
+    """The documents `sample_document_types` picks from a cohort, per type."""
+    picked = sample_document_types(cohort.documents, m, seed)
+    return {doc_type: [cohort.documents[at] for at in positions] for doc_type, positions in picked.items()}
 
 
 @pytest.fixture

@@ -9,17 +9,18 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import FirstSendDropped, make_cohort, record_prompts
+from conftest import FirstSendDropped, make_cohort, record_prompts, sampled_documents
 
 import notepheno
 from notepheno import cli, inference
-from notepheno.cli import _load_corpus_dir, main
+from notepheno.cli import _load_corpus_dir, _read_profile_csv, main
 from notepheno.corpus import load_cohort, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
-from notepheno.preprocess import sample_document_types
+from notepheno.preprocess import filter_document_types
 from notepheno.prompting import builtin_profiles
 
 
@@ -291,6 +292,8 @@ def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path
         (second, f"duplicate label for {json.loads(second)['patient_id']!r}/'diabetes'"),
         (json.dumps(dict(record, patient_id=["x"])), "patient_id must be a string, got ['x']"),
         (json.dumps(dict(record, condition=["ami"])), "condition must be a string, got ['ami']"),
+        (json.dumps(dict(record, mode=5)), "mode must be a string, got 5"),
+        (json.dumps({k: v for k, v in record.items() if k != "mode"}), "missing field 'mode'"),
         (json.dumps({k: v for k, v in record.items() if k != "condition"}), "missing field 'condition'"),
         (json.dumps({k: v for k, v in record.items() if k != "label"}), "missing field 'label'"),
         (json.dumps(dict(record, label=None)), "missing field 'label'"),
@@ -345,13 +348,25 @@ def test_detect_with_a_cache_dir_that_is_a_file_exits_1(pipeline_dirs, tmp_path,
     assert f"error: [Errno 17] File exists: '{cache}'" in capsys.readouterr().err
 
 
-def test_profile_with_an_out_that_is_a_directory_exits_1(pipeline_dirs, tmp_path, capsys):
-    out = tmp_path / "profile.csv"
+def test_an_out_that_is_a_directory_exits_1_before_any_work(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    prompts = record_prompts(monkeypatch, MockBackend)
+    out = tmp_path / "out.csv"
     out.mkdir()
-    code = _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "2", "--mock", "--out", str(out))
-    assert code == 1
-    assert "error: [Errno 21] Is a directory: " in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv"]  # no temporary file left
+    missing = str(tmp_path / "no-corpus")  # read first, it would fail with another error
+    pred = str(pipeline_dirs / "det" / "detect_merged_ami.jsonl")
+    for flag, argv in (
+        ("--out", ("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "2", "--mock", "--out", str(out))),
+        ("--out", ("profile", "--corpus", missing, "--mock", "--out", str(out))),
+        ("--out", ("evaluate", "--corpus", missing, "--detect-dir", str(pipeline_dirs / "det"), "--out", str(out))),
+        ("--out", ("trend", "--corpus", missing, "--pred", pred, "--out", str(out))),
+        ("--svg", ("trend", "--corpus", missing, "--pred", pred, "--out", str(tmp_path / "t.csv"),
+                   "--svg", str(out))),
+        ("--out", ("bench", "--backend-url", "http://127.0.0.1:9", "--out", str(out))),
+    ):
+        assert _run(*argv) == 1, argv
+        assert f"error: {flag} {out} is a directory, not a file" in capsys.readouterr().err, argv
+    assert prompts == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]  # no temporary file left
 
 
 def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -776,8 +791,9 @@ def test_main_leaves_the_collector_as_it_found_it(pipeline_dirs, tmp_path, monke
              "--out", str(tmp_path / "p.csv")]),
     ]
     during = []
-    load = cli.load_cohort
-    monkeypatch.setattr(cli, "load_cohort", lambda *paths: during.append(gc.isenabled()) or load(*paths))
+    read = cli.iter_documents
+    monkeypatch.setattr(cli, "iter_documents",
+                        lambda *args, **kwargs: during.append(gc.isenabled()) or read(*args, **kwargs))
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
@@ -786,7 +802,7 @@ def test_main_leaves_the_collector_as_it_found_it(pipeline_dirs, tmp_path, monke
             assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]  # the missing corpus file fails before the load
+    assert during == [False, False]  # profile's two passes; the missing corpus file fails before any read
 
 
 @pytest.fixture(scope="module")
@@ -1168,9 +1184,7 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         "--m", "4", "--seed", "3", "--chunk-budget", str(budget), "--mock",
         "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
     ) == 0
-    samples = sample_document_types(
-        _load_corpus_dir(pipeline_dirs / "corpus", documents=True, labels=False), 4, 3
-    )
+    samples = sampled_documents(_load_corpus_dir(pipeline_dirs / "corpus", documents=True, labels=False), 4, 3)
     docs = [doc for picked in samples.values() for doc in picked]
     chunks = [chunk.text for doc in docs for chunk in chunk_text(doc.text, budget)]
     assert len(chunks) > len(docs)  # the budget split some documents
@@ -1334,3 +1348,80 @@ def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, t
     assert (tmp_path / "consolidation_stats.csv").read_bytes() == (
         pipeline_dirs / "prep" / "consolidation_stats.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_the_profile_stage_samples_what_sample_document_types_picks(pipeline_dirs, tmp_path, monkeypatch, seed):
+    corpus = pipeline_dirs / "corpus"
+    cohort = _load_corpus_dir(corpus, documents=True, labels=False)
+    sizes = sorted(Counter(doc.doc_type for doc in cohort.documents).values())
+    seen = []
+    relevance = cli.compute_information_relevance
+    monkeypatch.setattr(cli, "compute_information_relevance",
+                        lambda samples, verdicts: seen.append(samples) or relevance(samples, verdicts))
+    # m below every type's size, equal to some type's size, and above every size
+    for m in (1, 2, sizes[len(sizes) // 2], sizes[-1], sizes[-1] + 1):
+        seen.clear()
+        assert _run("profile", "--corpus", str(corpus), "--condition", "diabetes", "--m", str(m),
+                    "--seed", str(seed), "--mock", "--out", str(tmp_path / "p.csv")) == 0
+        assert seen == [sampled_documents(cohort, m, seed)], m
+
+
+def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_use(
+    pipeline_dirs, tmp_path, monkeypatch, capsys
+):
+    prompts = record_prompts(monkeypatch, MockBackend)
+    source = pipeline_dirs / "corpus"
+    cohort = _load_corpus_dir(source, documents=True, labels=False)
+    kept = set().union(*(
+        filter_document_types(_read_profile_csv(pipeline_dirs / "profile.csv", condition), "q1").kept_types
+        for condition in ("ami", "diabetes", "hypertension")
+    ))
+    doc_type = min({doc.doc_type for doc in cohort.documents} - kept)
+    valid = {"patient_id": min(cohort.patients), "doc_id": "P99999-D00", "doc_type": doc_type,
+             "timestamp": "2015-03-01T08:00:00", "text": "An unused note."}
+    corpus = tmp_path / "corpus"
+    shutil.copytree(source, corpus)
+    docs = corpus / "documents.jsonl"
+    original = docs.read_text(encoding="utf-8")
+    # as a valid line, profile --m 1 --seed 5 would not sample it, and preprocess would keep none of it
+    docs.write_text(original + json.dumps(valid) + "\n", encoding="utf-8")
+    with_valid = _load_corpus_dir(corpus, documents=True, labels=False)
+    assert valid["doc_id"] not in {d.doc_id for d in sampled_documents(with_valid, 1, 5)[doc_type]}
+    lineno = original.count("\n") + 1
+    first = cohort.documents[0].doc_id
+    cases = {
+        json.dumps({k: v for k, v in valid.items() if k != "timestamp"}): "missing field 'timestamp'",
+        json.dumps(dict(valid, doc_id=first)): f"duplicate doc_id {first!r}",
+        json.dumps(dict(valid, patient_id="nobody")): "unknown patient_id 'nobody'",
+        json.dumps(dict(valid, timestamp="noon")): "bad timestamp 'noon'",
+        json.dumps(dict(valid, text="\ud800")): "record holds an unpaired surrogate",
+        "{not json": "invalid record",
+        "[1]": "record is not an object",
+    }
+    for bad, message in cases.items():
+        docs.write_text(original + bad + "\n", encoding="utf-8")
+        for argv in (
+            ("profile", "--corpus", str(corpus), "--m", "1", "--seed", "5", "--mock",
+             "--out", str(tmp_path / "p.csv")),
+            ("preprocess", "--corpus", str(corpus), "--profile-csv", str(pipeline_dirs / "profile.csv"),
+             "--out", str(tmp_path / "prep")),
+        ):
+            assert _run(*argv) == 1, (bad, argv[0])
+            assert f"error: documents.jsonl line {lineno}: {message}" in capsys.readouterr().err, (bad, argv[0])
+    assert prompts == []
+    assert not (tmp_path / "p.csv").exists() and not list(tmp_path.glob("prep/*"))
+
+
+def test_evaluate_refuses_a_label_file_of_another_mode(pipeline_dirs, tmp_path, capsys):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    path = det / "detect_merged_ami.jsonl"
+    shutil.copyfile(det / "detect_prompt1_ami.jsonl", path)
+    code = _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(det),
+                "--out", str(tmp_path / "report.csv"))
+    assert code == 1
+    assert f"error: {path}: expected the prediction records of mode 'merged', found prompt1" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "report.csv").exists()

@@ -4,13 +4,13 @@ import json
 from collections import Counter
 
 import pytest
-from conftest import make_cohort, record_prompts
+from conftest import make_cohort, record_prompts, sampled_documents
 
 from notepheno import cli
 from notepheno.adjudication import MODE_PATHS, combine_chunk_statuses, parse_inference_response
 from notepheno.corpus import encode_record, write_cohort
 from notepheno.inference import CachedBackend, CompletionRequest, GenerationParams, MockBackend, chunk_text
-from notepheno.preprocess import compute_information_relevance, sample_document_types
+from notepheno.preprocess import compute_information_relevance
 from notepheno.prompting import builtin_profiles, render_prompt
 
 BUDGET = 60  # splits every note below at its sentences
@@ -84,7 +84,7 @@ def test_run_profile_sends_each_distinct_sampled_text_once(cohort, monkeypatch):
     assert len(sent) == len(set(sent)) == len(set(asks))
     assert counts["coalesced_requests"] == len(asks) - len(set(asks))
     # every sampled document keeps its own verdict, asked here one by one
-    samples = sample_document_types(cohort, 10, 0)
+    samples = sampled_documents(cohort, 10, 0)
     oracle = MockBackend()
     for profile in profiles:
         verdicts = {

@@ -15,6 +15,7 @@ from notepheno.corpus import (
     _write_jsonl,
     encode_record,
     generate_synthetic,
+    iter_documents,
     load_cohort,
     write_cohort,
 )
@@ -57,6 +58,28 @@ def test_load_roundtrip(tmp_path):
     write_cohort(cohort, out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
     again = load_cohort(out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
     assert again == cohort
+
+
+def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked(tmp_path):
+    docs, pats, labs = _valid_files(tmp_path)
+    record = json.loads(docs.read_text())
+    lines = [json.dumps(dict(record, doc_id=f"d{i}", text=f"Note {i}.")) for i in range(4)]
+    lines[2] = "\n" + "{not json"  # a blank line, which has no position, then a broken one
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    patients = load_cohort(None, pats, None).patients
+    stream = iter_documents(docs, patients)
+    assert [doc.doc_id for doc in (next(stream), next(stream))] == ["d0", "d1"]  # read as asked
+    with pytest.raises(CorpusError, match="documents.jsonl line 4: invalid record"):
+        next(stream)
+    assert [doc.text for doc in iter_documents(docs, patients, only={1, 3})] == ["Note 1.", "Note 3."]
+    lines[2] = lines[0]  # a duplicate of position 0, and so the third document of the file
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="documents.jsonl line 3: duplicate doc_id 'd0'"):
+        list(iter_documents(docs, patients))
+    assert [doc.doc_id for doc in iter_documents(docs, patients, only={2, 3})] == ["d0", "d3"]
+    del lines[2]
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert tuple(iter_documents(docs, patients)) == load_cohort(docs, pats, labs).documents
 
 
 def test_reference_map_registry_and_icd(tmp_path):

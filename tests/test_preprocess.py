@@ -1,13 +1,14 @@
 """Sentence splitting, relevance profiling, percentile filtering, consolidation."""
 import re
+from collections import Counter
 
 import pytest
-from conftest import make_cohort
+from conftest import make_cohort, sampled_documents
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notepheno.adjudication import InferredStatus
-from notepheno.corpus import Cohort, SynthSpec, generate_synthetic
+from notepheno.corpus import SynthSpec, generate_synthetic
 from notepheno.preprocess import (
     DocTypeProfile,
     FilterPlan,
@@ -51,19 +52,18 @@ def test_keyword_regex_word_boundaries():
 
 
 def test_sample_document_types_deterministic_and_bounded(small_cohort):
-    a = sample_document_types(small_cohort, m=1, seed=9)
-    b = sample_document_types(small_cohort, m=1, seed=9)
-    assert {t: [d.doc_id for d in docs] for t, docs in a.items()} == {
-        t: [d.doc_id for d in docs] for t, docs in b.items()
-    }
-    for docs in a.values():
-        assert len(docs) == 1
-    everything = sample_document_types(small_cohort, m=10, seed=9)
-    assert sum(len(d) for d in everything.values()) == 4
+    a = sample_document_types(small_cohort.documents, m=1, seed=9)
+    assert sample_document_types(iter(small_cohort.documents), m=1, seed=9) == a
+    for positions in a.values():
+        assert len(positions) == 1
+    everything = sample_document_types(small_cohort.documents, m=10, seed=9)
+    assert sorted(at for positions in everything.values() for at in positions) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        sample_document_types(small_cohort.documents, m=0, seed=9)
 
 
 def test_information_relevance_uses_actual_sample_size(small_cohort):
-    samples = sample_document_types(small_cohort, m=10, seed=0)
+    samples = sampled_documents(small_cohort, m=10, seed=0)
     verdicts = {
         "d1": InferredStatus.YES,
         "d2": InferredStatus.NO,
@@ -78,7 +78,7 @@ def test_information_relevance_uses_actual_sample_size(small_cohort):
 
 
 def test_information_relevance_missing_verdict(small_cohort):
-    samples = sample_document_types(small_cohort, m=10, seed=0)
+    samples = sampled_documents(small_cohort, m=10, seed=0)
     with pytest.raises(ValueError, match="missing verdict"):
         compute_information_relevance(samples, {})
 
@@ -133,6 +133,10 @@ def test_filter_monotone_in_percentile(counts):
     assert kept_q2 <= kept_q1 <= kept_0
 
 
+def _words(cohort):
+    return sum(len(doc.text.split()) for doc in cohort.documents)
+
+
 def test_consolidate_merges_keyword_sentences(diabetes_profile):
     cohort = make_cohort(
         [
@@ -145,15 +149,15 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
     corpus = consolidate(cohort, plan, diabetes_profile)
     assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
-    assert 0.0 < retention_report(cohort, {"p1"}, corpus, 1).words_fraction_remaining < 1.0
+    assert 0.0 < retention_report(_words(cohort), {"p1"}, corpus, 1).words_fraction_remaining < 1.0
 
 
 def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
     corpus = consolidate(small_cohort, plan, diabetes_profile)
-    stats = retention_report(small_cohort, set(), corpus, 1)
+    stats = retention_report(_words(small_cohort), set(), corpus, 1)
     assert stats.positive_retention is None
-    stats2 = retention_report(small_cohort, {"p1"}, corpus, 1)
+    stats2 = retention_report(_words(small_cohort), {"p1"}, corpus, 1)
     assert stats2.positive_retention == 1.0
 
 
@@ -234,15 +238,13 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
         "hypertension": frozenset(),
     }
     selected = [(FilterPlan(0.0, kept[p.name]), p) for p in profiles]
-    together = consolidate_all(cohort, selected)
+    counts = Counter()
+    together = consolidate_all(iter(cohort.documents), selected, counts)  # a stream, read once
+    assert counts["words"] == _words(cohort)
     assert len(together) == len(profiles)
     for (plan, profile), corpus in zip(selected, together):
-        fraction = retention_report(cohort, set(), corpus, len(plan.kept_types)).words_fraction_remaining
-        # a fresh cohort, so no word count is carried over from the report above
-        alone_cohort = Cohort(cohort.patients, cohort.documents, cohort.labels)
-        alone = consolidate(alone_cohort, plan, profile)
-        assert corpus == alone
-        assert fraction == retention_report(alone_cohort, set(), alone, len(plan.kept_types)).words_fraction_remaining
+        fraction = retention_report(counts["words"], set(), corpus, len(plan.kept_types)).words_fraction_remaining
+        assert corpus == consolidate(cohort, plan, profile)
         merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
         assert corpus == merged
         assert fraction == reference_fraction
@@ -253,9 +255,9 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
 def test_retention_report_counts_merged_words_over_the_cohort(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
     corpus = consolidate(small_cohort, plan, diabetes_profile)
-    report = retention_report(small_cohort, {"p1", "p3"}, corpus, 1)
+    report = retention_report(_words(small_cohort), {"p1", "p3"}, corpus, 1)
     words = sum(len(text.split()) for text in corpus.values())
-    assert 0 < words < small_cohort.word_count
-    assert report.words_fraction_remaining == words / small_cohort.word_count
+    assert 0 < words < _words(small_cohort)
+    assert report.words_fraction_remaining == words / _words(small_cohort)
     assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5
     assert report.kept_type_count == 1

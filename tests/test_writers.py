@@ -108,7 +108,7 @@ def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
         (filter_document_types(_read_profile_csv(seeded_run / "profile.csv", p.name), "q1"), p)
         for p in profiles
     ]
-    for profile, merged in zip(profiles, consolidate_all(cohort, selected)):
+    for profile, merged in zip(profiles, consolidate_all(cohort.documents, selected)):
         assert merged  # else the comparison proves little
         written = (seeded_run / "prep" / f"merged_{profile.name}.jsonl").read_text(encoding="utf-8")
         assert written == _merged_file(profile.name, merged)
