@@ -1,7 +1,6 @@
 """Response parsing, clinical threshold rules, and per-patient label merging."""
 from __future__ import annotations
 
-import logging
 import re
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -19,8 +18,6 @@ __all__ = [
     "merge_patient",
     "combine_chunk_statuses",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class InferredStatus(Enum):
@@ -94,27 +91,32 @@ _BP_PAIR_RE = re.compile(
     re.IGNORECASE,
 )
 
-# Plausibility gates; values outside are dropped with a warning because they
-# almost always signal unit confusion in the source note.
+# Plausibility gates; values outside are dropped because they almost always
+# signal unit confusion in the source note.
 _GLUCOSE_RANGE = (0.5, 100.0)
 _SYSTOLIC_RANGE = (50.0, 300.0)
 _DIASTOLIC_RANGE = (20.0, 200.0)
 _TROPONIN_RANGE = (0.0, 1e6)
 
 
-def _plausible(value: float, low: float, high: float, what: str) -> bool:
+def _plausible(value: float, low: float, high: float, what: str, dropped: list | None) -> bool:
     if low < value <= high:
         return True
-    logger.warning("dropping implausible %s value %s", what, value)
+    if dropped is not None:
+        dropped.append(what)
     return False
 
 
-def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
+def parse_extraction_response(text: str, analyte: str, dropped: list | None = None) -> list[LabMeasurement]:
     """Pull number+unit pairs for one analyte out of an extraction response.
 
     Troponin in ng/mL is normalized to ng/L (x1000). Blood-pressure readings
     pair systolic/diastolic cues index-wise and also accept "N/M" adjacent to a
-    pressure cue; a missing half is recorded as None.
+    pressure cue; a missing half is recorded as None. A value outside its
+    plausible range is dropped, and its analyte side ("glucose", "troponin",
+    "systolic" or "diastolic") is appended to `dropped` if given: the caller
+    reports the drops, so a stage can count them in one line. Appending is
+    one list operation, so threads may share one list.
     """
     if analyte in _ANALYTES and _DIGIT_RE.search(text) is None:
         return []  # every pattern below needs a digit
@@ -122,7 +124,7 @@ def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
         out = []
         for match in _GLUCOSE_RE.finditer(text):
             value = float(match.group(1))
-            if _plausible(value, *_GLUCOSE_RANGE, "glucose"):
+            if _plausible(value, *_GLUCOSE_RANGE, "glucose", dropped):
                 out.append(
                     LabMeasurement("glucose", value, "mmol/L", normalized_value=value)
                 )
@@ -134,7 +136,7 @@ def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
             value = float(match.group(1))
             unit = re.sub(r"\s+", "", match.group(2))
             normalized = value * 1000.0 if unit.lower() == "ng/ml" else value
-            if _plausible(normalized, *_TROPONIN_RANGE, "troponin"):
+            if _plausible(normalized, *_TROPONIN_RANGE, "troponin", dropped):
                 out.append(
                     LabMeasurement("troponin", value, unit, normalized_value=normalized)
                 )
@@ -144,12 +146,12 @@ def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
         systolics = [
             float(m.group(1))
             for m in _SYSTOLIC_RE.finditer(text)
-            if _plausible(float(m.group(1)), *_SYSTOLIC_RANGE, "systolic")
+            if _plausible(float(m.group(1)), *_SYSTOLIC_RANGE, "systolic", dropped)
         ]
         diastolics = [
             float(m.group(1))
             for m in _DIASTOLIC_RE.finditer(text)
-            if _plausible(float(m.group(1)), *_DIASTOLIC_RANGE, "diastolic")
+            if _plausible(float(m.group(1)), *_DIASTOLIC_RANGE, "diastolic", dropped)
         ]
         out = []
         for i in range(max(len(systolics), len(diastolics))):
@@ -162,8 +164,8 @@ def parse_extraction_response(text: str, analyte: str) -> list[LabMeasurement]:
             )
         for match in _BP_PAIR_RE.finditer(text):
             sys_v, dia_v = float(match.group(1)), float(match.group(2))
-            if _plausible(sys_v, *_SYSTOLIC_RANGE, "systolic") and _plausible(
-                dia_v, *_DIASTOLIC_RANGE, "diastolic"
+            if _plausible(sys_v, *_SYSTOLIC_RANGE, "systolic", dropped) and _plausible(
+                dia_v, *_DIASTOLIC_RANGE, "diastolic", dropped
             ):
                 out.append(
                     LabMeasurement(

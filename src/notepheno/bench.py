@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .inference import Backend, CompletionRequest, GenerationParams
 
@@ -72,8 +71,7 @@ def _q10_matcher(response: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BenchQuestion:
+class BenchQuestion(NamedTuple):
     id: str
     prompt: str
     expected: str
@@ -86,15 +84,13 @@ class BenchQuestion:
             return False
 
 
-@dataclass(frozen=True)
-class QuestionResult:
+class QuestionResult(NamedTuple):
     question_id: str
     correct: bool
     latency_ms: float
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     results: tuple[QuestionResult, ...]
     accuracy: float
     elapsed_s: float

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import hashlib
 import io
@@ -124,7 +123,7 @@ def _load_config(path, args, settings: Mapping[str, Callable]) -> tuple[dict, di
     a flag of the command, its text read by that flag's type, and for a backend
     command the `generation` block over `GenerationParams()`, each value read
     by its default's type. A null value sets nothing; other keys, and keys of
-    the block that the dataclass does not name, are ignored. A value that
+    the block that `GenerationParams` does not name, are ignored. A value that
     cannot be read raises ValueError naming the file and key."""
     if not path:
         return {}, {}
@@ -147,10 +146,8 @@ def _load_config(path, args, settings: Mapping[str, Callable]) -> tuple[dict, di
 
     def generation(block) -> GenerationParams:
         block, base = dict(block), GenerationParams()
-        return dataclasses.replace(base, **{
-            f.name: type(getattr(base, f.name))(block[f.name])
-            for f in dataclasses.fields(base)
-            if block.get(f.name) is not None
+        return base._replace(**{
+            name: type(value)(block[name]) for name, value in base._asdict().items() if block.get(name) is not None
         })
 
     defaults = {
@@ -209,32 +206,37 @@ def _select_profiles(args) -> list[ConditionProfile]:
 def _ask_all(
     jobs, backend: Backend, params: GenerationParams, parallelism: int, chunk_budget: int,
     counts: Counter | None,
-) -> dict[tuple[str, str, str], list]:
+) -> list[list]:
     """The request plan of a backend stage, sent in one dispatch.
 
-    `jobs` yields `(owner, text, asks)`, `asks` being `(profile, kind)` pairs.
-    Each text is chunked once. An ask is keyed by `(condition, kind, chunk
-    text)`, and each distinct key is rendered and sent once; its parsed reply
-    goes to every owner that asked it. A worker renders, completes and parses
-    one request, so neither the prompts nor the raw replies of the stage are
-    ever held together. Returns the parsed replies under `(condition, kind,
-    owner)`, in chunk order; `counts` gets the requests sent, the asks that
-    shared an earlier ask's request, and the oversized chunks. The oversized
-    chunks are also logged, in one warning for the whole stage, so a corpus of
-    long notes does not log one line per chunk. A chunk budget below 1 raises
-    ValueError before any text is chunked.
+    `jobs` yields `(text, asks)`, `asks` being `(profile, kind)` pairs. Each
+    text is chunked once. An ask is keyed by `(condition, kind, chunk text)`,
+    and each distinct key is rendered and sent once; its parsed reply goes to
+    every job that asked it. A worker renders, completes and parses one
+    request, so neither the prompts nor the raw replies of the stage are ever
+    held together. Returns, for each job in order, its parsed replies chunk
+    by chunk, each chunk's in the order of the job's asks: ask `i` of a job
+    of `n` asks has its chunk replies at `replies[i::n]`.
+
+    `counts` gets the requests sent, the asks that shared an earlier ask's
+    request, the oversized chunks and the extracted values dropped as
+    implausible. The oversized chunks and the dropped values are also logged,
+    in one warning each for the whole stage (one per analyte side for the
+    values), so a large corpus does not log one line per record. A chunk
+    budget below 1 raises ValueError before any text is chunked.
     """
     if chunk_budget < 1:
         raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
     index: dict[tuple[str, str, str], int] = {}
     items = []
-    # each owner's replies, as indices into `items` until the dispatch returns
-    replies: dict[tuple[str, str, str], list] = defaultdict(list)
+    # each job's replies, as indices into `items` until the dispatch returns
+    replies: list[list] = []
     planned = oversized = 0
-    for owner, text, asks in jobs:
+    for text, asks in jobs:
         chunks = chunk_text(text, chunk_budget)
         oversized += sum(chunk.oversized for chunk in chunks)
         planned += len(chunks) * len(asks)
+        placed = []
         for chunk in chunks:
             for profile, kind in asks:
                 key = (profile.name, kind, chunk.text)
@@ -242,7 +244,8 @@ def _ask_all(
                 if at is None:
                     at = index[key] = len(items)
                     items.append((profile, kind, chunk.text))
-                replies[profile.name, kind, owner].append(at)
+                placed.append(at)
+        replies.append(placed)
     del index  # one entry per distinct ask: free it before the replies arrive
     if oversized:
         logger.warning(
@@ -251,22 +254,27 @@ def _ask_all(
             oversized,
             chunk_budget,
         )
-    if counts is not None:
-        counts["requests"] += len(items)
-        counts["coalesced_requests"] += planned - len(items)
-        counts["oversized_chunks"] += oversized
+    dropped: list[str] = []  # the analyte side of each implausible value, appended by the workers
 
     def ask(item):
         profile, kind, text = item
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
-        # a tuple, as every owner of the ask shares it
-        return tuple(parse_extraction_response(reply.text, profile.rule.analyte))
+        # a tuple, as every job of the ask shares it
+        return tuple(parse_extraction_response(reply.text, profile.rule.analyte, dropped))
 
     parsed = run_parallel(ask, items, parallelism)
-    for found in replies.values():
-        found[:] = [parsed[at] for at in found]
+    for side, count in sorted(Counter(dropped).items()):
+        logger.warning("dropped %d implausible %s value(s)", count, side)
+    if counts is not None:
+        counts["requests"] += len(items)
+        counts["coalesced_requests"] += planned - len(items)
+        counts["oversized_chunks"] += oversized
+        counts["implausible_values"] += len(dropped)
+    del items
+    for placed in replies:
+        placed[:] = map(parsed.__getitem__, placed)
     return replies
 
 
@@ -316,21 +324,13 @@ def _score_samples(
     """
     docs = [doc for doc_type in sorted(samples) for doc in samples[doc_type]]
     asks = [(profile, "inference") for profile in profiles]
-    replies = _ask_all(
-        ((doc.doc_id, doc.text, asks) for doc in docs),
-        backend, params, parallelism, chunk_budget, counts,
-    )
+    replies = _ask_all(((doc.text, asks) for doc in docs), backend, params, parallelism, chunk_budget, counts)
     return {
         profile.name: compute_information_relevance(
             samples,
-            {
-                doc.doc_id: combine_chunk_statuses(
-                    replies.pop((profile.name, "inference", doc.doc_id), ())
-                )
-                for doc in docs
-            },
+            {doc.doc_id: combine_chunk_statuses(found[at :: len(asks)]) for doc, found in zip(docs, replies)},
         )
-        for profile in profiles
+        for at, profile in enumerate(profiles)
     }
 
 
@@ -350,41 +350,66 @@ def run_detect(
     Yields `(condition, {patient_id: findings})` for every cohort patient, in
     the order of `selected`, adjudicating each condition only when it is
     taken, so a caller that writes one condition before taking the next holds
-    one condition's findings at a time. A text shared by several conditions
-    (the raw notes under --no-preprocess) is chunked once. Patients without
-    text share one empty record, which every mode labels 0, without any
-    backend traffic. `counts` is as in `_ask_all`.
+    one condition's findings at a time. A patient's text that several
+    conditions share (the raw notes under --no-preprocess) is one job,
+    chunked once, asked at the first of them. The texts are not held once
+    this returns: the generator holds the profiles and the placed replies.
+    Patients without text share one empty record, which every mode labels 0,
+    without any backend traffic. `counts` is as in `_ask_all`.
     """
     for mode in modes:
         if mode not in MODE_PATHS:
             raise ValueError(f"unknown mode {mode!r}")
     # "merged" asks every path, so its row gives the order: inference first.
     paths = [p for p in MODE_PATHS["merged"] if any(p in MODE_PATHS[mode] for mode in modes)]
-    asks: dict[tuple[str, str], list] = defaultdict(list)
-    for texts, profile in selected:
-        for pid in sorted(texts):
-            asks[pid, texts[pid]].extend((profile, path) for path in paths)
+    profiles = [profile for _, profile in selected]
+    asks = [[(profile, path) for path in paths] for profile in profiles]
+
+    def jobs():
+        """`(patient_id, text, sharers)` of each job, in the order of
+        `selected` then of patient_id. `sharers` are the indices of the
+        conditions whose text for the patient is this one; the job is
+        yielded at the first of them."""
+        for first, (texts, _) in enumerate(selected):
+            for pid in sorted(texts):
+                text = texts[pid]
+                sharers = [at for at, (others, _) in enumerate(selected) if others.get(pid) == text]
+                if sharers[0] == first:
+                    yield pid, text, sharers
+
     replies = _ask_all(
-        ((pid, text, pairs) for (pid, text), pairs in asks.items()),
+        ((text, [ask for at in sharers for ask in asks[at]]) for _, text, sharers in jobs()),
         backend, params, parallelism, chunk_budget, counts,
     )
+    # Placed after the dispatch, so that the plan's peak holds none of it:
+    # per condition, `{patient_id: (replies, first, width)}`, the replies of
+    # the patient's job, where the condition's asks start in each chunk's
+    # row of them, and the row's length.
+    placed: list[dict[str, tuple]] = [{} for _ in selected]
+    for (pid, _, sharers), found in zip(jobs(), replies):
+        for rank, at in enumerate(sharers):
+            placed[at][pid] = (found, rank * len(paths), len(sharers) * len(paths))
 
-    def findings(texts: Mapping[str, str], profile: ConditionProfile) -> dict[str, Findings]:
+    def findings(replies_of: Mapping[str, tuple], profile: ConditionProfile) -> dict[str, Findings]:
+        no_text = Findings({}, ())
         found = {}
-        for pid in texts:
+        for pid in sorted(cohort.patients):
+            if pid not in replies_of:
+                found[pid] = no_text
+                continue
+            replies, first, width = replies_of[pid]
             statuses, measurements = {}, ()
-            for path in paths:
-                parsed = replies.pop((profile.name, path, pid), ())
+            for offset, path in enumerate(paths, first):
+                parsed = replies[offset::width]
                 if path == "inference":
                     statuses[path] = combine_chunk_statuses(parsed)
                 else:
                     measurements = tuple(m for chunk in parsed for m in chunk)
                     statuses[path] = apply_clinical_rule(measurements, profile.rule)
             found[pid] = Findings(statuses, measurements)
-        no_text = Findings({}, ())
-        return {pid: found.get(pid, no_text) for pid in sorted(cohort.patients)}
+        return found
 
-    return ((profile.name, findings(texts, profile)) for texts, profile in selected)
+    return ((profile.name, findings(placed.pop(0), profile)) for profile in profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +463,7 @@ def _cmd_synth(args) -> int:
             for cond, label in sorted(truth[pid].items())
         ),
     )
-    _write_manifest(out_dir, "synth", started, {"spec": dataclasses.asdict(spec)},
+    _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()},
                     seed=spec.seed, n_patients=spec.n_patients)
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
@@ -473,7 +498,8 @@ def _backend_block(backend: Backend, counts: Counter) -> dict:
     """The manifest keys of a backend stage, from its `_ask_all` counts.
     Behind a cache only the misses reach the backend; without one there are
     no hits. `coalesced_requests` counts the asks that shared an identical
-    ask's request in the stage."""
+    ask's request in the stage, and `implausible_values` the extracted
+    values dropped as implausible."""
     cached = isinstance(backend, CachedBackend)
     return {
         "backend_id": backend.backend_id,
@@ -481,6 +507,7 @@ def _backend_block(backend: Backend, counts: Counter) -> dict:
         "cache_hits": backend.hits if cached else 0,
         "coalesced_requests": counts["coalesced_requests"],
         "oversized_chunks": counts["oversized_chunks"],
+        "implausible_values": counts["implausible_values"],
     }
 
 
@@ -564,20 +591,29 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
     --no-preprocess each patient's raw notes joined in timestamp order, one
     map shared by every condition.
 
+    The raw notes are read twice and never held together: the first pass
+    checks every line and keeps each patient's last position, the second
+    keeps each note's timestamp, id and text only until its patient's last
+    note is read. So a file grouped by patient holds one patient's notes at
+    a time, and any file order gives the same texts.
+
     A merged file that holds records, but none for a condition, is refused:
     it was written for other conditions. So is a second record of one patient
     for one condition. An empty file labels all patients 0.
     """
     if args.no_preprocess:
-        by_patient: dict[str, list] = defaultdict(list)
-        for doc in cohort.documents:
-            by_patient[doc.patient_id].append(doc)
+        documents = _corpus_file(args.corpus, "documents.jsonl")
+        last = {doc.patient_id: at for at, doc in enumerate(iter_documents(documents, cohort.patients))}
+        notes: dict[str, list] = defaultdict(list)
         raw = {}
-        for pid, docs in by_patient.items():
-            docs.sort(key=lambda d: (d.timestamp, d.doc_id))
-            text = " ".join(d.text for d in docs if d.text).strip()
-            if text:
-                raw[pid] = text
+        for at, doc in enumerate(iter_documents(documents, cohort.patients)):
+            pid = doc.patient_id
+            notes[pid].append((doc.timestamp, doc.doc_id, doc.text))
+            if last[pid] == at:
+                # doc ids are unique, so the texts are never compared
+                text = " ".join(note for _, _, note in sorted(notes.pop(pid)) if note).strip()
+                if text:
+                    raw[pid] = text
         return [raw for _ in conditions]
     if not args.merged:
         raise FileNotFoundError("no preprocess artifact given: pass --merged or --no-preprocess")
@@ -627,28 +663,33 @@ def _label_lines(condition: str, mode: str, findings: Mapping[str, Findings]):
 
 def _cmd_detect(args) -> int:
     started = time.monotonic()
-    # The merged texts come from the preprocess artifact; only the raw notes
-    # of --no-preprocess need the documents.
-    cohort = _load_corpus_dir(args.corpus, documents=args.no_preprocess, labels=False)
+    # The merged texts come from the preprocess artifact, and the raw notes of
+    # --no-preprocess are streamed from the documents file: the cohort is
+    # only its patients.
+    cohort = _load_corpus_dir(args.corpus, documents=False, labels=False)
     backend = _make_backend(args)
     modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     profiles = _select_profiles(args)
-    texts = _detect_texts(args, cohort, [profile.name for profile in profiles])
     outputs = []
     counts: Counter = Counter()
+    # run_detect is the only holder of the texts, so they are freed once it has planned
     for condition, findings in run_detect(
-        cohort, list(zip(texts, profiles)), backend, args.generation, modes=modes,
+        cohort, list(zip(_detect_texts(args, cohort, [profile.name for profile in profiles]), profiles)),
+        backend, args.generation, modes=modes,
         chunk_budget=args.chunk_budget, parallelism=args.parallelism, counts=counts,
     ):
         for mode in modes:
             path = out_dir / f"detect_{mode}_{condition}.jsonl"
             _atomic_write(path, _label_lines(condition, mode, findings))
             outputs.append(str(path))
-    _write_manifest(out_dir, "detect", started, {"modes": list(modes), "chunk_budget": args.chunk_budget},
-                    **_backend_block(backend, counts), outputs=outputs)
+    settings = {"modes": list(modes), "chunk_budget": args.chunk_budget,
+                "input": "no_preprocess" if args.no_preprocess else "merged"}
+    source = {} if args.no_preprocess else {"merged": str(args.merged)}  # observed: a path is not a setting
+    _write_manifest(out_dir, "detect", started, settings, **_backend_block(backend, counts), **source,
+                    outputs=outputs)
     print(f"wrote {len(outputs)} label file(s) to {out_dir}")
     return EXIT_OK
 
@@ -919,11 +960,11 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if hasattr(args, "generation"):  # a backend command: its flags over the file's block
             flags = {k: getattr(args, k) for k in ("temperature", "model_id") if getattr(args, k) is not None}
-            args.generation = dataclasses.replace(args.generation, **flags)
+            args.generation = args.generation._replace(**flags)
         if args.print_config:
             resolved = {k: v for k, v in vars(args).items() if k not in ("func", "print_config")}
             if hasattr(args, "generation"):
-                resolved["generation"] = dataclasses.asdict(args.generation)
+                resolved["generation"] = args.generation._asdict()
             resolved["config_file_values"] = config
             print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
             return EXIT_OK

@@ -5,7 +5,6 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from operator import itemgetter
 from pathlib import Path
@@ -32,8 +31,34 @@ class CorpusError(ValueError):
     """A corpus file is malformed or internally inconsistent."""
 
 
-# The records built per corpus line are named tuples: a frozen dataclass's
-# `__init__` costs more than twice as much per record.
+class Checked:
+    """The base of a record that checks its fields: a named tuple whose
+    `_check` runs on every construction. The generated `_make`, and so
+    `_replace`, would build the tuple without calling `__new__`, so `_make`
+    goes through the constructor too.
+
+        class _Fields(NamedTuple): ...
+        class Record(Checked, _Fields):
+            __slots__ = ()
+            def _check(self) -> None: ...  # raises ValueError
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+# The package's records are named tuples, not dataclasses: a frozen
+# dataclass's `__init__` costs more than twice as much per record, and
+# importing `dataclasses` (and `inspect` under it) costs every stage process
+# at start-up.
 class ClinicalDocument(NamedTuple):
     """One timestamped note of a named document type belonging to a patient."""
 
@@ -59,8 +84,7 @@ class ReferenceLabel(NamedTuple):
     icd_label: int | None = None
 
 
-@dataclass(frozen=True)
-class Cohort:
+class Cohort(NamedTuple):
     """Immutable bundle of patients, documents, and reference labels."""
 
     patients: Mapping[str, Patient]
@@ -315,16 +339,19 @@ def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> 
     _write_jsonl(labels_path, (_label_record(label) for label in cohort.labels))
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """Parameters for deterministic synthetic-cohort generation."""
-
+class _SynthSpecFields(NamedTuple):
     n_patients: int
     prevalence: Mapping[str, float]
     docs_per_patient: tuple[int, int] = (2, 4)
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SynthSpec(Checked, _SynthSpecFields):
+    """Parameters for deterministic synthetic-cohort generation."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.n_patients < 1:
             raise ValueError("n_patients must be >= 1")
         for condition, frac in self.prevalence.items():

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .corpus import Cohort
+from .corpus import Checked, Cohort
 
 __all__ = [
     "ConfusionMatrix",
@@ -21,14 +20,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class _ConfusionMatrixFields(NamedTuple):
     tp: int
     fp: int
     fn: int
     tn: int
 
-    def __post_init__(self) -> None:
+
+class ConfusionMatrix(Checked, _ConfusionMatrixFields):
+    """The 2x2 counts of predictions against a reference."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
@@ -37,8 +41,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Point estimate with its confidence interval bounds."""
 
     point: float
@@ -46,8 +49,7 @@ class Estimate:
     high: float
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     """Sensitivity/specificity/PPV/NPV; None where the denominator is zero."""
 
     sensitivity: Estimate | None
@@ -56,8 +58,7 @@ class MetricSet:
     npv: Estimate | None
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     month: str  # YYYY-MM
     reference_pct: float
     predicted_pct: float

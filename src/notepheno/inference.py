@@ -9,10 +9,10 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
+from .corpus import Checked
 from .preprocess import keyword_regex, sentence_spans
 from .prompting import PLACEHOLDER, ConditionProfile, builtin_profiles
 
@@ -42,15 +42,20 @@ DEFAULT_CHUNK_BUDGET = 12000
 DEFAULT_PARALLELISM = 4
 
 
-@dataclass(frozen=True)
-class GenerationParams:
+class _GenerationParamsFields(NamedTuple):
     temperature: float = 0.5
     top_p: float = 0.9
     top_k: int = 50
     max_new_tokens: int = 512
     model_id: str = "local-completion-model"
 
-    def __post_init__(self) -> None:
+
+class GenerationParams(Checked, _GenerationParamsFields):
+    """The sampling settings sent with every request."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError("temperature must be in [0, 1]")
         if not 0.0 < self.top_p <= 1.0:

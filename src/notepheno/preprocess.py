@@ -5,11 +5,10 @@ import math
 import random
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .adjudication import InferredStatus
-from .corpus import ClinicalDocument, Cohort
+from .corpus import Checked, ClinicalDocument, Cohort
 from .prompting import ConditionProfile
 
 __all__ = [
@@ -29,15 +28,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DocTypeProfile:
-    """Relevance profile of one document type for one condition."""
-
+class _DocTypeProfileFields(NamedTuple):
     doc_type: str
     sampled_count: int
     positive_count: int
 
-    def __post_init__(self) -> None:
+
+class DocTypeProfile(Checked, _DocTypeProfileFields):
+    """Relevance profile of one document type for one condition."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0 <= self.positive_count <= self.sampled_count:
             raise ValueError("positive_count must lie in [0, sampled_count]")
 
@@ -49,14 +51,12 @@ class DocTypeProfile:
         return self.positive_count / self.sampled_count
 
 
-@dataclass(frozen=True)
-class FilterPlan:
+class FilterPlan(NamedTuple):
     threshold_value: float
     kept_types: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ConsolidationStats:
+class ConsolidationStats(NamedTuple):
     words_fraction_remaining: float
     positive_retention: float | None
     kept_type_count: int
@@ -214,7 +214,7 @@ def consolidate_all(
     for index, (plan, _) in enumerate(selected):
         for doc_type in plan.kept_types:
             keepers[doc_type].append(index)
-    # per condition: patient_id -> [(timestamp, doc_id, keyword sentences)], one per note
+    # per condition: patient_id -> [(timestamp, doc_id, joined keyword sentences)], one per note
     hits: list[dict[str, list]] = [defaultdict(list) for _ in selected]
 
     words = 0
@@ -229,8 +229,8 @@ def consolidate_all(
         for index in indices:
             search = patterns[index].search
             found = [core for core in sentences if search(core)]
-            if found:
-                hits[index][doc.patient_id].append((doc.timestamp, doc.doc_id, found))
+            if found:  # one joined string per note holds less than a list of sentences
+                hits[index][doc.patient_id].append((doc.timestamp, doc.doc_id, " ".join(found)))
     if counts is not None:
         counts["words"] += words
 
@@ -238,9 +238,9 @@ def consolidate_all(
     for condition_hits in hits:
         merged: dict[str, str] = {}
         for patient_id in sorted(condition_hits):
-            # doc ids are unique, so the sentence lists are never compared
+            # doc ids are unique, so the sentences are never compared
             notes = sorted(condition_hits[patient_id])
-            merged[patient_id] = " ".join(core for _, _, found in notes for core in found)
+            merged[patient_id] = " ".join(found for _, _, found in notes)
         results.append(merged)
     return results
 

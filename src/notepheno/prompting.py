@@ -1,9 +1,10 @@
 """Per-condition profiles (keywords, prompt templates, clinical rules) and prompt rendering."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
+
+from .corpus import Checked
 
 __all__ = [
     "ClinicalRule",
@@ -19,21 +20,24 @@ PLACEHOLDER = "{text}"
 _ANALYTES = ("glucose", "blood_pressure", "troponin")
 
 
-@dataclass(frozen=True)
-class ClinicalRule:
-    """Threshold rule applied to extracted laboratory values.
-
-    For blood pressure the systolic/diastolic thresholds combine with OR
-    semantics; for the scalar analytes a single threshold and comparator apply.
-    """
-
+class _ClinicalRuleFields(NamedTuple):
     analyte: str
     comparator: str = ">="
     threshold: float | None = None
     systolic_threshold: float | None = None
     diastolic_threshold: float | None = None
 
-    def __post_init__(self) -> None:
+
+class ClinicalRule(Checked, _ClinicalRuleFields):
+    """Threshold rule applied to extracted laboratory values.
+
+    For blood pressure the systolic/diastolic thresholds combine with OR
+    semantics; for the scalar analytes a single threshold and comparator apply.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.analyte not in _ANALYTES:
             raise ValueError(f"unknown analyte {self.analyte!r}")
         if self.comparator not in (">=", ">"):
@@ -48,17 +52,20 @@ class ClinicalRule:
                 raise ValueError("threshold must be positive")
 
 
-@dataclass(frozen=True)
-class ConditionProfile:
-    """Everything the pipeline needs to know about one target condition."""
-
+class _ConditionProfileFields(NamedTuple):
     name: str
     keywords: tuple[str, ...]
     inference_template: str
     extraction_template: str
     rule: ClinicalRule
 
-    def __post_init__(self) -> None:
+
+class ConditionProfile(Checked, _ConditionProfileFields):
+    """Everything the pipeline needs to know about one target condition."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.keywords:
             raise ValueError(f"profile {self.name!r} has no keywords")
         for template in (self.inference_template, self.extraction_template):

@@ -1,6 +1,5 @@
 """End-to-end CLI behaviour: stage artifacts, exit codes, config handling."""
 import csv
-import dataclasses
 import gc
 import hashlib
 import json
@@ -970,7 +969,7 @@ def test_a_setting_comes_from_the_flag_the_file_the_environment_then_the_default
 def test_print_config_prints_the_built_in_defaults(capsys):
     printed = _printed(capsys, *_PROFILE)
     assert (printed["m"], printed["parallelism"], printed["chunk_budget"]) == (200, 4, 12000)
-    assert printed["generation"] == dataclasses.asdict(GenerationParams())
+    assert printed["generation"] == GenerationParams()._asdict()
     assert _printed(capsys, "preprocess", "--corpus", "c", "--profile-csv", "p", "--out", "o")["percentile"] == "q1"
     assert _printed(capsys, "evaluate", "--corpus", "c", "--detect-dir", "d", "--out", "o")["ci_level"] == 0.95
 
@@ -982,9 +981,7 @@ def test_print_config_resolves_the_generation_block_and_ignores_other_keys(tmp_p
         encoding="utf-8",
     )
     printed = _printed(capsys, "--config", str(config), *_PROFILE, "--temperature", "0.3")
-    assert printed["generation"] == dataclasses.asdict(
-        GenerationParams(top_k=40, temperature=0.3, model_id="from-file")
-    )
+    assert printed["generation"] == GenerationParams(top_k=40, temperature=0.3, model_id="from-file")._asdict()
     assert printed["seed"] == 0
     assert printed["config_file_values"]["seed"] == 3
 
@@ -1311,7 +1308,7 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
         "synth": ("spec",),
         "profile": ("m", "seed", "chunk_budget"),
         "preprocess": ("percentile",),
-        "detect": ("modes", "chunk_budget"),
+        "detect": ("modes", "chunk_budget", "input"),
         "evaluate": ("ci_level",),
     }
     manifests = {}
@@ -1322,6 +1319,7 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
         assert manifest["stage"] == stage and manifest["elapsed_s"] >= 0
     assert manifests["detect"]["modes"] == list(cli.MODE_PATHS)
     assert manifests["detect"]["chunk_budget"] == inference.DEFAULT_CHUNK_BUDGET
+    assert manifests["detect"]["input"] == "merged"
     assert manifests["synth"]["spec"] == {
         "n_patients": 80, "prevalence": {"diabetes": 0.3, "ami": 0.2, "hypertension": 0.3},
         "docs_per_patient": [2, 4], "seed": 5,

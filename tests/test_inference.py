@@ -1,5 +1,4 @@
 """Backends, caching, chunking, and the deterministic mock."""
-import dataclasses
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +41,19 @@ def test_generation_validation():
         GenerationParams(top_k=1)
     with pytest.raises(ValueError):
         GenerationParams(max_new_tokens=0)
+
+
+def test_every_way_of_building_a_checked_record_checks_it():
+    with pytest.raises(ValueError, match="temperature"):
+        GenerationParams()._replace(temperature=2.0)
+    with pytest.raises(ValueError, match="temperature"):
+        GenerationParams._make((2.0, 0.9, 50, 512, "m"))
+    assert GenerationParams()._replace(temperature=0.2) == GenerationParams(temperature=0.2)
+    profile = builtin_profiles()[0]
+    with pytest.raises(ValueError, match="exactly once"):
+        profile._replace(inference_template="no placeholder")
+    with pytest.raises(ValueError, match="threshold"):
+        profile.rule._replace(threshold=-1.0)
 
 
 # -- chunking ----------------------------------------------------------------
@@ -409,7 +421,7 @@ def test_mock_answers_every_builtin_template(profile, kind):
 
 def test_mock_follows_a_reworded_builtin_template(monkeypatch):
     reworded = [
-        dataclasses.replace(p, inference_template=f"Is {p.name} in this note? {{text}}")
+        p._replace(inference_template=f"Is {p.name} in this note? {{text}}")
         for p in builtin_profiles()
     ]
     monkeypatch.setattr(inference, "builtin_profiles", lambda: reworded)

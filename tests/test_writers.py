@@ -118,7 +118,7 @@ def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
 def test_detect_writes_the_label_files_of_its_records(seeded_run, no_preprocess, out):
     cohort = _load_corpus_dir(seeded_run / "corpus", documents=no_preprocess, labels=False)
     profiles = builtin_profiles()
-    args = argparse.Namespace(no_preprocess=no_preprocess, merged=str(seeded_run / "prep"))
+    args = argparse.Namespace(no_preprocess=no_preprocess, merged=str(seeded_run / "prep"), corpus=seeded_run / "corpus")
     texts = _detect_texts(args, cohort, [p.name for p in profiles])
     measured = 0
     for condition, findings in run_detect(
