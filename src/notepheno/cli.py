@@ -204,19 +204,20 @@ def _select_profiles(args) -> list[ConditionProfile]:
 # pipeline stages (importable; the subcommands are thin wrappers)
 
 def _ask_all(
-    jobs, backend: Backend, params: GenerationParams, parallelism: int, chunk_budget: int,
-    counts: Counter | None,
-) -> list[list]:
+    plan: Sequence[tuple[Mapping[str, str], ConditionProfile]], paths: Sequence[str], backend: Backend,
+    params: GenerationParams, parallelism: int, chunk_budget: int, counts: Counter | None,
+) -> list[tuple[dict[str, list], int, int]]:
     """The request plan of a backend stage, sent in one dispatch.
 
-    `jobs` yields `(text, asks)`, `asks` being `(profile, kind)` pairs. Each
-    text is chunked once. An ask is keyed by `(condition, kind, chunk text)`,
-    and each distinct key is rendered and sent once; its parsed reply goes to
-    every job that asked it. A worker renders, completes and parses one
-    request, so neither the prompts nor the raw replies of the stage are ever
-    held together. Returns, for each job in order, its parsed replies chunk
-    by chunk, each chunk's in the order of the job's asks: ask `i` of a job
-    of `n` asks has its chunk replies at `replies[i::n]`.
+    `plan` holds each condition's `{owner: text}` and profile, and every text
+    is asked the prompt `paths`. A text is chunked once per mapping object,
+    so conditions given one mapping share its chunks. An ask is keyed by
+    `(condition, kind, chunk text)`, and each distinct key is rendered and
+    sent once; its parsed reply goes to every owner that asked it. A worker
+    renders, completes and parses one request, so neither the prompts nor the
+    raw replies of the stage are ever held together. Returns, per condition
+    of `plan`, `(replies, first, width)`: the condition's path `i` has an
+    owner's chunk replies at `replies[owner][first + i::width]`.
 
     `counts` gets the requests sent, the asks that shared an earlier ask's
     request, the oversized chunks and the extracted values dropped as
@@ -227,25 +228,33 @@ def _ask_all(
     """
     if chunk_budget < 1:
         raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
+    groups: dict[int, list[int]] = {}  # by mapping id, the positions in `plan` of the conditions given it
+    for at, (texts, _) in enumerate(plan):
+        groups.setdefault(id(texts), []).append(at)
     index: dict[tuple[str, str, str], int] = {}
     items = []
-    # each job's replies, as indices into `items` until the dispatch returns
-    replies: list[list] = []
+    # per condition `(replies, first, width)`, replies as indices into `items` until the dispatch returns
+    placed: list = [None] * len(plan)
     planned = oversized = 0
-    for text, asks in jobs:
-        chunks = chunk_text(text, chunk_budget)
-        oversized += sum(chunk.oversized for chunk in chunks)
-        planned += len(chunks) * len(asks)
-        placed = []
-        for chunk in chunks:
-            for profile, kind in asks:
-                key = (profile.name, kind, chunk.text)
-                at = index.get(key)
-                if at is None:
-                    at = index[key] = len(items)
-                    items.append((profile, kind, chunk.text))
-                placed.append(at)
-        replies.append(placed)
+    for group in groups.values():
+        texts = plan[group[0]][0]
+        asks = [(plan[at][1], path) for at in group for path in paths]
+        replies: dict[str, list] = {}
+        for owner in sorted(texts):
+            chunks = chunk_text(texts[owner], chunk_budget)
+            oversized += sum(chunk.oversized for chunk in chunks)
+            planned += len(chunks) * len(asks)
+            row = replies[owner] = []
+            for chunk in chunks:
+                for profile, kind in asks:
+                    key = (profile.name, kind, chunk.text)
+                    at = index.get(key)
+                    if at is None:
+                        at = index[key] = len(items)
+                        items.append((profile, kind, chunk.text))
+                    row.append(at)
+        for rank, at in enumerate(group):
+            placed[at] = (replies, rank * len(paths), len(asks))
     del index  # one entry per distinct ask: free it before the replies arrive
     if oversized:
         logger.warning(
@@ -261,7 +270,7 @@ def _ask_all(
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
-        # a tuple, as every job of the ask shares it
+        # a tuple, as every owner of the ask shares it
         return tuple(parse_extraction_response(reply.text, profile.rule.analyte, dropped))
 
     parsed = run_parallel(ask, items, parallelism)
@@ -273,9 +282,10 @@ def _ask_all(
         counts["oversized_chunks"] += oversized
         counts["implausible_values"] += len(dropped)
     del items
-    for placed in replies:
-        placed[:] = map(parsed.__getitem__, placed)
-    return replies
+    for group in groups.values():
+        for row in placed[group[0]][0].values():
+            row[:] = map(parsed.__getitem__, row)
+    return placed
 
 
 def run_profile(
@@ -318,19 +328,18 @@ def _score_samples(
 ) -> dict[str, list[DocTypeProfile]]:
     """Infer each sampled document for every condition and score relevance.
 
-    One sample serves every condition, and all inference requests go out in
-    one dispatch. Returns the relevance table per condition name; `counts` is
-    as in `_ask_all`.
+    One `{doc_id: text}` of the sample serves every condition, and all
+    inference requests go out in one dispatch. Returns the relevance table
+    per condition name; `counts` is as in `_ask_all`.
     """
-    docs = [doc for doc_type in sorted(samples) for doc in samples[doc_type]]
-    asks = [(profile, "inference") for profile in profiles]
-    replies = _ask_all(((doc.text, asks) for doc in docs), backend, params, parallelism, chunk_budget, counts)
+    texts = {doc.doc_id: doc.text for docs in samples.values() for doc in docs}
+    placed = _ask_all([(texts, profile) for profile in profiles], ("inference",),
+                      backend, params, parallelism, chunk_budget, counts)
     return {
         profile.name: compute_information_relevance(
-            samples,
-            {doc.doc_id: combine_chunk_statuses(found[at :: len(asks)]) for doc, found in zip(docs, replies)},
+            samples, {doc_id: combine_chunk_statuses(found[first::width]) for doc_id, found in replies.items()},
         )
-        for at, profile in enumerate(profiles)
+        for profile, (replies, first, width) in zip(profiles, placed)
     }
 
 
@@ -350,12 +359,11 @@ def run_detect(
     Yields `(condition, {patient_id: findings})` for every cohort patient, in
     the order of `selected`, adjudicating each condition only when it is
     taken, so a caller that writes one condition before taking the next holds
-    one condition's findings at a time. A patient's text that several
-    conditions share (the raw notes under --no-preprocess) is one job,
-    chunked once, asked at the first of them. The texts are not held once
-    this returns: the generator holds the profiles and the placed replies.
-    Patients without text share one empty record, which every mode labels 0,
-    without any backend traffic. `counts` is as in `_ask_all`.
+    one condition's findings at a time. Conditions given one mapping object
+    (the raw notes under --no-preprocess) share its chunks. The texts are not
+    held once this returns: the generator holds the profiles and the placed
+    replies. Patients without text share one empty record, which every mode
+    labels 0, without any backend traffic. `counts` is as in `_ask_all`.
     """
     for mode in modes:
         if mode not in MODE_PATHS:
@@ -363,41 +371,18 @@ def run_detect(
     # "merged" asks every path, so its row gives the order: inference first.
     paths = [p for p in MODE_PATHS["merged"] if any(p in MODE_PATHS[mode] for mode in modes)]
     profiles = [profile for _, profile in selected]
-    asks = [[(profile, path) for path in paths] for profile in profiles]
+    placed = _ask_all(selected, paths, backend, params, parallelism, chunk_budget, counts)
 
-    def jobs():
-        """`(patient_id, text, sharers)` of each job, in the order of
-        `selected` then of patient_id. `sharers` are the indices of the
-        conditions whose text for the patient is this one; the job is
-        yielded at the first of them."""
-        for first, (texts, _) in enumerate(selected):
-            for pid in sorted(texts):
-                text = texts[pid]
-                sharers = [at for at, (others, _) in enumerate(selected) if others.get(pid) == text]
-                if sharers[0] == first:
-                    yield pid, text, sharers
-
-    replies = _ask_all(
-        ((text, [ask for at in sharers for ask in asks[at]]) for _, text, sharers in jobs()),
-        backend, params, parallelism, chunk_budget, counts,
-    )
-    # Placed after the dispatch, so that the plan's peak holds none of it:
-    # per condition, `{patient_id: (replies, first, width)}`, the replies of
-    # the patient's job, where the condition's asks start in each chunk's
-    # row of them, and the row's length.
-    placed: list[dict[str, tuple]] = [{} for _ in selected]
-    for (pid, _, sharers), found in zip(jobs(), replies):
-        for rank, at in enumerate(sharers):
-            placed[at][pid] = (found, rank * len(paths), len(sharers) * len(paths))
-
-    def findings(replies_of: Mapping[str, tuple], profile: ConditionProfile) -> dict[str, Findings]:
+    def findings(
+        replies_of: Mapping[str, list], first: int, width: int, profile: ConditionProfile
+    ) -> dict[str, Findings]:
         no_text = Findings({}, ())
         found = {}
         for pid in sorted(cohort.patients):
-            if pid not in replies_of:
+            replies = replies_of.get(pid)
+            if replies is None:
                 found[pid] = no_text
                 continue
-            replies, first, width = replies_of[pid]
             statuses, measurements = {}, ()
             for offset, path in enumerate(paths, first):
                 parsed = replies[offset::width]
@@ -409,7 +394,7 @@ def run_detect(
             found[pid] = Findings(statuses, measurements)
         return found
 
-    return ((profile.name, findings(placed.pop(0), profile)) for profile in profiles)
+    return ((profile.name, findings(*placed.pop(0), profile)) for profile in profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +504,12 @@ def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} line 1: missing column(s) {', '.join(missing)}")
+        seen = set()
         for row in reader:
+            key = (row["condition"], row["doc_type"])
+            if key in seen:
+                raise ValueError(f"{path} line {reader.line_num}: duplicate row for {key[0]!r}/{key[1]!r}")
+            seen.add(key)
             if row["condition"] != condition:
                 continue
             try:
@@ -564,12 +554,12 @@ def _cmd_preprocess(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_rows = []
     for (plan, profile), merged, positive in zip(selected, consolidated, positives):
-        stats = retention_report(counts["words"], positive, merged, len(plan.kept_types))
+        stats = retention_report(counts["words"], positive, merged)
         _atomic_write(out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged))
         stats_rows.append(
             (
                 profile.name,
-                stats.kept_type_count,
+                len(plan.kept_types),
                 f"{plan.threshold_value:.6f}",
                 f"{stats.words_fraction_remaining:.4f}",
                 "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}",

@@ -224,8 +224,10 @@ def iter_documents(
 ) -> Iterator[ClinicalDocument]:
     """Yield the documents of a documents file in file order, each line
     checked as it is read: a missing field, a `doc_id` seen on an earlier
-    line, a `patient_id` not in `patients`, a bad timestamp or an unpaired
-    surrogate raises CorpusError naming the file and the line.
+    line, a `patient_id` not in `patients`, a bad timestamp, one with a UTC
+    offset where the file's first has none (or the reverse), a `text` that is
+    not a string (an absent one is an empty note) or an unpaired surrogate
+    raises CorpusError naming the file and the line.
 
     With `only`, a collection of document positions (0 for the file's first
     document), only those lines are parsed, checked and yielded: a second
@@ -233,6 +235,7 @@ def iter_documents(
     """
     path = Path(documents_path)
     seen_doc_ids: set[str] = set()
+    aware = None  # whether the file's timestamps carry a UTC offset, as its first one read does
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
     for lineno, record, (pid, doc_id, doc_type, timestamp) in _records(path, fields, only):
         pid = str(pid)
@@ -246,9 +249,17 @@ def iter_documents(
             when = datetime.fromisoformat(timestamp)
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{path.name} line {lineno}: bad timestamp {timestamp!r}") from exc
+        if aware is None:
+            aware = when.tzinfo is not None
+        elif aware != (when.tzinfo is not None):
+            raise CorpusError(f"{path.name} line {lineno}: timestamp {timestamp!r} {'lacks' if aware else 'has'} "
+                              "a UTC offset, unlike the file's first timestamp")
+        text = record.get("text", "")
+        if not isinstance(text, str):
+            raise CorpusError(f"{path.name} line {lineno}: text must be a string, got {text!r}")
         # `tuple.__new__` skips the named tuple's Python-level `__new__`, about
         # a fifth of the cost of checking and building a document
-        yield tuple.__new__(ClinicalDocument, (pid, doc_id, str(doc_type), when, str(record.get("text", ""))))
+        yield tuple.__new__(ClinicalDocument, (pid, doc_id, str(doc_type), when, text))
 
 
 def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:

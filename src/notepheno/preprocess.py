@@ -59,7 +59,6 @@ class FilterPlan(NamedTuple):
 class ConsolidationStats(NamedTuple):
     words_fraction_remaining: float
     positive_retention: float | None
-    kept_type_count: int
 
 
 # Sentence boundaries: '.', '!' or '?' followed by whitespace or end of text,
@@ -258,7 +257,6 @@ def retention_report(
     words_before: int,
     positives: Collection[str],
     after: Mapping[str, str],
-    kept_type_count: int,
 ) -> ConsolidationStats:
     """Words remaining out of `words_before` (all the corpus's words), plus the
     fraction of positive patients still holding text.
@@ -270,5 +268,4 @@ def retention_report(
     return ConsolidationStats(
         words_fraction_remaining=(words_after / words_before) if words_before else 1.0,
         positive_retention=positive_retention(positives, after),
-        kept_type_count=kept_type_count,
     )

@@ -398,6 +398,9 @@ def test_a_malformed_profile_csv_exits_1_naming_the_file_and_line(pipeline_dirs,
          "line 3: positive_count must lie in [0, sampled_count]"),
         ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,-2,-3\n",
          "line 2: positive_count must lie in [0, sampled_count]"),
+        # another condition's second row is refused too: it would count the type twice in that cut
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,5,1\nami,A,5,1\nami,A,5,2\n",
+         "line 4: duplicate row for 'ami'/'A'"),
     ):
         table.write_text(content, encoding="utf-8")
         code = _run("preprocess", "--corpus", corpus, "--condition", "diabetes",
@@ -524,6 +527,59 @@ def test_detect_no_preprocess_chunks_each_patient_once(pipeline_dirs, tmp_path, 
                 "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
     patients = _load_corpus_dir(corpus, documents=False, labels=False).patients
     assert len(calls) == len(set(calls)) == len(patients)
+
+
+def test_profile_chunks_each_sampled_document_once_for_all_conditions(pipeline_dirs, tmp_path, monkeypatch):
+    calls = []
+    inner = cli.chunk_text
+
+    def counting(text, budget):
+        calls.append(text)
+        return inner(text, budget)
+
+    picked = []
+    sample = cli._sample_documents_file
+
+    def recording(*args):
+        picked.append(sample(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(cli, "chunk_text", counting)
+    monkeypatch.setattr(cli, "_sample_documents_file", recording)
+    assert _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "40", "--seed", "5", "--mock",
+                "--parallelism", "1", "--out", str(tmp_path / "profile.csv")) == 0
+    # the three built-in conditions ask each sampled text
+    assert sorted(calls) == sorted(doc.text for docs in picked[0].values() for doc in docs)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"text": None}, "text must be a string, got None"),
+        ({"text": ["Known diabetes."]}, "text must be a string, got ['Known diabetes.']"),
+        ({"timestamp": "2015-03-01T06:00:00+00:00"},
+         "timestamp '2015-03-01T06:00:00+00:00' has a UTC offset, unlike the file's first timestamp"),
+    ],
+)
+def test_a_documents_line_of_the_wrong_kind_exits_1_in_every_stage_that_reads_it(
+    pipeline_dirs, tmp_path, capsys, edit, message
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    documents = corpus / "documents.jsonl"
+    lines = documents.read_text(encoding="utf-8").splitlines(keepends=True)
+    added = {**json.loads(lines[-1]), "doc_id": "added", **edit}
+    documents.write_text("".join(lines) + json.dumps(added) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (
+        ("profile", "--corpus", str(corpus), "--mock", "--out", str(tmp_path / "p.csv")),
+        ("preprocess", "--corpus", str(corpus), "--profile-csv", str(pipeline_dirs / "profile.csv"),
+         "--out", str(tmp_path / "prep")),
+        ("detect", "--corpus", str(corpus), "--no-preprocess", "--mock", "--out", str(tmp_path / "raw")),
+    ):
+        assert _run(*argv) == 1, argv
+        assert f"error: documents.jsonl line {len(lines) + 1}: {message}" in capsys.readouterr().err, argv
+    assert not list(tmp_path.glob("p.csv")) + list(tmp_path.glob("prep/*")) + list(tmp_path.glob("raw/*"))
 
 
 def test_detect_merged_file_without_the_condition_exits_1(pipeline_dirs, tmp_path, capsys):

@@ -155,6 +155,8 @@ def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, 
     [
         ("documents.jsonl", {"timestamp": "noon"}, "line 1: bad timestamp 'noon'"),
         ("documents.jsonl", {"timestamp": 5}, "line 1: bad timestamp 5"),
+        ("documents.jsonl", {"text": None}, "line 1: text must be a string, got None"),
+        ("documents.jsonl", {"text": 7}, "line 1: text must be a string, got 7"),
         ("patients.jsonl", {"admit_date": "2015-13-01"}, "line 1: bad date '2015-13-01'"),
         ("patients.jsonl", {"attributes": ["age", "61"]}, "line 1: attributes must be a map"),
         ("labels.jsonl", {"registry_label": None}, "line 1: labels must be 0 or 1"),
@@ -167,6 +169,19 @@ def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, messag
     _write_lines(path, [{**json.loads(path.read_text()), **edit}])
     with pytest.raises(CorpusError, match=f"^{name} {message}$"):
         load_cohort(*files)
+
+
+def test_the_first_timestamp_decides_whether_a_documents_file_carries_utc_offsets(tmp_path):
+    docs, pats, _ = _valid_files(tmp_path)
+    first = json.loads(docs.read_text())
+    second = {**first, "doc_id": "d2", "timestamp": "2015-01-02T09:00:00"}
+    del second["text"]  # an absent text is an empty note
+    _write_lines(docs, [first, second])
+    assert [doc.text for doc in load_cohort(docs, pats, None).documents] == ["Stable.", ""]
+    _write_lines(docs, [{**first, "timestamp": "2015-01-02T08:00:00+01:00"}, second])
+    with pytest.raises(CorpusError, match=r"^documents.jsonl line 2: timestamp '2015-01-02T09:00:00' lacks "
+                                          r"a UTC offset, unlike the file's first timestamp$"):
+        load_cohort(docs, pats, None)
 
 
 def test_a_duplicate_patient_and_a_label_without_registry_label_are_refused(tmp_path):

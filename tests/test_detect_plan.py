@@ -87,6 +87,30 @@ def test_each_condition_reads_its_own_replies_in_chunk_order(layout, parallelism
             assert values == [_value(condition, pid, n) for n in range(1, chunks + 1)]
 
 
+def test_one_mapping_is_chunked_once_for_all_its_conditions_and_equal_copies_once_each(monkeypatch):
+    pids = ("p1", "p2", "p3")
+    raw = {pid: _text(pid) for pid in pids}
+    profiles = [p for p in builtin_profiles() if p.name in UNITS]
+    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in pids])
+    backend = ChunkBackend({p.name: raw for p in profiles}, "diabetes", "p2")
+    calls = []
+    inner = cli.chunk_text
+
+    def counting(text, budget):
+        calls.append(text)
+        return inner(text, budget)
+
+    monkeypatch.setattr(cli, "chunk_text", counting)
+    found = {}
+    for name, selected in (("one", [(raw, p) for p in profiles]), ("copies", [(dict(raw), p) for p in profiles])):
+        calls.clear()
+        found[name] = dict(cli.run_detect(cohort, selected, backend, GenerationParams(), modes=tuple(MODE_PATHS),
+                                          chunk_budget=BUDGET))
+        assert sorted(calls) == sorted(list(raw.values()) * (1 if name == "one" else len(profiles)))
+    assert found["copies"] == found["one"]
+    assert found["one"]["diabetes"]["p2"].statuses["inference"] is InferredStatus.YES
+
+
 def _write_corpus(directory, docs):
     """A corpus directory of (patient_id, doc_id, doc_type, text) notes, in
     the given order, each note an hour after the one before."""

@@ -149,15 +149,15 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
     corpus = consolidate(cohort, plan, diabetes_profile)
     assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
-    assert 0.0 < retention_report(_words(cohort), {"p1"}, corpus, 1).words_fraction_remaining < 1.0
+    assert 0.0 < retention_report(_words(cohort), {"p1"}, corpus).words_fraction_remaining < 1.0
 
 
 def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
     corpus = consolidate(small_cohort, plan, diabetes_profile)
-    stats = retention_report(_words(small_cohort), set(), corpus, 1)
+    stats = retention_report(_words(small_cohort), set(), corpus)
     assert stats.positive_retention is None
-    stats2 = retention_report(_words(small_cohort), {"p1"}, corpus, 1)
+    stats2 = retention_report(_words(small_cohort), {"p1"}, corpus)
     assert stats2.positive_retention == 1.0
 
 
@@ -243,7 +243,7 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     assert counts["words"] == _words(cohort)
     assert len(together) == len(profiles)
     for (plan, profile), corpus in zip(selected, together):
-        fraction = retention_report(counts["words"], set(), corpus, len(plan.kept_types)).words_fraction_remaining
+        fraction = retention_report(counts["words"], set(), corpus).words_fraction_remaining
         assert corpus == consolidate(cohort, plan, profile)
         merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
         assert corpus == merged
@@ -255,9 +255,8 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
 def test_retention_report_counts_merged_words_over_the_cohort(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
     corpus = consolidate(small_cohort, plan, diabetes_profile)
-    report = retention_report(_words(small_cohort), {"p1", "p3"}, corpus, 1)
+    report = retention_report(_words(small_cohort), {"p1", "p3"}, corpus)
     words = sum(len(text.split()) for text in corpus.values())
     assert 0 < words < _words(small_cohort)
     assert report.words_fraction_remaining == words / _words(small_cohort)
     assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5
-    assert report.kept_type_count == 1
