@@ -57,7 +57,7 @@ from .inference import (
 from .preprocess import (
     DocTypeProfile,
     compute_information_relevance,
-    consolidate_all,
+    consolidate,
     filter_document_types,
     retention_report,
     sample_document_types,
@@ -80,7 +80,7 @@ def _check_merged(pid, text, patients: Mapping) -> str | None:
     """The complaint, if any, about a merged record: a cohort patient's string text (maybe empty)."""
     if text is None:
         return "missing field 'text'"
-    if not isinstance(pid, str) or pid not in patients:
+    if pid not in patients:
         return f"unknown patient_id {pid!r}"
     if not isinstance(text, str):
         return f"text must be a string, got {text!r}"
@@ -179,12 +179,12 @@ def _corpus_file(directory, name: str) -> Path:
     return path
 
 
-def _load_corpus_dir(directory, *, documents: bool, labels: bool) -> Cohort:
-    """The cohort of a corpus directory, read from only the files a stage
-    uses: the patients file always, the documents and labels files when
-    asked. A file left unread is neither required nor checked."""
+def _load_corpus_dir(directory, *, labels: bool) -> Cohort:
+    """The patients of a corpus directory, and its labels when asked. The
+    stages stream the documents file (`iter_documents`), so no cohort holds
+    them. A file left unread is neither required nor checked."""
     return load_cohort(
-        _corpus_file(directory, "documents.jsonl") if documents else None,
+        None,
         _corpus_file(directory, "patients.jsonl"),
         _corpus_file(directory, "labels.jsonl") if labels else None,
     )
@@ -288,25 +288,6 @@ def _ask_all(
     return placed
 
 
-def run_profile(
-    cohort: Cohort,
-    profiles: Sequence[ConditionProfile],
-    backend: Backend,
-    params: GenerationParams,
-    m: int,
-    seed: int,
-    parallelism: int = 1,
-    chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-    counts: Counter | None = None,
-) -> dict[str, list[DocTypeProfile]]:
-    """Sample documents per type, infer each for every condition, and score
-    relevance (see `_score_samples`)."""
-    docs = cohort.documents
-    picked = sample_document_types(docs, m, seed)
-    samples = {doc_type: [docs[at] for at in positions] for doc_type, positions in picked.items()}
-    return _score_samples(samples, profiles, backend, params, parallelism, chunk_budget, counts)
-
-
 def _sample_documents_file(path: Path, patients: Mapping, m: int, seed: int) -> dict[str, list]:
     """`sample_document_types` over a documents file, which is read twice
     and never held: the first pass checks every line and keeps each
@@ -317,18 +298,19 @@ def _sample_documents_file(path: Path, patients: Mapping, m: int, seed: int) -> 
     return {doc_type: [read[at] for at in positions] for doc_type, positions in picked.items()}
 
 
-def _score_samples(
+def run_profile(
     samples: Mapping[str, list],
     profiles: Sequence[ConditionProfile],
     backend: Backend,
     params: GenerationParams,
-    parallelism: int,
-    chunk_budget: int,
-    counts: Counter | None,
+    parallelism: int = 1,
+    chunk_budget: int = DEFAULT_CHUNK_BUDGET,
+    counts: Counter | None = None,
 ) -> dict[str, list[DocTypeProfile]]:
     """Infer each sampled document for every condition and score relevance.
 
-    One `{doc_id: text}` of the sample serves every condition, and all
+    `samples` holds per document type the documents `sample_document_types`
+    picked. One `{doc_id: text}` of the sample serves every condition, and all
     inference requests go out in one dispatch. Returns the relevance table
     per condition name; `counts` is as in `_ask_all`.
     """
@@ -458,11 +440,11 @@ def _cmd_profile(args) -> int:
     started = time.monotonic()
     out = _out_file(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
-    patients = _load_corpus_dir(args.corpus, documents=False, labels=False).patients
+    patients = _load_corpus_dir(args.corpus, labels=False).patients
     backend = _make_backend(args)
     profiles = _select_profiles(args)
     counts: Counter = Counter()
-    relevance = _score_samples(
+    relevance = run_profile(
         _sample_documents_file(documents, patients, args.m, args.seed), profiles, backend, args.generation,
         args.parallelism, args.chunk_budget, counts,
     )
@@ -496,8 +478,9 @@ def _backend_block(backend: Backend, counts: Counter) -> dict:
     }
 
 
-def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
-    profiles = []
+def _read_profile_csv(path) -> dict[str, list[DocTypeProfile]]:
+    """The rows of a profile stage's table, per condition, every row checked."""
+    tables: dict[str, list[DocTypeProfile]] = defaultdict(list)
     with Path(path).open(encoding="utf-8") as handle:
         reader = csv.DictReader(handle, restval="")  # a short row's missing fields read ""
         columns = ("condition", "doc_type", "sampled_count", "positive_count")
@@ -510,19 +493,15 @@ def _read_profile_csv(path, condition: str) -> list[DocTypeProfile]:
             if key in seen:
                 raise ValueError(f"{path} line {reader.line_num}: duplicate row for {key[0]!r}/{key[1]!r}")
             seen.add(key)
-            if row["condition"] != condition:
-                continue
             try:
                 sampled, positive = int(row["sampled_count"]), int(row["positive_count"])
             except ValueError:
                 raise ValueError(f"{path} line {reader.line_num}: missing or non-integer count") from None
             try:
-                profiles.append(DocTypeProfile(row["doc_type"], sampled, positive))
+                tables[row["condition"]].append(DocTypeProfile(row["doc_type"], sampled, positive))
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    if not profiles:
-        raise ValueError(f"{path}: no rows for condition {condition!r}")
-    return profiles
+    return tables
 
 
 def _merged_lines(condition: str, merged: Mapping[str, str]):
@@ -536,11 +515,13 @@ def _merged_lines(condition: str, merged: Mapping[str, str]):
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     documents = _corpus_file(args.corpus, "documents.jsonl")
-    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
-    selected = [
-        (filter_document_types(_read_profile_csv(args.profile_csv, profile.name), args.percentile), profile)
-        for profile in _select_profiles(args)
-    ]
+    cohort = _load_corpus_dir(args.corpus, labels=True)
+    profiles = _select_profiles(args)
+    tables = _read_profile_csv(args.profile_csv)
+    for profile in profiles:
+        if profile.name not in tables:
+            raise ValueError(f"{args.profile_csv}: no rows for condition {profile.name!r}")
+    selected = [(filter_document_types(tables[profile.name], args.percentile), profile) for profile in profiles]
     # the stage needs the labels only as each condition's positive patients:
     # the rest is freed before the notes stream
     patients = cohort.patients
@@ -549,7 +530,7 @@ def _cmd_preprocess(args) -> int:
     ]
     del cohort
     counts: Counter = Counter()
-    consolidated = consolidate_all(iter_documents(documents, patients), selected, counts)
+    consolidated = consolidate(iter_documents(documents, patients), selected, counts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_rows = []
@@ -656,7 +637,7 @@ def _cmd_detect(args) -> int:
     # The merged texts come from the preprocess artifact, and the raw notes of
     # --no-preprocess are streamed from the documents file: the cohort is
     # only its patients.
-    cohort = _load_corpus_dir(args.corpus, documents=False, labels=False)
+    cohort = _load_corpus_dir(args.corpus, labels=False)
     backend = _make_backend(args)
     modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
     out_dir = Path(args.out)
@@ -692,12 +673,10 @@ def _predictions(path, condition: str | None = None, mode: str | None = None) ->
     raises ValueError, and so does one of several modes or not of `mode`."""
     found: dict[str, dict[str, int]] = defaultdict(dict)
     modes: set[str] = set()
-    fields = ("patient_id", "condition", "mode", "label")
-    for lineno, _, (pid, cond, record_mode, label) in _records(path, fields):
-        strings = {"patient_id": pid, "condition": cond, "mode": record_mode}
-        wrong = next((name for name, value in strings.items() if not isinstance(value, str)), None)
-        if wrong:
-            complaint = f"{wrong} must be a string, got {strings[wrong]!r}"
+    for lineno, record, (pid, cond, record_mode) in _records(path, ("patient_id", "condition", "mode")):
+        label = record.get("label")
+        if label is None:
+            complaint = "missing field 'label'"
         elif label not in (0, 1):
             complaint = f"label must be 0 or 1, got {label!r}"
         elif pid in found[cond]:
@@ -724,7 +703,7 @@ def _format_metric(est) -> tuple[str, str, str]:
 def _cmd_evaluate(args) -> int:
     started = time.monotonic()
     out = _out_file(args.out)
-    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
+    cohort = _load_corpus_dir(args.corpus, labels=True)
     detect_dir = Path(args.detect_dir)
     header = (
         "method", "condition",
@@ -816,7 +795,7 @@ def _trend_svg(points, condition: str) -> str:
 def _cmd_trend(args) -> int:
     out = _out_file(args.out)
     svg = _out_file(args.svg, "--svg") if args.svg else None
-    cohort = _load_corpus_dir(args.corpus, documents=False, labels=True)
+    cohort = _load_corpus_dir(args.corpus, labels=True)
     condition, predicted = _predictions(args.pred)
     reference = cohort.reference_map(condition)
     points = evaluation.monthly_trend(cohort, predicted, reference)

@@ -130,7 +130,7 @@ LOW_YIELD_DOC_TYPES = (
 def _parse_date(raw: str, path: Path, lineno: int) -> date:
     try:
         return datetime.fromisoformat(raw).date()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CorpusError(f"{path.name} line {lineno}: bad date {raw!r}") from exc
 
 
@@ -166,10 +166,11 @@ def _parse_line(raw: str, path: Path, lineno: int) -> dict:
 def _records(path, fields: Sequence[str], only: Collection[int] | None = None):
     """Yield `(lineno, record, values)` for each non-blank line of the
     line-record file at `path`: its JSON object and the values of `fields`
-    (two or more). A line that is not an object, or whose value of a field
-    is absent, null or empty, raises CorpusError naming the file, the line
-    and the first such field. With `only`, a collection of record positions
-    (0 for the first non-blank line), the other lines are skipped unparsed."""
+    (two or more), each a nonempty string. A line that is not an object, or
+    whose value of a field is absent, null, empty or not a string, raises
+    CorpusError naming the file, the line and the first such field. With
+    `only`, a collection of record positions (0 for the first non-blank
+    line), the other lines are skipped unparsed."""
     path = Path(path)
     values_of = itemgetter(*fields)  # a C call per record, where `map(record.get, …)` costs 4x
     with path.open(encoding="utf-8") as handle:
@@ -186,9 +187,13 @@ def _records(path, fields: Sequence[str], only: Collection[int] | None = None):
                 values = values_of(record)
             except KeyError:
                 values = (None,)
-            if None in values or "" in values:
-                missing = next(name for name in fields if record.get(name) in (None, ""))
-                raise CorpusError(f"{path.name} line {lineno}: missing field {missing!r}")
+            for value in values:
+                if type(value) is not str or not value:
+                    name, value = next((name, record.get(name)) for name in fields
+                                       if type(record.get(name)) is not str or not record[name])
+                    complaint = (f"missing field {name!r}" if value in (None, "")
+                                 else f"{name} must be a string, got {value!r}")
+                    raise CorpusError(f"{path.name} line {lineno}: {complaint}")
             yield lineno, record, values
 
 
@@ -208,7 +213,6 @@ def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
 def _load_patients(patients_path: Path) -> dict[str, Patient]:
     patients: dict[str, Patient] = {}
     for lineno, record, (pid, admit) in _records(patients_path, ("patient_id", "admit_date")):
-        pid = str(pid)
         if pid in patients:
             raise CorpusError(f"{patients_path.name} line {lineno}: duplicate patient_id {pid!r}")
         attributes = record.get("attributes") or {}
@@ -223,11 +227,11 @@ def iter_documents(
     documents_path, patients: Mapping[str, Patient], only: Collection[int] | None = None
 ) -> Iterator[ClinicalDocument]:
     """Yield the documents of a documents file in file order, each line
-    checked as it is read: a missing field, a `doc_id` seen on an earlier
-    line, a `patient_id` not in `patients`, a bad timestamp, one with a UTC
-    offset where the file's first has none (or the reverse), a `text` that is
-    not a string (an absent one is an empty note) or an unpaired surrogate
-    raises CorpusError naming the file and the line.
+    checked as it is read: a missing or non-string field, a `doc_id` seen on
+    an earlier line, a `patient_id` not in `patients`, a bad timestamp, one
+    with a UTC offset where the file's first has none (or the reverse), a
+    `text` that is not a string (an absent one is an empty note) or an
+    unpaired surrogate raises CorpusError naming the file and the line.
 
     With `only`, a collection of document positions (0 for the file's first
     document), only those lines are parsed, checked and yielded: a second
@@ -238,8 +242,6 @@ def iter_documents(
     aware = None  # whether the file's timestamps carry a UTC offset, as its first one read does
     fields = ("patient_id", "doc_id", "doc_type", "timestamp")
     for lineno, record, (pid, doc_id, doc_type, timestamp) in _records(path, fields, only):
-        pid = str(pid)
-        doc_id = str(doc_id)
         if doc_id in seen_doc_ids:
             raise CorpusError(f"{path.name} line {lineno}: duplicate doc_id {doc_id!r}")
         if pid not in patients:
@@ -247,7 +249,7 @@ def iter_documents(
         seen_doc_ids.add(doc_id)
         try:
             when = datetime.fromisoformat(timestamp)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"{path.name} line {lineno}: bad timestamp {timestamp!r}") from exc
         if aware is None:
             aware = when.tzinfo is not None
@@ -259,7 +261,7 @@ def iter_documents(
             raise CorpusError(f"{path.name} line {lineno}: text must be a string, got {text!r}")
         # `tuple.__new__` skips the named tuple's Python-level `__new__`, about
         # a fifth of the cost of checking and building a document
-        yield tuple.__new__(ClinicalDocument, (pid, doc_id, str(doc_type), when, text))
+        yield tuple.__new__(ClinicalDocument, (pid, doc_id, doc_type, when, text))
 
 
 def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
@@ -268,8 +270,6 @@ def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[Re
     for lineno, record, (pid, condition) in _records(labels_path, ("patient_id", "condition")):
         if "registry_label" not in record:
             raise CorpusError(f"{labels_path.name} line {lineno}: missing field 'registry_label'")
-        pid = str(pid)
-        condition = str(condition)
         if pid not in patients:
             raise CorpusError(f"{labels_path.name} line {lineno}: unknown patient_id {pid!r}")
         key = (pid, condition)

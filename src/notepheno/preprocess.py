@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .adjudication import InferredStatus
-from .corpus import Checked, ClinicalDocument, Cohort
+from .corpus import Checked, ClinicalDocument
 from .prompting import ConditionProfile
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "compute_information_relevance",
     "filter_document_types",
     "consolidate",
-    "consolidate_all",
     "positive_retention",
     "retention_report",
     "resolve_percentile",
@@ -182,12 +181,7 @@ def filter_document_types(profiles: list[DocTypeProfile], percentile) -> FilterP
     return FilterPlan(threshold_value=threshold, kept_types=kept)
 
 
-def consolidate(cohort: Cohort, plan: FilterPlan, profile: ConditionProfile) -> dict[str, str]:
-    """consolidate_all of a cohort's documents for a single condition."""
-    return consolidate_all(cohort.documents, [(plan, profile)])[0]
-
-
-def consolidate_all(
+def consolidate(
     documents: Iterable[ClinicalDocument],
     selected: Sequence[tuple[FilterPlan, ConditionProfile]],
     counts: Counter | None = None,

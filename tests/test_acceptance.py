@@ -9,6 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 
+from conftest import sampled_documents
+
 from notepheno.adjudication import (
     InferredStatus,
     apply_clinical_rule,
@@ -150,11 +152,10 @@ def test_criterion_4_synthetic_recovery():
             spec = SynthSpec(n_patients=2000, prevalence={"diabetes": 0.3}, seed=seed)
             cohort, truth = generate_synthetic(spec, [profile])
             clean = MockBackend()
-            type_profiles = run_profile(
-                cohort, [profile], clean, params, m=60, seed=seed, parallelism=1
-            )["diabetes"]
+            samples = sampled_documents(cohort, 60, seed)
+            type_profiles = run_profile(samples, [profile], clean, params, parallelism=1)["diabetes"]
             plan = filter_document_types(type_profiles, "q1")
-            merged = consolidate(cohort, plan, profile)
+            merged = consolidate(cohort.documents, [(plan, profile)])[0]
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
                 cohort, [(merged, profile)], noisy, params,
@@ -182,7 +183,7 @@ def test_criterion_5_or_mode_algebra():
         spec = SynthSpec(n_patients=300, prevalence={"diabetes": 0.3}, seed=42)
         cohort, truth = generate_synthetic(spec, [profile])
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged = consolidate(cohort, plan, profile)
+        merged = consolidate(cohort.documents, [(plan, profile)])[0]
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
             cohort, [(merged, profile)],
@@ -231,7 +232,7 @@ def test_criterion_6_preprocessing_properties():
         cohort, truth = generate_synthetic(spec, [profile])
         assert len(cohort.documents) >= 500
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged = consolidate(cohort, plan, profile)
+        merged = consolidate(cohort.documents, [(plan, profile)])[0]
         # Each merged text is every stripped keyword sentence of the patient's
         # kept-type notes, notes in (timestamp, doc_id) order, joined by spaces.
         pattern = keyword_regex(profile.keywords)

@@ -237,7 +237,7 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, mo
         json.dumps(dict(record, text=5)): "text must be a string, got 5",
         json.dumps(dict(record, patient_id="X" + record["patient_id"])):
             f"unknown patient_id {'X' + record['patient_id']!r}",
-        json.dumps(dict(record, patient_id=1)): "unknown patient_id 1",
+        json.dumps(dict(record, patient_id=1)): "patient_id must be a string, got 1",
     }
     for bad, message in cases.items():
         _with_line(path, 2, bad)
@@ -410,6 +410,58 @@ def test_a_malformed_profile_csv_exits_1_naming_the_file_and_line(pipeline_dirs,
     assert not list(tmp_path.glob("prep/*"))
 
 
+def test_profile_csv_rows_of_every_condition_are_checked(pipeline_dirs, tmp_path, capsys):
+    corpus = str(pipeline_dirs / "corpus")
+    table = tmp_path / "profile.csv"
+    for content, message in (
+        # a bad count in a row of a condition the run does not select
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,5,1\nami,A,five,1\n",
+         " line 3: missing or non-integer count"),
+        ("condition,doc_type,sampled_count,positive_count\ndiabetes,A,5,1\nami,A,3,5\n",
+         " line 3: positive_count must lie in [0, sampled_count]"),
+        ("condition,doc_type,sampled_count,positive_count\nami,A,5,1\n",
+         ": no rows for condition 'diabetes'"),
+    ):
+        table.write_text(content, encoding="utf-8")
+        code = _run("preprocess", "--corpus", corpus, "--condition", "diabetes",
+                    "--profile-csv", str(table), "--out", str(tmp_path / "prep"))
+        assert code == 1, content
+        assert f"error: {table}{message}" in capsys.readouterr().err, content
+    assert not list(tmp_path.glob("prep/*"))
+
+
+def test_preprocess_parses_profile_csv_once(pipeline_dirs, tmp_path, monkeypatch):
+    reads = []
+    inner = cli._read_profile_csv
+    monkeypatch.setattr(cli, "_read_profile_csv", lambda *args: reads.append(args) or inner(*args))
+    # every built-in condition is selected
+    assert _run("preprocess", "--corpus", str(pipeline_dirs / "corpus"),
+                "--profile-csv", str(pipeline_dirs / "profile.csv"), "--out", str(tmp_path / "prep")) == 0
+    assert len(reads) == 1
+    assert len(list(tmp_path.glob("prep/merged_*.jsonl"))) == len(builtin_profiles())
+
+
+def test_profile_and_preprocess_run_the_library_functions_of_their_steps(pipeline_dirs, tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(name):
+        inner = getattr(cli, name)
+        return lambda *args, **kwargs: calls.append(name) or inner(*args, **kwargs)
+
+    for name in ("run_profile", "consolidate"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    corpus = str(pipeline_dirs / "corpus")
+    assert _run("profile", "--corpus", corpus, "--m", "40", "--seed", "5", "--mock",
+                "--out", str(tmp_path / "profile.csv")) == 0
+    assert calls == ["run_profile"]
+    assert (tmp_path / "profile.csv").read_bytes() == (pipeline_dirs / "profile.csv").read_bytes()
+    assert _run("preprocess", "--corpus", corpus, "--profile-csv", str(tmp_path / "profile.csv"),
+                "--out", str(tmp_path / "prep")) == 0
+    assert calls == ["run_profile", "consolidate"]
+    for path in (pipeline_dirs / "prep").glob("merged_*.jsonl"):
+        assert (tmp_path / "prep" / path.name).read_bytes() == path.read_bytes()
+
+
 def _corpus_with_bad_line(pipeline_dirs, tmp_path, name: str) -> str:
     """A copy of the module's corpus whose `name` file ends in an invalid line."""
     corpus = tmp_path / "bad_corpus"
@@ -525,7 +577,7 @@ def test_detect_no_preprocess_chunks_each_patient_once(pipeline_dirs, tmp_path, 
     # three conditions share each patient's raw notes
     assert _run("detect", "--corpus", corpus, "--no-preprocess", "--mode", "all", "--mock",
                 "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
-    patients = _load_corpus_dir(corpus, documents=False, labels=False).patients
+    patients = _load_corpus_dir(corpus, labels=False).patients
     assert len(calls) == len(set(calls)) == len(patients)
 
 
@@ -1134,7 +1186,7 @@ def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_pa
                 "--out", str(tmp_path / "prep"))
     if escape == "\\ud83d\\ude00":  # a valid pair loads and is written back whole
         assert code == 0
-        cohort = _load_corpus_dir(corpus, documents=True, labels=True)
+        cohort = load_cohort(*(corpus / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
         assert cohort.documents[1].text.startswith("\U0001F600 ")
         write_cohort(cohort, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
         assert load_cohort(tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl") == cohort
@@ -1237,7 +1289,8 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         "--m", "4", "--seed", "3", "--chunk-budget", str(budget), "--mock",
         "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
     ) == 0
-    samples = sampled_documents(_load_corpus_dir(pipeline_dirs / "corpus", documents=True, labels=False), 4, 3)
+    corpus = pipeline_dirs / "corpus"
+    samples = sampled_documents(load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None), 4, 3)
     docs = [doc for picked in samples.values() for doc in picked]
     chunks = [chunk.text for doc in docs for chunk in chunk_text(doc.text, budget)]
     assert len(chunks) > len(docs)  # the budget split some documents
@@ -1407,7 +1460,7 @@ def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, t
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_the_profile_stage_samples_what_sample_document_types_picks(pipeline_dirs, tmp_path, monkeypatch, seed):
     corpus = pipeline_dirs / "corpus"
-    cohort = _load_corpus_dir(corpus, documents=True, labels=False)
+    cohort = load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None)
     sizes = sorted(Counter(doc.doc_type for doc in cohort.documents).values())
     seen = []
     relevance = cli.compute_information_relevance
@@ -1426,9 +1479,9 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
 ):
     prompts = record_prompts(monkeypatch, MockBackend)
     source = pipeline_dirs / "corpus"
-    cohort = _load_corpus_dir(source, documents=True, labels=False)
+    cohort = load_cohort(source / "documents.jsonl", source / "patients.jsonl", None)
     kept = set().union(*(
-        filter_document_types(_read_profile_csv(pipeline_dirs / "profile.csv", condition), "q1").kept_types
+        filter_document_types(_read_profile_csv(pipeline_dirs / "profile.csv")[condition], "q1").kept_types
         for condition in ("ami", "diabetes", "hypertension")
     ))
     doc_type = min({doc.doc_type for doc in cohort.documents} - kept)
@@ -1440,7 +1493,7 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
     original = docs.read_text(encoding="utf-8")
     # as a valid line, profile --m 1 --seed 5 would not sample it, and preprocess would keep none of it
     docs.write_text(original + json.dumps(valid) + "\n", encoding="utf-8")
-    with_valid = _load_corpus_dir(corpus, documents=True, labels=False)
+    with_valid = load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None)
     assert valid["doc_id"] not in {d.doc_id for d in sampled_documents(with_valid, 1, 5)[doc_type]}
     lineno = original.count("\n") + 1
     first = cohort.documents[0].doc_id

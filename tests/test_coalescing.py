@@ -76,7 +76,7 @@ def test_run_profile_sends_each_distinct_sampled_text_once(cohort, monkeypatch):
     profiles = builtin_profiles()
     counts = Counter()
     tables = cli.run_profile(
-        cohort, profiles, MockBackend(), GenerationParams(), m=10, seed=0,
+        sampled_documents(cohort, 10, 0), profiles, MockBackend(), GenerationParams(),
         parallelism=1, chunk_budget=BUDGET, counts=counts,
     )
     asks = _asks([doc.text for doc in cohort.documents], [p.name for p in profiles], ("inference",))

@@ -154,7 +154,7 @@ def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, 
     "name,edit,message",
     [
         ("documents.jsonl", {"timestamp": "noon"}, "line 1: bad timestamp 'noon'"),
-        ("documents.jsonl", {"timestamp": 5}, "line 1: bad timestamp 5"),
+        ("documents.jsonl", {"timestamp": 5}, "line 1: timestamp must be a string, got 5"),
         ("documents.jsonl", {"text": None}, "line 1: text must be a string, got None"),
         ("documents.jsonl", {"text": 7}, "line 1: text must be a string, got 7"),
         ("patients.jsonl", {"admit_date": "2015-13-01"}, "line 1: bad date '2015-13-01'"),
@@ -169,6 +169,29 @@ def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, messag
     _write_lines(path, [{**json.loads(path.read_text()), **edit}])
     with pytest.raises(CorpusError, match=f"^{name} {message}$"):
         load_cohort(*files)
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("patients.jsonl", {"patient_id": 5}, "patient_id must be a string, got 5"),
+        ("documents.jsonl", {"doc_id": 7}, "doc_id must be a string, got 7"),
+        ("documents.jsonl", {"doc_type": ["DischargeSummary"]},
+         "doc_type must be a string, got ['DischargeSummary']"),
+        ("labels.jsonl", {"condition": ["ami"]}, "condition must be a string, got ['ami']"),
+    ],
+)
+def test_a_corpus_id_that_is_not_a_string_names_the_file_line_and_field(tmp_path, name, edit, message):
+    files = _valid_files(tmp_path)
+    path = tmp_path / name
+    first = json.loads(path.read_text())
+    # the bad value is on line 2, in a record that is otherwise a valid second one
+    new_key = {"patients.jsonl": {"patient_id": "p2"}, "documents.jsonl": {"doc_id": "d2"},
+               "labels.jsonl": {"condition": "ami"}}[name]
+    _write_lines(path, [first, {**first, **new_key, **edit}])
+    with pytest.raises(CorpusError) as exc:
+        load_cohort(*files)
+    assert str(exc.value) == f"{name} line 2: {message}"
 
 
 def test_the_first_timestamp_decides_whether_a_documents_file_carries_utc_offsets(tmp_path):

@@ -256,7 +256,7 @@ def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
 
 
 def test_run_detect_holds_no_text_once_it_returns(synth_corpus):
-    cohort = cli._load_corpus_dir(synth_corpus, documents=False, labels=False)
+    cohort = cli._load_corpus_dir(synth_corpus, labels=False)
     texts = {pid: f"Known diabetes, patient {pid}." for pid in cohort.patients}
     held = sys.getrefcount(texts)
     labelled = cli.run_detect(cohort, [(texts, p) for p in builtin_profiles()], MockBackend(), GenerationParams())

@@ -14,7 +14,6 @@ from notepheno.preprocess import (
     FilterPlan,
     compute_information_relevance,
     consolidate,
-    consolidate_all,
     filter_document_types,
     keyword_regex,
     positive_retention,
@@ -147,14 +146,14 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
         ]
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
-    corpus = consolidate(cohort, plan, diabetes_profile)
+    corpus = consolidate(cohort.documents, [(plan, diabetes_profile)])[0]
     assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
     assert 0.0 < retention_report(_words(cohort), {"p1"}, corpus).words_fraction_remaining < 1.0
 
 
 def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus = consolidate(small_cohort, plan, diabetes_profile)
+    corpus = consolidate(small_cohort.documents, [(plan, diabetes_profile)])[0]
     stats = retention_report(_words(small_cohort), set(), corpus)
     assert stats.positive_retention is None
     stats2 = retention_report(_words(small_cohort), {"p1"}, corpus)
@@ -239,12 +238,12 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     }
     selected = [(FilterPlan(0.0, kept[p.name]), p) for p in profiles]
     counts = Counter()
-    together = consolidate_all(iter(cohort.documents), selected, counts)  # a stream, read once
+    together = consolidate(iter(cohort.documents), selected, counts)  # a stream, read once
     assert counts["words"] == _words(cohort)
     assert len(together) == len(profiles)
     for (plan, profile), corpus in zip(selected, together):
         fraction = retention_report(counts["words"], set(), corpus).words_fraction_remaining
-        assert corpus == consolidate(cohort, plan, profile)
+        assert corpus == consolidate(cohort.documents, [(plan, profile)])[0]
         merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
         assert corpus == merged
         assert fraction == reference_fraction
@@ -254,7 +253,7 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
 
 def test_retention_report_counts_merged_words_over_the_cohort(small_cohort, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus = consolidate(small_cohort, plan, diabetes_profile)
+    corpus = consolidate(small_cohort.documents, [(plan, diabetes_profile)])[0]
     report = retention_report(_words(small_cohort), {"p1", "p3"}, corpus)
     words = sum(len(text.split()) for text in corpus.values())
     assert 0 < words < _words(small_cohort)
