@@ -96,6 +96,15 @@ def _out_file(path, flag: str = "--out") -> Path:
     return path
 
 
+def _out_dir(path, flag: str = "--out") -> Path:
+    """The directory a flag names for a stage to write into, refused before
+    the stage reads or sends anything if it is an existing file."""
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise NotADirectoryError(f"{flag} {path} is a file, not a directory")
+    return path
+
+
 def _write_csv(path: Path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -206,71 +215,63 @@ def _select_profiles(args) -> list[ConditionProfile]:
 def _ask_all(
     plan: Sequence[tuple[Mapping[str, str], ConditionProfile]], paths: Sequence[str], backend: Backend,
     params: GenerationParams, parallelism: int, chunk_budget: int, counts: Counter | None,
-) -> list[tuple[dict[str, list], int, int]]:
+) -> list[dict[str, dict[str, object]]]:
     """The request plan of a backend stage, sent in one dispatch.
 
     `plan` holds each condition's `{owner: text}` and profile, and every text
-    is asked the prompt `paths`. A text is chunked once per mapping object,
-    so conditions given one mapping share its chunks. An ask is keyed by
+    is asked the prompt `paths`. Each distinct text is chunked once for the
+    stage, whichever conditions and owners hold it. An ask is keyed by
     `(condition, kind, chunk text)`, and each distinct key is rendered and
-    sent once; its parsed reply goes to every owner that asked it. A worker
-    renders, completes and parses one request, so neither the prompts nor the
-    raw replies of the stage are ever held together. Returns, per condition
-    of `plan`, `(replies, first, width)`: the condition's path `i` has an
-    owner's chunk replies at `replies[owner][first + i::width]`.
+    sent once, condition by condition; its parsed reply goes to every owner
+    that asked it. A worker renders, completes and parses one request, so
+    neither the prompts nor the raw replies of the stage are ever held
+    together. Returns, per condition of `plan`, `{path: {owner: reply}}`: an
+    inference reply is the owner's chunk verdicts combined, an extraction
+    reply the tuple of its chunks' measurements in chunk order.
 
     `counts` gets the requests sent, the asks that shared an earlier ask's
-    request, the oversized chunks and the extracted values dropped as
-    implausible. The oversized chunks and the dropped values are also logged,
-    in one warning each for the whole stage (one per analyte side for the
-    values), so a large corpus does not log one line per record. A chunk
-    budget below 1 raises ValueError before any text is chunked.
+    request, the oversized chunks (of each distinct text) and the extracted
+    values dropped as implausible. The oversized chunks and the dropped
+    values are also logged, in one warning each for the whole stage (one per
+    analyte side for the values), so a large corpus does not log one line per
+    record. A chunk budget below 1 raises ValueError before any text is
+    chunked.
     """
     if chunk_budget < 1:
         raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
-    groups: dict[int, list[int]] = {}  # by mapping id, the positions in `plan` of the conditions given it
-    for at, (texts, _) in enumerate(plan):
-        groups.setdefault(id(texts), []).append(at)
-    index: dict[tuple[str, str, str], int] = {}
-    items = []
-    # per condition `(replies, first, width)`, replies as indices into `items` until the dispatch returns
-    placed: list = [None] * len(plan)
+    chunked: dict[str, list[str]] = {}  # each distinct text's chunk texts
+    index: dict[tuple[str, str, str], int] = {}  # each distinct ask, by its position in the dispatch
+    # per condition and owner, the position of each chunk's ask of each path, chunk by chunk
+    asked: list[dict[str, list[int]]] = []
     planned = oversized = 0
-    for group in groups.values():
-        texts = plan[group[0]][0]
-        asks = [(plan[at][1], path) for at in group for path in paths]
-        replies: dict[str, list] = {}
+    for texts, profile in plan:
+        rows = {}
         for owner in sorted(texts):
-            chunks = chunk_text(texts[owner], chunk_budget)
-            oversized += sum(chunk.oversized for chunk in chunks)
-            planned += len(chunks) * len(asks)
-            row = replies[owner] = []
-            for chunk in chunks:
-                for profile, kind in asks:
-                    key = (profile.name, kind, chunk.text)
-                    at = index.get(key)
-                    if at is None:
-                        at = index[key] = len(items)
-                        items.append((profile, kind, chunk.text))
-                    row.append(at)
-        for rank, at in enumerate(group):
-            placed[at] = (replies, rank * len(paths), len(asks))
-    del index  # one entry per distinct ask: free it before the replies arrive
+            text = texts[owner]
+            chunks = chunked.get(text)
+            if chunks is None:
+                pieces = chunk_text(text, chunk_budget)
+                oversized += sum(chunk.oversized for chunk in pieces)
+                chunks = chunked[text] = [chunk.text for chunk in pieces]
+            planned += len(chunks) * len(paths)
+            rows[owner] = [index.setdefault((profile.name, path, chunk), len(index))
+                           for chunk in chunks for path in paths]
+        asked.append(rows)
+    items = list(index)
+    del index, chunked  # free both before the replies arrive
     if oversized:
-        logger.warning(
-            "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
-            "characters and were sent whole",
-            oversized,
-            chunk_budget,
-        )
+        logger.warning("%d chunk(s) hold a single sentence longer than the chunk budget of %d "
+                       "characters and were sent whole", oversized, chunk_budget)
     dropped: list[str] = []  # the analyte side of each implausible value, appended by the workers
+    profiles = {profile.name: profile for _, profile in plan}
 
     def ask(item):
-        profile, kind, text = item
+        name, kind, text = item
+        profile = profiles[name]
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
-        # a tuple, as every owner of the ask shares it
+        # a tuple: most replies hold no value, and every empty tuple is one object
         return tuple(parse_extraction_response(reply.text, profile.rule.analyte, dropped))
 
     parsed = run_parallel(ask, items, parallelism)
@@ -282,10 +283,17 @@ def _ask_all(
         counts["oversized_chunks"] += oversized
         counts["implausible_values"] += len(dropped)
     del items
-    for group in groups.values():
-        for row in placed[group[0]][0].values():
-            row[:] = map(parsed.__getitem__, row)
-    return placed
+    replies = []
+    for rows in asked:
+        by_path: dict[str, dict[str, object]] = {path: {} for path in paths}
+        for owner, row in rows.items():
+            for offset, path in enumerate(paths):
+                found = [parsed[at] for at in row[offset::len(paths)]]
+                by_path[path][owner] = (combine_chunk_statuses(found) if path == "inference"
+                                        else tuple(m for chunk in found for m in chunk))
+        replies.append(by_path)
+        rows.clear()  # each condition's positions go as its replies are built
+    return replies
 
 
 def _sample_documents_file(path: Path, patients: Mapping, m: int, seed: int) -> dict[str, list]:
@@ -315,13 +323,11 @@ def run_profile(
     per condition name; `counts` is as in `_ask_all`.
     """
     texts = {doc.doc_id: doc.text for docs in samples.values() for doc in docs}
-    placed = _ask_all([(texts, profile) for profile in profiles], ("inference",),
-                      backend, params, parallelism, chunk_budget, counts)
+    replies = _ask_all([(texts, profile) for profile in profiles], ("inference",),
+                       backend, params, parallelism, chunk_budget, counts)
     return {
-        profile.name: compute_information_relevance(
-            samples, {doc_id: combine_chunk_statuses(found[first::width]) for doc_id, found in replies.items()},
-        )
-        for profile, (replies, first, width) in zip(profiles, placed)
+        profile.name: compute_information_relevance(samples, found["inference"])
+        for profile, found in zip(profiles, replies)
     }
 
 
@@ -341,11 +347,10 @@ def run_detect(
     Yields `(condition, {patient_id: findings})` for every cohort patient, in
     the order of `selected`, adjudicating each condition only when it is
     taken, so a caller that writes one condition before taking the next holds
-    one condition's findings at a time. Conditions given one mapping object
-    (the raw notes under --no-preprocess) share its chunks. The texts are not
-    held once this returns: the generator holds the profiles and the placed
-    replies. Patients without text share one empty record, which every mode
-    labels 0, without any backend traffic. `counts` is as in `_ask_all`.
+    one condition's findings at a time. The texts are not held once this
+    returns: the generator holds the profiles and their replies. Patients
+    without text share one empty record, which every mode labels 0, without
+    any backend traffic. `counts` is as in `_ask_all`.
     """
     for mode in modes:
         if mode not in MODE_PATHS:
@@ -353,30 +358,23 @@ def run_detect(
     # "merged" asks every path, so its row gives the order: inference first.
     paths = [p for p in MODE_PATHS["merged"] if any(p in MODE_PATHS[mode] for mode in modes)]
     profiles = [profile for _, profile in selected]
-    placed = _ask_all(selected, paths, backend, params, parallelism, chunk_budget, counts)
+    replies = _ask_all(selected, paths, backend, params, parallelism, chunk_budget, counts)
 
-    def findings(
-        replies_of: Mapping[str, list], first: int, width: int, profile: ConditionProfile
-    ) -> dict[str, Findings]:
+    def findings(by_path: dict[str, dict], profile: ConditionProfile) -> dict[str, Findings]:
         no_text = Findings({}, ())
         found = {}
         for pid in sorted(cohort.patients):
-            replies = replies_of.get(pid)
-            if replies is None:
+            statuses = {path: by_owner[pid] for path, by_owner in by_path.items() if pid in by_owner}
+            if not statuses:
                 found[pid] = no_text
                 continue
-            statuses, measurements = {}, ()
-            for offset, path in enumerate(paths, first):
-                parsed = replies[offset::width]
-                if path == "inference":
-                    statuses[path] = combine_chunk_statuses(parsed)
-                else:
-                    measurements = tuple(m for chunk in parsed for m in chunk)
-                    statuses[path] = apply_clinical_rule(measurements, profile.rule)
+            measurements = statuses.get("extraction", ())
+            if "extraction" in statuses:
+                statuses["extraction"] = apply_clinical_rule(measurements, profile.rule)
             found[pid] = Findings(statuses, measurements)
         return found
 
-    return ((profile.name, findings(*placed.pop(0), profile)) for profile in profiles)
+    return ((profile.name, findings(replies.pop(0), profile)) for profile in profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +411,8 @@ def _cmd_synth(args) -> int:
         docs_per_patient=(args.docs_min, args.docs_max),
         seed=args.seed,
     )
+    out_dir = _out_dir(args.out)
     cohort, truth = generate_synthetic(spec, profiles)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(
         cohort,
@@ -514,6 +512,7 @@ def _merged_lines(condition: str, merged: Mapping[str, str]):
 
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
+    out_dir = _out_dir(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
     cohort = _load_corpus_dir(args.corpus, labels=True)
     profiles = _select_profiles(args)
@@ -531,7 +530,6 @@ def _cmd_preprocess(args) -> int:
     del cohort
     counts: Counter = Counter()
     consolidated = consolidate(iter_documents(documents, patients), selected, counts)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_rows = []
     for (plan, profile), merged, positive in zip(selected, consolidated, positives):
@@ -559,8 +557,8 @@ def _cmd_preprocess(args) -> int:
 def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[str, str]]:
     """Each condition's `{patient_id: text}` for detect, in the order of
     `conditions`: the merged text of the preprocess artifact, or under
-    --no-preprocess each patient's raw notes joined in timestamp order, one
-    map shared by every condition.
+    --no-preprocess each patient's raw notes joined in timestamp order, the
+    same for every condition.
 
     The raw notes are read twice and never held together: the first pass
     checks every line and keeps each patient's last position, the second
@@ -637,10 +635,10 @@ def _cmd_detect(args) -> int:
     # The merged texts come from the preprocess artifact, and the raw notes of
     # --no-preprocess are streamed from the documents file: the cohort is
     # only its patients.
+    out_dir = _out_dir(args.out)
     cohort = _load_corpus_dir(args.corpus, labels=False)
     backend = _make_backend(args)
     modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     profiles = _select_profiles(args)

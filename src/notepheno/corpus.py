@@ -72,7 +72,7 @@ class ClinicalDocument(NamedTuple):
 class Patient(NamedTuple):
     patient_id: str
     admit_date: date
-    attributes: Mapping[str, str] = MappingProxyType({})
+    attributes: Mapping[str, object] = MappingProxyType({})  # each value as the JSON gives it
 
 
 class ReferenceLabel(NamedTuple):
@@ -218,7 +218,6 @@ def _load_patients(patients_path: Path) -> dict[str, Patient]:
         attributes = record.get("attributes") or {}
         if not isinstance(attributes, dict):
             raise CorpusError(f"{patients_path.name} line {lineno}: attributes must be a map")
-        attributes = {str(k): str(v) for k, v in attributes.items()}
         patients[pid] = Patient(pid, _parse_date(admit, patients_path, lineno), attributes)
     return patients
 

@@ -368,6 +368,36 @@ def test_an_out_that_is_a_directory_exits_1_before_any_work(pipeline_dirs, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]  # no temporary file left
 
 
+@pytest.mark.parametrize("stage", ["synth", "preprocess", "detect --merged", "detect --no-preprocess"])
+def test_an_out_that_is_a_file_exits_1_before_any_corpus_line_is_read(
+    pipeline_dirs, tmp_path, monkeypatch, capsys, stage
+):
+    read = []
+    inner = cli.iter_documents
+
+    def counting(*args, **kwargs):
+        for doc in inner(*args, **kwargs):
+            read.append(doc.doc_id)
+            yield doc
+
+    monkeypatch.setattr(cli, "iter_documents", counting)
+    prompts = record_prompts(monkeypatch, MockBackend)
+    out = tmp_path / "out"
+    out.write_text("kept\n", encoding="utf-8")
+    corpus = str(pipeline_dirs / "corpus")
+    argv = {
+        "synth": ("synth", "--n-patients", "3", "--prevalence", "ami=0.5"),
+        "preprocess": ("preprocess", "--corpus", corpus, "--profile-csv", str(pipeline_dirs / "profile.csv")),
+        "detect --merged": ("detect", "--corpus", corpus, "--merged", str(pipeline_dirs / "prep"), "--mock"),
+        "detect --no-preprocess": ("detect", "--corpus", corpus, "--no-preprocess", "--mock"),
+    }[stage]
+    capsys.readouterr()
+    assert _run(*argv, "--out", str(out)) == 1
+    assert f"error: --out {out} is a file, not a directory" in capsys.readouterr().err
+    assert read == [] and prompts == []
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_path, capsys):
     entry = (
         "- name: ami\n"
@@ -600,8 +630,10 @@ def test_profile_chunks_each_sampled_document_once_for_all_conditions(pipeline_d
     monkeypatch.setattr(cli, "_sample_documents_file", recording)
     assert _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "40", "--seed", "5", "--mock",
                 "--parallelism", "1", "--out", str(tmp_path / "profile.csv")) == 0
-    # the three built-in conditions ask each sampled text
-    assert sorted(calls) == sorted(doc.text for docs in picked[0].values() for doc in docs)
+    # the three built-in conditions ask each sampled text, and equal texts are chunked once
+    texts = [doc.text for docs in picked[0].values() for doc in docs]
+    assert len(set(texts)) < len(texts)
+    assert sorted(calls) == sorted(set(texts))
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,17 @@ def test_load_roundtrip(tmp_path):
     assert again == cohort
 
 
+def test_attribute_values_survive_load_and_write_as_the_json_gives_them(tmp_path):
+    record = {"patient_id": "p1", "admit_date": "2015-01-02",
+              "attributes": {"age": [61], "sex": None, "weight": 61.5, "notes": {"a": "b"}, "smoker": False}}
+    _write_lines(tmp_path / "patients.jsonl", [record])
+    cohort = load_cohort(None, tmp_path / "patients.jsonl", None)
+    assert cohort.patients["p1"].attributes == record["attributes"]
+    write_cohort(cohort, tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl")
+    written = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert written == [record]
+
+
 def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     record = json.loads(docs.read_text())

@@ -1,11 +1,14 @@
-"""detect's request plan and its reading of the raw notes: replies are placed
-by position, the raw notes stream in any file order, and the stage holds
-neither the documents nor the dataclass machinery."""
+"""detect's request plan and its reading of the raw notes: each condition
+gets its own replies in chunk order, each distinct text is chunked once, the
+prompts sent are pinned, the raw notes stream in any file order, and the stage
+holds neither the documents nor the dataclass machinery."""
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -87,7 +90,7 @@ def test_each_condition_reads_its_own_replies_in_chunk_order(layout, parallelism
             assert values == [_value(condition, pid, n) for n in range(1, chunks + 1)]
 
 
-def test_one_mapping_is_chunked_once_for_all_its_conditions_and_equal_copies_once_each(monkeypatch):
+def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeypatch):
     pids = ("p1", "p2", "p3")
     raw = {pid: _text(pid) for pid in pids}
     profiles = [p for p in builtin_profiles() if p.name in UNITS]
@@ -106,9 +109,26 @@ def test_one_mapping_is_chunked_once_for_all_its_conditions_and_equal_copies_onc
         calls.clear()
         found[name] = dict(cli.run_detect(cohort, selected, backend, GenerationParams(), modes=tuple(MODE_PATHS),
                                           chunk_budget=BUDGET))
-        assert sorted(calls) == sorted(list(raw.values()) * (1 if name == "one" else len(profiles)))
+        assert sorted(calls) == sorted(raw.values())
     assert found["copies"] == found["one"]
     assert found["one"]["diabetes"]["p2"].statuses["inference"] is InferredStatus.YES
+
+    # separate maps sharing one text whose first sentence is longer than the budget
+    shared = "Seen on the long ward round of the day. p1. Seen on ward two. p1."
+    texts = {p.name: {"p1": shared} for p in profiles}
+    chunks = chunk_text(shared, BUDGET)
+    assert [chunk.oversized for chunk in chunks] == [True, False]
+    calls.clear()
+    counts = Counter()
+    found = dict(cli.run_detect(make_cohort([("p1", "dp1", "Note", "")]), [(texts[p.name], p) for p in profiles],
+                                ChunkBackend(texts, "diabetes", "p1"), GenerationParams(), modes=tuple(MODE_PATHS),
+                                chunk_budget=BUDGET, counts=counts))
+    assert calls == [shared] and counts["oversized_chunks"] == 1
+    for condition in UNITS:
+        findings = found[condition]["p1"]
+        yes = condition == "diabetes"
+        assert findings.statuses["inference"] is (InferredStatus.YES if yes else InferredStatus.NO)
+        assert [m.raw_value for m in findings.measurements] == [_value(condition, "p1", n) for n in (1, 2)]
 
 
 def _write_corpus(directory, docs):
@@ -263,3 +283,41 @@ def test_run_detect_holds_no_text_once_it_returns(synth_corpus):
     assert sys.getrefcount(texts) == held
     found = dict(labelled)
     assert all(findings.statuses["inference"] is InferredStatus.YES for findings in found["diabetes"].values())
+
+
+# sha256 of the sorted prompts each stage sends on `synth_corpus` below; a
+# reshape of the request plan may change their order, never the set
+PROMPT_DIGESTS = {
+    "profile": "631d7bf2f0423502c4c288b232797b3fcfa989629c4ba90b821aeb09acff70e0",
+    "detect --merged": "939cd406f1ea6b968cfd1de413794add6bc9cc7284df4fb02eaa2d18fedfe13f",
+    "detect --no-preprocess": "e8b69109ba2ab521fd2ef57e7eac4d4e6bbc137a86210e23b496157896904c36",
+}
+
+
+def test_the_prompts_each_backend_stage_sends_are_pinned(synth_corpus, tmp_path, monkeypatch):
+    sent = []
+    inner = MockBackend.complete
+
+    def recording(self, request):
+        sent.append(request.prompt)
+        return inner(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", recording)
+    corpus, prep = str(synth_corpus), str(tmp_path / "prep")
+    common = ["--mock", "--parallelism", "1", "--chunk-budget", "200"]
+    digests = {}
+    for stage, argv in (
+        ("profile", ["profile", "--corpus", corpus, "--m", "20", "--seed", "2", *common,
+                     "--out", str(tmp_path / "profile.csv")]),
+        ("preprocess", ["preprocess", "--corpus", corpus, "--profile-csv", str(tmp_path / "profile.csv"),
+                        "--out", prep]),
+        ("detect --merged", ["detect", "--corpus", corpus, "--merged", prep, "--mode", "all", *common,
+                             "--out", str(tmp_path / "merged")]),
+        ("detect --no-preprocess", ["detect", "--corpus", corpus, "--no-preprocess", "--mode", "all", *common,
+                                    "--out", str(tmp_path / "raw")]),
+    ):
+        sent.clear()
+        assert cli.main(argv) == 0
+        if stage != "preprocess":
+            digests[stage] = hashlib.sha256(json.dumps(sorted(sent)).encode("utf-8")).hexdigest()
+    assert digests == PROMPT_DIGESTS
