@@ -228,13 +228,11 @@ def merge_patient(statuses: Mapping[str, InferredStatus], mode: str) -> int:
 
 def combine_chunk_statuses(statuses: Iterable[InferredStatus]) -> InferredStatus:
     """Aggregate chunk verdicts of one document: any Yes wins, NoMention only
-    when every chunk says so."""
+    when every chunk says so (or there is no chunk)."""
     statuses = list(statuses)
-    if not statuses:
-        return InferredStatus.NO_MENTION
-    if any(s is InferredStatus.YES for s in statuses):
+    if InferredStatus.YES in statuses:
         return InferredStatus.YES
-    if all(s is InferredStatus.NO_MENTION for s in statuses):
+    if statuses.count(InferredStatus.NO_MENTION) == len(statuses):
         return InferredStatus.NO_MENTION
     return InferredStatus.NO
 

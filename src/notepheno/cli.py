@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from collections import Counter, defaultdict
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -96,12 +97,12 @@ def _out_file(path, flag: str = "--out") -> Path:
     return path
 
 
-def _out_dir(path, flag: str = "--out") -> Path:
-    """The directory a flag names for a stage to write into, refused before
+def _out_dir(path) -> Path:
+    """The directory `--out` names for a stage to write into, refused before
     the stage reads or sends anything if it is an existing file."""
     path = Path(path)
     if path.exists() and not path.is_dir():
-        raise NotADirectoryError(f"{flag} {path} is a file, not a directory")
+        raise NotADirectoryError(f"--out {path} is a file, not a directory")
     return path
 
 
@@ -240,9 +241,10 @@ def _ask_all(
     if chunk_budget < 1:
         raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
     chunked: dict[str, list[str]] = {}  # each distinct text's chunk texts
-    index: dict[tuple[str, str, str], int] = {}  # each distinct ask, by its position in the dispatch
-    # per condition and owner, the position of each chunk's ask of each path, chunk by chunk
+    items: list[tuple[ConditionProfile, str, str]] = []  # each distinct ask, in dispatch order
+    # per condition and owner, the position in `items` of each chunk's ask of each path, chunk by chunk
     asked: list[dict[str, list[int]]] = []
+    index: dict[tuple[str, str], int] = {}  # one condition's distinct asks, by position in `items`
     planned = oversized = 0
     for texts, profile in plan:
         rows = {}
@@ -254,20 +256,23 @@ def _ask_all(
                 oversized += sum(chunk.oversized for chunk in pieces)
                 chunks = chunked[text] = [chunk.text for chunk in pieces]
             planned += len(chunks) * len(paths)
-            rows[owner] = [index.setdefault((profile.name, path, chunk), len(index))
+            rows[owner] = [index.setdefault((path, chunk), len(items) + len(index))
                            for chunk in chunks for path in paths]
+        items += [(profile, path, chunk) for path, chunk in index]
+        index.clear()
         asked.append(rows)
-    items = list(index)
-    del index, chunked  # free both before the replies arrive
+    del chunked  # free it before the replies arrive
     if oversized:
-        logger.warning("%d chunk(s) hold a single sentence longer than the chunk budget of %d "
-                       "characters and were sent whole", oversized, chunk_budget)
+        logger.warning(
+            "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
+            "characters and were sent whole",
+            oversized,
+            chunk_budget,
+        )
     dropped: list[str] = []  # the analyte side of each implausible value, appended by the workers
-    profiles = {profile.name: profile for _, profile in plan}
 
     def ask(item):
-        name, kind, text = item
-        profile = profiles[name]
+        profile, kind, text = item
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
@@ -287,10 +292,11 @@ def _ask_all(
     for rows in asked:
         by_path: dict[str, dict[str, object]] = {path: {} for path in paths}
         for owner, row in rows.items():
+            row = list(map(parsed.__getitem__, row))
             for offset, path in enumerate(paths):
-                found = [parsed[at] for at in row[offset::len(paths)]]
+                found = row[offset::len(paths)]
                 by_path[path][owner] = (combine_chunk_statuses(found) if path == "inference"
-                                        else tuple(m for chunk in found for m in chunk))
+                                        else tuple(chain.from_iterable(found)))
         replies.append(by_path)
         rows.clear()  # each condition's positions go as its replies are built
     return replies
@@ -365,13 +371,10 @@ def run_detect(
         found = {}
         for pid in sorted(cohort.patients):
             statuses = {path: by_owner[pid] for path, by_owner in by_path.items() if pid in by_owner}
-            if not statuses:
-                found[pid] = no_text
-                continue
             measurements = statuses.get("extraction", ())
             if "extraction" in statuses:
                 statuses["extraction"] = apply_clinical_rule(measurements, profile.rule)
-            found[pid] = Findings(statuses, measurements)
+            found[pid] = Findings(statuses, measurements) if statuses else no_text
         return found
 
     return ((profile.name, findings(replies.pop(0), profile)) for profile in profiles)
