@@ -15,7 +15,7 @@ from .adjudication import (
     parse_extraction_response,
     parse_inference_response,
 )
-from .corpus import Cohort, CorpusError, SynthSpec, generate_synthetic, load_cohort
+from .corpus import Cohort, CorpusError, SynthSpec, generate_synthetic, iter_documents, load_cohort, write_cohort
 from .evaluation import ConfusionMatrix, MetricSet, confusion, metrics, wilson_interval
 from .inference import (
     Backend,
@@ -72,6 +72,7 @@ __all__ = [
     "consolidate",
     "filter_document_types",
     "generate_synthetic",
+    "iter_documents",
     "load_cohort",
     "merge_patient",
     "metrics",
@@ -80,5 +81,6 @@ __all__ = [
     "render_prompt",
     "sample_document_types",
     "wilson_interval",
+    "write_cohort",
     "__version__",
 ]

@@ -190,11 +190,9 @@ def _corpus_file(directory, name: str) -> Path:
 
 
 def _load_corpus_dir(directory, *, labels: bool) -> Cohort:
-    """The patients of a corpus directory, and its labels when asked. The
-    stages stream the documents file (`iter_documents`), so no cohort holds
-    them. A file left unread is neither required nor checked."""
+    """The patients of a corpus directory, and its labels when asked. A file
+    left unread is neither required nor checked."""
     return load_cohort(
-        None,
         _corpus_file(directory, "patients.jsonl"),
         _corpus_file(directory, "labels.jsonl") if labels else None,
     )
@@ -356,7 +354,8 @@ def run_detect(
     one condition's findings at a time. The texts are not held once this
     returns: the generator holds the profiles and their replies. Patients
     without text share one empty record, which every mode labels 0, without
-    any backend traffic. `counts` is as in `_ask_all`.
+    any backend traffic; a condition where no patient has text is logged in
+    one warning. `counts` is as in `_ask_all`.
     """
     for mode in modes:
         if mode not in MODE_PATHS:
@@ -364,6 +363,9 @@ def run_detect(
     # "merged" asks every path, so its row gives the order: inference first.
     paths = [p for p in MODE_PATHS["merged"] if any(p in MODE_PATHS[mode] for mode in modes)]
     profiles = [profile for _, profile in selected]
+    for texts, profile in selected:
+        if not texts:
+            logger.warning("%s: no patient has text, so every patient is labelled 0 without a request", profile.name)
     replies = _ask_all(selected, paths, backend, params, parallelism, chunk_budget, counts)
 
     def findings(by_path: dict[str, dict], profile: ConditionProfile) -> dict[str, Findings]:
@@ -389,12 +391,17 @@ def _parse_prevalence(entries, conditions: Sequence[str]) -> dict[str, float]:
         if "=" not in entry:
             raise ValueError(f"--prevalence expects name=fraction, got {entry!r}")
         name, _, frac = entry.partition("=")
-        if name.strip() not in conditions:
+        name = name.strip()
+        if name not in conditions:
             raise ValueError(f"--prevalence {entry!r} names no selected condition: {', '.join(conditions)}")
+        if name in prevalence:
+            raise ValueError(f"--prevalence {entry!r}: {name!r} is given more than once")
         try:
-            prevalence[name.strip()] = float(frac)
+            prevalence[name] = float(frac)
         except ValueError as exc:
             raise ValueError(f"--prevalence {entry!r}: {exc}") from None
+        if not 0.0 <= prevalence[name] <= 1.0:  # also refuses nan
+            raise ValueError(f"--prevalence {entry!r}: the fraction must be in [0, 1]")
     if not prevalence:
         raise ValueError("at least one --prevalence name=fraction is required")
     return prevalence
@@ -415,24 +422,25 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     out_dir = _out_dir(args.out)
-    cohort, truth = generate_synthetic(spec, profiles)
+    cohort = Cohort({}, [])
+
+    def notes():  # one patient's notes at a time, written as they are drawn
+        for patient, drawn, labels, _ in generate_synthetic(spec, profiles):
+            cohort.patients[patient.patient_id] = patient
+            cohort.labels.extend(labels)
+            yield from drawn
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cohort(
-        cohort,
-        out_dir / "documents.jsonl",
-        out_dir / "patients.jsonl",
-        out_dir / "labels.jsonl",
-    )
+    write_cohort(notes(), cohort, *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
+    # a synthetic patient's registry label is its planted truth
     _write_jsonl(
         out_dir / "truth.jsonl",
         (
-            {"patient_id": pid, "condition": cond, "label": label}
-            for pid in sorted(truth)
-            for cond, label in sorted(truth[pid].items())
+            {"patient_id": label.patient_id, "condition": label.condition, "label": label.registry_label}
+            for label in sorted(cohort.labels)
         ),
     )
-    _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()},
-                    seed=spec.seed, n_patients=spec.n_patients)
+    _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()})
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
 
@@ -524,6 +532,10 @@ def _cmd_preprocess(args) -> int:
         if profile.name not in tables:
             raise ValueError(f"{args.profile_csv}: no rows for condition {profile.name!r}")
     selected = [(filter_document_types(tables[profile.name], args.percentile), profile) for profile in profiles]
+    for plan, profile in selected:
+        if not plan.kept_types:
+            logger.warning("%s: no document type is kept at percentile %s, so its merged file is empty",
+                           profile.name, args.percentile)
     # the stage needs the labels only as each condition's positive patients:
     # the rest is freed before the notes stream
     patients = cohort.patients

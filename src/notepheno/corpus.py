@@ -85,11 +85,11 @@ class ReferenceLabel(NamedTuple):
 
 
 class Cohort(NamedTuple):
-    """Immutable bundle of patients, documents, and reference labels."""
+    """The patients and reference labels of a corpus. Its notes are never
+    held together: `iter_documents` streams them from the documents file."""
 
     patients: Mapping[str, Patient]
-    documents: tuple[ClinicalDocument, ...]
-    labels: tuple[ReferenceLabel, ...]
+    labels: Sequence[ReferenceLabel]
 
     def reference_map(self, condition: str, *, icd: bool = False) -> dict[str, int]:
         """Per-patient label map for one condition (registry or ICD)."""
@@ -197,17 +197,13 @@ def _records(path, fields: Sequence[str], only: Collection[int] | None = None):
             yield lineno, record, values
 
 
-def load_cohort(documents_path, patients_path, labels_path) -> Cohort:
-    """Load and cross-validate a corpus from its line-record files.
-
-    The patients file is always read: its ids are the ones that documents and
-    labels must name. A `documents_path` or `labels_path` of None leaves that
-    file unread and that part of the cohort empty.
-    """
+def load_cohort(patients_path, labels_path=None) -> Cohort:
+    """Load and cross-validate the patients and labels of a corpus. The
+    patients' ids are the ones that notes and labels must name. A
+    `labels_path` of None leaves the labels unread and empty."""
     patients = _load_patients(Path(patients_path))
-    documents = () if documents_path is None else tuple(iter_documents(documents_path, patients))
     labels = () if labels_path is None else _load_labels(Path(labels_path), patients)
-    return Cohort(patients=patients, documents=documents, labels=labels)
+    return Cohort(patients=patients, labels=labels)
 
 
 def _load_patients(patients_path: Path) -> dict[str, Patient]:
@@ -225,12 +221,13 @@ def _load_patients(patients_path: Path) -> dict[str, Patient]:
 def iter_documents(
     documents_path, patients: Mapping[str, Patient], only: Collection[int] | None = None
 ) -> Iterator[ClinicalDocument]:
-    """Yield the documents of a documents file in file order, each line
-    checked as it is read: a missing or non-string field, a `doc_id` seen on
-    an earlier line, a `patient_id` not in `patients`, a bad timestamp, one
-    with a UTC offset where the file's first has none (or the reverse), a
-    `text` that is not a string (an absent one is an empty note) or an
-    unpaired surrogate raises CorpusError naming the file and the line.
+    """Yield the documents of a documents file in file order: the package's
+    one reader of notes. Each line is checked as it is read: a missing or
+    non-string field, a `doc_id` seen on an earlier line, a `patient_id` not
+    in `patients`, a bad timestamp, one with a UTC offset where the file's
+    first has none (or the reverse), a `text` that is not a string (an absent
+    one is an empty note) or an unpaired surrogate raises CorpusError naming
+    the file and the line.
 
     With `only`, a collection of document positions (0 for the file's first
     document), only those lines are parsed, checked and yielded: a second
@@ -320,19 +317,12 @@ def _label_record(label: ReferenceLabel) -> dict:
     return record
 
 
-def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> None:
-    """Write a cohort back to the three-file line-record format."""
-    _write_jsonl(
-        patients_path,
-        (
-            {
-                "patient_id": patient.patient_id,
-                "admit_date": patient.admit_date.isoformat(),
-                "attributes": dict(patient.attributes),
-            }
-            for _, patient in sorted(cohort.patients.items())
-        ),
-    )
+def write_cohort(notes: Iterable[ClinicalDocument], cohort: Cohort, documents_path, patients_path,
+                 labels_path) -> None:
+    """Write a corpus in the three-file line-record format: the documents
+    file as `notes` arrive, then the cohort's patients, by id, and its labels.
+    The cohort is read only once every note is written, so a caller that
+    draws patients and labels with their notes can fill it as they stream."""
     _write_jsonl(
         documents_path,
         (
@@ -343,7 +333,18 @@ def write_cohort(cohort: Cohort, documents_path, patients_path, labels_path) -> 
                 "timestamp": doc.timestamp.isoformat(),
                 "text": doc.text,
             }
-            for doc in cohort.documents
+            for doc in notes
+        ),
+    )
+    _write_jsonl(
+        patients_path,
+        (
+            {
+                "patient_id": patient.patient_id,
+                "admit_date": patient.admit_date.isoformat(),
+                "attributes": dict(patient.attributes),
+            }
+            for _, patient in sorted(cohort.patients.items())
         ),
     )
     _write_jsonl(labels_path, (_label_record(label) for label in cohort.labels))
@@ -407,8 +408,11 @@ def _lab_sentence(rule, rng: random.Random, positive: bool) -> str:
     raise ValueError(f"unknown analyte {rule.analyte!r}")
 
 
-def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dict[str, int]]]:
-    """Generate a deterministic synthetic cohort and its planted truth.
+def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, list, list, dict[str, int]]]:
+    """Draw a deterministic synthetic cohort one patient at a time, yielding
+    per patient in id order `(patient, notes, labels, truth)`: its
+    `ClinicalDocument`s, its `ReferenceLabel`s and the planted truth,
+    `{condition: 0 or 1}`.
 
     Positive patients receive condition evidence (a diagnosis sentence,
     sometimes also an over-threshold lab sentence) in one high-yield document.
@@ -418,10 +422,6 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
     if not profiles:
         raise ValueError("profiles must be non-empty")
     rng = random.Random(spec.seed)
-    patients: dict[str, Patient] = {}
-    documents: list[ClinicalDocument] = []
-    labels: list[ReferenceLabel] = []
-    truth: dict[str, dict[str, int]] = {}
 
     for i in range(spec.n_patients):
         pid = f"P{i:05d}"
@@ -432,7 +432,7 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
             "age": str(age),
             "length_of_stay": str(round(rng.uniform(1.0, 14.0), 1)),
         }
-        patients[pid] = Patient(pid, admit, attributes)
+        patient = Patient(pid, admit, attributes)
 
         n_docs = rng.randint(*spec.docs_per_patient)
         doc_plans: list[tuple[str, list[str]]] = []
@@ -450,10 +450,10 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
                 sentences.append(rng.choice(_DISTRACTOR_SENTENCES))
             doc_plans.append((doc_type, sentences))
 
-        truth[pid] = {}
+        truth = {}
         for profile in profiles:
             positive = rng.random() < spec.prevalence.get(profile.name, 0.0)
-            truth[pid][profile.name] = int(positive)
+            truth[profile.name] = int(positive)
             if positive:
                 high_idx = [k for k, (t, _) in enumerate(doc_plans) if t in HIGH_YIELD_DOC_TYPES]
                 rng.random()  # an unused draw, kept so that seeded cohorts stay the same
@@ -468,16 +468,16 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
                 k = rng.randrange(len(doc_plans))
                 doc_plans[k][1].append(_lab_sentence(profile.rule, rng, positive=False))
 
+        notes = []
         for j, (doc_type, sentences) in enumerate(doc_plans):
             timestamp = datetime.combine(admit, time(6, 0)) + timedelta(
                 hours=rng.randint(0, 72), minutes=rng.randint(0, 59)
             )
-            documents.append(
-                ClinicalDocument(pid, f"{pid}-D{j:02d}", doc_type, timestamp, " ".join(sentences))
-            )
+            notes.append(ClinicalDocument(pid, f"{pid}-D{j:02d}", doc_type, timestamp, " ".join(sentences)))
 
+        labels = []
         for profile in profiles:
-            value = truth[pid][profile.name]
+            value = truth[profile.name]
             roll = rng.random()
             icd = value
             if value == 1 and roll < 0.15:
@@ -485,6 +485,4 @@ def generate_synthetic(spec: SynthSpec, profiles) -> tuple[Cohort, dict[str, dic
             elif value == 0 and roll < 0.05:
                 icd = 1
             labels.append(ReferenceLabel(pid, profile.name, value, icd))
-
-    cohort = Cohort(patients=patients, documents=tuple(documents), labels=tuple(labels))
-    return cohort, truth
+        yield patient, notes, labels, truth

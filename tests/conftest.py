@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from notepheno.corpus import ClinicalDocument, Cohort, Patient, ReferenceLabel
+from notepheno.corpus import ClinicalDocument, Cohort, Patient, ReferenceLabel, generate_synthetic
 from notepheno.inference import CompletionResponse
 from notepheno.preprocess import sample_document_types
 from notepheno.prompting import builtin_profiles
@@ -204,7 +204,7 @@ def record_prompts(monkeypatch, backend_cls):
 
 
 def make_cohort(docs, labels=None):
-    """Build a cohort from (patient_id, doc_id, doc_type, text) tuples."""
+    """A cohort and its notes, from (patient_id, doc_id, doc_type, text) tuples."""
     patients = {}
     documents = []
     for i, (pid, doc_id, doc_type, text) in enumerate(docs):
@@ -216,27 +216,33 @@ def make_cohort(docs, labels=None):
     label_objs = tuple(
         ReferenceLabel(pid, cond, reg, icd) for pid, cond, reg, icd in (labels or [])
     )
-    return Cohort(patients=patients, documents=tuple(documents), labels=label_objs)
+    return Cohort(patients=patients, labels=label_objs), tuple(documents)
 
 
-def sampled_documents(cohort, m, seed):
-    """The documents `sample_document_types` picks from a cohort, per type."""
-    picked = sample_document_types(cohort.documents, m, seed)
-    return {doc_type: [cohort.documents[at] for at in positions] for doc_type, positions in picked.items()}
+def synthesize(spec, profiles):
+    """`generate_synthetic`'s stream held in memory: the cohort, a list of
+    every note in file order, and the planted truth per patient."""
+    patients, notes, labels, truth = {}, [], [], {}
+    for patient, drawn, patient_labels, planted in generate_synthetic(spec, profiles):
+        patients[patient.patient_id], truth[patient.patient_id] = patient, planted
+        notes += drawn
+        labels += patient_labels
+    return Cohort(patients, tuple(labels)), notes, truth
+
+
+def sampled_documents(notes, m, seed):
+    """The notes `sample_document_types` picks from a sequence of notes, per type."""
+    picked = sample_document_types(notes, m, seed)
+    return {doc_type: [notes[at] for at in positions] for doc_type, positions in picked.items()}
 
 
 @pytest.fixture
-def small_cohort():
+def small_notes():
     return make_cohort(
         [
             ("p1", "d1", "DischargeSummary", "Known type 2 diabetes, on metformin. Plan stable."),
             ("p1", "d2", "SocialWork", "Family visited today. Housing discussed."),
             ("p2", "d3", "DischargeSummary", "No acute issues. Glucose - mmol/l random : 6.1 mmol/l."),
             ("p3", "d4", "BloodLog", "Routine draw completed."),
-        ],
-        labels=[
-            ("p1", "diabetes", 1, 1),
-            ("p2", "diabetes", 0, 0),
-            ("p3", "diabetes", 0, 1),
-        ],
-    )
+        ]
+    )[1]

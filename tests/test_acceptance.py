@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import sampled_documents
+from conftest import sampled_documents, synthesize
 
 from notepheno.adjudication import (
     InferredStatus,
@@ -20,7 +20,7 @@ from notepheno.adjudication import (
 )
 from notepheno.bench import builtin_questions, run_benchmark
 from notepheno.cli import main, run_detect, run_profile
-from notepheno.corpus import HIGH_YIELD_DOC_TYPES, SynthSpec, generate_synthetic
+from notepheno.corpus import HIGH_YIELD_DOC_TYPES, SynthSpec
 from notepheno.evaluation import combine_or, confusion, metrics
 from notepheno.inference import GenerationParams, MockBackend
 from notepheno.preprocess import (
@@ -150,12 +150,12 @@ def test_criterion_4_synthetic_recovery():
         passes = 0
         for seed in range(20):
             spec = SynthSpec(n_patients=2000, prevalence={"diabetes": 0.3}, seed=seed)
-            cohort, truth = generate_synthetic(spec, [profile])
+            cohort, notes, truth = synthesize(spec, [profile])
             clean = MockBackend()
-            samples = sampled_documents(cohort, 60, seed)
+            samples = sampled_documents(notes, 60, seed)
             type_profiles = run_profile(samples, [profile], clean, params, parallelism=1)["diabetes"]
             plan = filter_document_types(type_profiles, "q1")
-            merged = consolidate(cohort.documents, [(plan, profile)])[0]
+            merged = consolidate(notes, [(plan, profile)])[0]
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
                 cohort, [(merged, profile)], noisy, params,
@@ -181,9 +181,9 @@ def test_criterion_5_or_mode_algebra():
         profile = _profile("diabetes")
         params = GenerationParams()
         spec = SynthSpec(n_patients=300, prevalence={"diabetes": 0.3}, seed=42)
-        cohort, truth = generate_synthetic(spec, [profile])
+        cohort, notes, truth = synthesize(spec, [profile])
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged = consolidate(cohort.documents, [(plan, profile)])[0]
+        merged = consolidate(notes, [(plan, profile)])[0]
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
             cohort, [(merged, profile)],
@@ -229,15 +229,15 @@ def test_criterion_6_preprocessing_properties():
 
         profile = _profile("diabetes")
         spec = SynthSpec(n_patients=250, prevalence={"diabetes": 0.4}, seed=13)
-        cohort, truth = generate_synthetic(spec, [profile])
-        assert len(cohort.documents) >= 500
+        _, notes, truth = synthesize(spec, [profile])
+        assert len(notes) >= 500
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
-        merged = consolidate(cohort.documents, [(plan, profile)])[0]
+        merged = consolidate(notes, [(plan, profile)])[0]
         # Each merged text is every stripped keyword sentence of the patient's
         # kept-type notes, notes in (timestamp, doc_id) order, joined by spaces.
         pattern = keyword_regex(profile.keywords)
         expected: dict[str, list[str]] = {}
-        for doc in sorted(cohort.documents, key=lambda d: (d.timestamp, d.doc_id)):
+        for doc in sorted(notes, key=lambda d: (d.timestamp, d.doc_id)):
             if doc.doc_type not in plan.kept_types:
                 continue
             for start, end in sentence_spans(doc.text):

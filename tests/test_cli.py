@@ -17,7 +17,7 @@ from conftest import FirstSendDropped, make_cohort, record_prompts, sampled_docu
 import notepheno
 from notepheno import cli, inference
 from notepheno.cli import _load_corpus_dir, _read_profile_csv, main
-from notepheno.corpus import load_cohort, write_cohort
+from notepheno.corpus import iter_documents, load_cohort, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import filter_document_types
 from notepheno.prompting import builtin_profiles
@@ -1218,10 +1218,12 @@ def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_pa
                 "--out", str(tmp_path / "prep"))
     if escape == "\\ud83d\\ude00":  # a valid pair loads and is written back whole
         assert code == 0
-        cohort = load_cohort(*(corpus / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
-        assert cohort.documents[1].text.startswith("\U0001F600 ")
-        write_cohort(cohort, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
-        assert load_cohort(tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl") == cohort
+        cohort = load_cohort(corpus / "patients.jsonl", corpus / "labels.jsonl")
+        notes = list(iter_documents(docs, cohort.patients))
+        assert notes[1].text.startswith("\U0001F600 ")
+        write_cohort(notes, cohort, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
+        assert load_cohort(tmp_path / "p.jsonl", tmp_path / "l.jsonl") == cohort
+        assert list(iter_documents(tmp_path / "d.jsonl", cohort.patients)) == notes
     else:
         assert code == 1
         err = capsys.readouterr().err
@@ -1229,9 +1231,32 @@ def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_pa
         assert not list((tmp_path / "prep").glob("merged_*"))
 
 
+def test_synth_holds_one_patients_notes_at_a_time(tmp_path):
+    # Each synth runs in a fresh interpreter, traced from its `main` call on,
+    # as a synth process would hold it.
+    env = dict(os.environ, PYTHONPATH=str(Path(notepheno.__file__).parents[1]))
+    probe = (
+        "import sys, tracemalloc; from notepheno import cli; tracemalloc.start(); "
+        "assert cli.main(sys.argv[1:]) == 0; print(tracemalloc.get_traced_memory()[1], file=sys.stderr)"
+    )
+    peaks = {}
+    for n in (100, 400):
+        argv = ["synth", "--n-patients", str(n), "--prevalence", "diabetes=0.3", "--seed", "1",
+                "--docs-min", "20", "--docs-max", "20", "--out", str(tmp_path / str(n))]
+        result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        peaks[n] = int(result.stderr)
+    # four times the notes: holding them all would near four times the peak
+    assert peaks[400] < 2 * peaks[100], peaks
+
+
 def test_synth_prevalence_that_is_not_a_number_names_the_flag(tmp_path, capsys):
     assert _run("synth", "--n-patients", "5", "--prevalence", "ami=abc", "--out", str(tmp_path / "c")) == 1
     assert "error: --prevalence 'ami=abc': could not convert string to float: 'abc'" in capsys.readouterr().err
+    for entry in ("ami=1.5", "ami=-0.1", "ami=nan"):
+        assert _run("synth", "--n-patients", "5", "--prevalence", entry, "--out", str(tmp_path / "c")) == 1
+        assert f"error: --prevalence {entry!r}: the fraction must be in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -1258,6 +1283,10 @@ def test_synth_prevalence_of_an_unselected_condition_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: --prevalence {argv[-1]!r} names no selected condition: " in err
         assert "ami" in err
+    # a condition given twice, whichever value would have been kept
+    assert _run("synth", "--n-patients", "5", "--prevalence", "ami=0.2", "--prevalence", "ami=0.9",
+                "--out", str(tmp_path / "c")) == 1
+    assert "error: --prevalence 'ami=0.9': 'ami' is given more than once" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -1322,7 +1351,8 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
     ) == 0
     corpus = pipeline_dirs / "corpus"
-    samples = sampled_documents(load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None), 4, 3)
+    notes = list(iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients))
+    samples = sampled_documents(notes, 4, 3)
     docs = [doc for picked in samples.values() for doc in picked]
     chunks = [chunk.text for doc in docs for chunk in chunk_text(doc.text, budget)]
     assert len(chunks) > len(docs)  # the budget split some documents
@@ -1399,7 +1429,7 @@ _LONG_SENTENCE = "Diabetes noted with " + "stable readings " * 6 + "today."
 
 def test_a_library_run_detect_warns_once_of_its_oversized_chunk(caplog):
     texts = {"p1": "Short note. " + _LONG_SENTENCE, "p2": "Diabetes on diet. Review soon."}
-    cohort = make_cohort([(pid, f"d{pid}", "DischargeSummary", text) for pid, text in texts.items()])
+    cohort = make_cohort([(pid, f"d{pid}", "DischargeSummary", text) for pid, text in texts.items()])[0]
     diabetes = [p for p in builtin_profiles() if p.name == "diabetes"]
     labelled = dict(cli.run_detect(cohort, [(texts, diabetes[0])], MockBackend(), GenerationParams(),
                                    modes=tuple(cli.MODE_PATHS), chunk_budget=60))
@@ -1410,7 +1440,7 @@ def test_a_library_run_detect_warns_once_of_its_oversized_chunk(caplog):
 
 
 def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):
-    cohort = make_cohort(
+    cohort, notes = make_cohort(
         [
             ("p1", "d1", "DischargeSummary", "Short note. " + _LONG_SENTENCE),
             ("p2", "d2", "DischargeSummary", "Diabetes on diet. Review soon."),
@@ -1419,7 +1449,7 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
     )
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    write_cohort(cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
+    write_cohort(notes, cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
     budget = "60"
     assert len(_LONG_SENTENCE) > 60
     stages = {
@@ -1438,6 +1468,45 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
         warnings = [r for r in caplog.records if "chunk budget" in r.getMessage()]
         assert len(warnings) == 1, stage
         assert warnings[0].getMessage().startswith("1 chunk(s)")
+
+
+def test_a_condition_with_no_kept_type_is_warned_once_by_preprocess_and_by_detect(pipeline_dirs, tmp_path, caplog):
+    lines = (pipeline_dirs / "profile.csv").read_text(encoding="utf-8").splitlines()
+    rows = list(csv.DictReader(lines))
+    assert any(row["condition"] == "diabetes" and row["positive_count"] != "0" for row in rows)
+    for row in rows:
+        if row["condition"] == "diabetes":
+            row.update(positive_count="0", ir="0.000000")
+    profile = tmp_path / "profile.csv"
+    with profile.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    corpus = str(pipeline_dirs / "corpus")
+    stages = {
+        "preprocess": ["preprocess", "--corpus", corpus, "--profile-csv", str(profile), "--percentile", "q1",
+                       "--out", str(tmp_path / "prep")],
+        "detect": ["detect", "--corpus", corpus, "--merged", str(tmp_path / "prep"), "--mode", "all", "--mock",
+                   "--out", str(tmp_path / "det")],
+    }
+    for stage, argv in stages.items():
+        caplog.clear()
+        assert _run(*argv) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and warnings[0].startswith("diabetes: "), (stage, warnings)
+    assert "every patient is labelled 0 without a request" in warnings[0]
+    # the bytes are those the unwarned tables give: nothing of diabetes is kept, the rest is as before
+    assert (tmp_path / "prep" / "merged_diabetes.jsonl").read_bytes() == b""
+    for name in ("merged_ami.jsonl", "merged_hypertension.jsonl"):
+        assert (tmp_path / "prep" / name).read_bytes() == (pipeline_dirs / "prep" / name).read_bytes()
+    for before in sorted((pipeline_dirs / "det").glob("detect_*.jsonl")):
+        after = tmp_path / "det" / before.name
+        if "_diabetes" not in before.name:
+            assert after.read_bytes() == before.read_bytes()
+            continue
+        records = _read_jsonl(after)
+        assert [r["patient_id"] for r in records] == [r["patient_id"] for r in _read_jsonl(before)]
+        assert {(r["label"], len(r["measurements"])) for r in records} == {(0, 0)}
 
 
 def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp_path):
@@ -1465,6 +1534,7 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
         "n_patients": 80, "prevalence": {"diabetes": 0.3, "ami": 0.2, "hypertension": 0.3},
         "docs_per_patient": [2, 4], "seed": 5,
     }
+    assert set(manifests["synth"]) == {"stage", "config_hash", "spec", "elapsed_s"}
 
 
 def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, tmp_path, monkeypatch):
@@ -1492,8 +1562,8 @@ def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, t
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_the_profile_stage_samples_what_sample_document_types_picks(pipeline_dirs, tmp_path, monkeypatch, seed):
     corpus = pipeline_dirs / "corpus"
-    cohort = load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None)
-    sizes = sorted(Counter(doc.doc_type for doc in cohort.documents).values())
+    notes = list(iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients))
+    sizes = sorted(Counter(doc.doc_type for doc in notes).values())
     seen = []
     relevance = cli.compute_information_relevance
     monkeypatch.setattr(cli, "compute_information_relevance",
@@ -1503,7 +1573,7 @@ def test_the_profile_stage_samples_what_sample_document_types_picks(pipeline_dir
         seen.clear()
         assert _run("profile", "--corpus", str(corpus), "--condition", "diabetes", "--m", str(m),
                     "--seed", str(seed), "--mock", "--out", str(tmp_path / "p.csv")) == 0
-        assert seen == [sampled_documents(cohort, m, seed)], m
+        assert seen == [sampled_documents(notes, m, seed)], m
 
 
 def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_use(
@@ -1511,12 +1581,13 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
 ):
     prompts = record_prompts(monkeypatch, MockBackend)
     source = pipeline_dirs / "corpus"
-    cohort = load_cohort(source / "documents.jsonl", source / "patients.jsonl", None)
+    cohort = load_cohort(source / "patients.jsonl")
+    notes = list(iter_documents(source / "documents.jsonl", cohort.patients))
     kept = set().union(*(
         filter_document_types(_read_profile_csv(pipeline_dirs / "profile.csv")[condition], "q1").kept_types
         for condition in ("ami", "diabetes", "hypertension")
     ))
-    doc_type = min({doc.doc_type for doc in cohort.documents} - kept)
+    doc_type = min({doc.doc_type for doc in notes} - kept)
     valid = {"patient_id": min(cohort.patients), "doc_id": "P99999-D00", "doc_type": doc_type,
              "timestamp": "2015-03-01T08:00:00", "text": "An unused note."}
     corpus = tmp_path / "corpus"
@@ -1525,10 +1596,10 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
     original = docs.read_text(encoding="utf-8")
     # as a valid line, profile --m 1 --seed 5 would not sample it, and preprocess would keep none of it
     docs.write_text(original + json.dumps(valid) + "\n", encoding="utf-8")
-    with_valid = load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None)
+    with_valid = list(iter_documents(corpus / "documents.jsonl", cohort.patients))
     assert valid["doc_id"] not in {d.doc_id for d in sampled_documents(with_valid, 1, 5)[doc_type]}
     lineno = original.count("\n") + 1
-    first = cohort.documents[0].doc_id
+    first = notes[0].doc_id
     cases = {
         json.dumps({k: v for k, v in valid.items() if k != "timestamp"}): "missing field 'timestamp'",
         json.dumps(dict(valid, doc_id=first)): f"duplicate doc_id {first!r}",

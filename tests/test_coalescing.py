@@ -43,7 +43,12 @@ def _asks(texts, conditions, kinds):
 
 @pytest.fixture
 def cohort():
-    return make_cohort(NOTES)
+    return make_cohort(NOTES)[0]
+
+
+@pytest.fixture
+def notes():
+    return make_cohort(NOTES)[1]
 
 
 def test_run_detect_sends_each_distinct_prompt_once_and_shares_the_findings(cohort, monkeypatch):
@@ -71,20 +76,20 @@ def test_run_detect_sends_each_distinct_prompt_once_and_shares_the_findings(coho
         assert found[condition]["p3"] == alone[condition]["p3"]
 
 
-def test_run_profile_sends_each_distinct_sampled_text_once(cohort, monkeypatch):
+def test_run_profile_sends_each_distinct_sampled_text_once(notes, monkeypatch):
     sent = record_prompts(monkeypatch, MockBackend)
     profiles = builtin_profiles()
     counts = Counter()
     tables = cli.run_profile(
-        sampled_documents(cohort, 10, 0), profiles, MockBackend(), GenerationParams(),
+        sampled_documents(notes, 10, 0), profiles, MockBackend(), GenerationParams(),
         parallelism=1, chunk_budget=BUDGET, counts=counts,
     )
-    asks = _asks([doc.text for doc in cohort.documents], [p.name for p in profiles], ("inference",))
+    asks = _asks([doc.text for doc in notes], [p.name for p in profiles], ("inference",))
     assert len(set(asks)) < len(asks)
     assert len(sent) == len(set(sent)) == len(set(asks))
     assert counts["coalesced_requests"] == len(asks) - len(set(asks))
     # every sampled document keeps its own verdict, asked here one by one
-    samples = sampled_documents(cohort, 10, 0)
+    samples = sampled_documents(notes, 10, 0)
     oracle = MockBackend()
     for profile in profiles:
         verdicts = {
@@ -94,7 +99,7 @@ def test_run_profile_sends_each_distinct_sampled_text_once(cohort, monkeypatch):
                 )).text)
                 for chunk in chunk_text(doc.text, BUDGET)
             ])
-            for doc in cohort.documents
+            for doc in notes
         }
         assert tables[profile.name] == compute_information_relevance(samples, verdicts)
     summaries = {p.doc_type: p for p in tables["diabetes"]}
@@ -102,10 +107,10 @@ def test_run_profile_sends_each_distinct_sampled_text_once(cohort, monkeypatch):
 
 
 @pytest.fixture
-def corpus_dirs(cohort, tmp_path):
+def corpus_dirs(cohort, notes, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    write_cohort(cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
+    write_cohort(notes, cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
     prep = tmp_path / "prep"
     prep.mkdir()
     for profile in builtin_profiles():

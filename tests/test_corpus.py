@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import synthesize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from notepheno.corpus import (
     _parse_line,
     _write_jsonl,
     encode_record,
-    generate_synthetic,
     iter_documents,
     load_cohort,
     write_cohort,
@@ -49,24 +49,26 @@ def _valid_files(tmp_path):
 
 def test_load_roundtrip(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
-    cohort = load_cohort(docs, pats, labs)
+    cohort = load_cohort(pats, labs)
+    notes = list(iter_documents(docs, cohort.patients))
     assert cohort.patients["p1"].attributes["age"] == "61"
-    assert cohort.documents[0].doc_type == "DischargeSummary"
+    assert notes[0].doc_type == "DischargeSummary"
     assert cohort.labels[0].registry_label == 1
     out = tmp_path / "out"
     out.mkdir()
-    write_cohort(cohort, out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
-    again = load_cohort(out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
+    write_cohort(notes, cohort, out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
+    again = load_cohort(out / "p.jsonl", out / "l.jsonl")
     assert again == cohort
+    assert list(iter_documents(out / "d.jsonl", again.patients)) == notes
 
 
 def test_attribute_values_survive_load_and_write_as_the_json_gives_them(tmp_path):
     record = {"patient_id": "p1", "admit_date": "2015-01-02",
               "attributes": {"age": [61], "sex": None, "weight": 61.5, "notes": {"a": "b"}, "smoker": False}}
     _write_lines(tmp_path / "patients.jsonl", [record])
-    cohort = load_cohort(None, tmp_path / "patients.jsonl", None)
+    cohort = load_cohort(tmp_path / "patients.jsonl")
     assert cohort.patients["p1"].attributes == record["attributes"]
-    write_cohort(cohort, tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl")
+    write_cohort((), cohort, tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl")
     written = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()]
     assert written == [record]
 
@@ -77,7 +79,7 @@ def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked
     lines = [json.dumps(dict(record, doc_id=f"d{i}", text=f"Note {i}.")) for i in range(4)]
     lines[2] = "\n" + "{not json"  # a blank line, which has no position, then a broken one
     docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    patients = load_cohort(None, pats, None).patients
+    patients = load_cohort(pats).patients
     stream = iter_documents(docs, patients)
     assert [doc.doc_id for doc in (next(stream), next(stream))] == ["d0", "d1"]  # read as asked
     with pytest.raises(CorpusError, match="documents.jsonl line 4: invalid record"):
@@ -90,11 +92,11 @@ def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked
     assert [doc.doc_id for doc in iter_documents(docs, patients, only={2, 3})] == ["d0", "d3"]
     del lines[2]
     docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert tuple(iter_documents(docs, patients)) == load_cohort(docs, pats, labs).documents
+    assert [doc.doc_id for doc in iter_documents(docs, patients)] == ["d0", "d1", "d3"]
 
 
 def test_reference_map_registry_and_icd(tmp_path):
-    cohort = load_cohort(*_valid_files(tmp_path))
+    cohort = load_cohort(*_valid_files(tmp_path)[1:])
     assert cohort.reference_map("diabetes") == {"p1": 1}
     assert cohort.reference_map("diabetes", icd=True) == {"p1": 0}
 
@@ -104,7 +106,7 @@ def test_duplicate_doc_id_reports_line(tmp_path):
     record = json.loads(docs.read_text().strip())
     _write_lines(docs, [record, record])
     with pytest.raises(CorpusError, match="line 2.*duplicate doc_id"):
-        load_cohort(docs, pats, labs)
+        list(iter_documents(docs, load_cohort(pats, labs).patients))
 
 
 def test_unknown_patient_in_documents(tmp_path):
@@ -114,21 +116,21 @@ def test_unknown_patient_in_documents(tmp_path):
     record["doc_id"] = "d2"
     _write_lines(docs, [record])
     with pytest.raises(CorpusError, match="unknown patient_id 'ghost'"):
-        load_cohort(docs, pats, labs)
+        list(iter_documents(docs, load_cohort(pats, labs).patients))
 
 
 def test_malformed_json_names_file_and_line(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.write_text("not json\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="documents.jsonl line 1"):
-        load_cohort(docs, pats, labs)
+        list(iter_documents(docs, load_cohort(pats, labs).patients))
 
 
 def test_bad_label_value_rejected(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     _write_lines(labs, [{"patient_id": "p1", "condition": "diabetes", "registry_label": 2}])
     with pytest.raises(CorpusError, match="labels must be 0 or 1"):
-        load_cohort(docs, pats, labs)
+        load_cohort(pats, labs)
 
 
 def test_duplicate_label_rejected(tmp_path):
@@ -136,7 +138,7 @@ def test_duplicate_label_rejected(tmp_path):
     record = {"patient_id": "p1", "condition": "diabetes", "registry_label": 1}
     _write_lines(labs, [record, record])
     with pytest.raises(CorpusError, match="duplicate label"):
-        load_cohort(docs, pats, labs)
+        load_cohort(pats, labs)
 
 
 _REQUIRED = {
@@ -158,7 +160,7 @@ def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, 
         record[field] = value
     _write_lines(path, [record])
     with pytest.raises(CorpusError, match=f"^{name} line 1: missing field '{field}'$"):
-        load_cohort(*files)
+        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
 
 
 @pytest.mark.parametrize(
@@ -179,7 +181,7 @@ def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, messag
     path = tmp_path / name
     _write_lines(path, [{**json.loads(path.read_text()), **edit}])
     with pytest.raises(CorpusError, match=f"^{name} {message}$"):
-        load_cohort(*files)
+        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
 
 
 @pytest.mark.parametrize(
@@ -201,7 +203,7 @@ def test_a_corpus_id_that_is_not_a_string_names_the_file_line_and_field(tmp_path
                "labels.jsonl": {"condition": "ami"}}[name]
     _write_lines(path, [first, {**first, **new_key, **edit}])
     with pytest.raises(CorpusError) as exc:
-        load_cohort(*files)
+        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
     assert str(exc.value) == f"{name} line 2: {message}"
 
 
@@ -211,11 +213,12 @@ def test_the_first_timestamp_decides_whether_a_documents_file_carries_utc_offset
     second = {**first, "doc_id": "d2", "timestamp": "2015-01-02T09:00:00"}
     del second["text"]  # an absent text is an empty note
     _write_lines(docs, [first, second])
-    assert [doc.text for doc in load_cohort(docs, pats, None).documents] == ["Stable.", ""]
+    patients = load_cohort(pats).patients
+    assert [doc.text for doc in iter_documents(docs, patients)] == ["Stable.", ""]
     _write_lines(docs, [{**first, "timestamp": "2015-01-02T08:00:00+01:00"}, second])
     with pytest.raises(CorpusError, match=r"^documents.jsonl line 2: timestamp '2015-01-02T09:00:00' lacks "
                                           r"a UTC offset, unlike the file's first timestamp$"):
-        load_cohort(docs, pats, None)
+        list(iter_documents(docs, patients))
 
 
 def test_a_duplicate_patient_and_a_label_without_registry_label_are_refused(tmp_path):
@@ -223,11 +226,11 @@ def test_a_duplicate_patient_and_a_label_without_registry_label_are_refused(tmp_
     record = json.loads(pats.read_text())
     pats.write_text("\n" + json.dumps(record) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="^patients.jsonl line 4: duplicate patient_id 'p1'$"):
-        load_cohort(docs, pats, labs)
+        load_cohort(pats, labs)
     _write_lines(pats, [record])
     _write_lines(labs, [{"patient_id": "p1", "condition": "diabetes", "icd_label": 1}])
     with pytest.raises(CorpusError, match="^labels.jsonl line 1: missing field 'registry_label'$"):
-        load_cohort(docs, pats, labs)
+        load_cohort(pats, labs)
 
 
 def test_synth_spec_validation():
@@ -242,13 +245,13 @@ def test_synth_spec_validation():
 def test_generate_synthetic_deterministic(tmp_path):
     spec = SynthSpec(n_patients=50, prevalence={"diabetes": 0.3, "ami": 0.2}, seed=11)
     profiles = builtin_profiles()
-    cohort_a, truth_a = generate_synthetic(spec, profiles)
-    cohort_b, truth_b = generate_synthetic(spec, profiles)
+    cohort_a, notes_a, truth_a = synthesize(spec, profiles)
+    cohort_b, notes_b, truth_b = synthesize(spec, profiles)
     assert truth_a == truth_b
-    for name, cohort in (("a", cohort_a), ("b", cohort_b)):
+    for name, cohort, notes in (("a", cohort_a, notes_a), ("b", cohort_b, notes_b)):
         d = tmp_path / name
         d.mkdir()
-        write_cohort(cohort, d / "d.jsonl", d / "p.jsonl", d / "l.jsonl")
+        write_cohort(notes, cohort, d / "d.jsonl", d / "p.jsonl", d / "l.jsonl")
     for fname in ("d.jsonl", "p.jsonl", "l.jsonl"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -256,23 +259,24 @@ def test_generate_synthetic_deterministic(tmp_path):
 def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
     paths = [tmp_path / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")]
     spec = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=1)
-    write_cohort(generate_synthetic(spec, builtin_profiles())[0], *paths)
+    cohort, notes, _ = synthesize(spec, builtin_profiles())
+    write_cohort(notes, cohort, *paths)
     before = [path.read_bytes() for path in paths]
     calls = 0
 
     def failing(record):
         nonlocal calls
         calls += 1
-        if calls == 30:  # the tenth document, after the 20 patient records
+        if calls == 10:  # the tenth document, the first file written
             raise OSError("disk full")
         return encode_record(record)
 
     monkeypatch.setattr(corpus, "encode_record", failing)
     other = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=2)
+    cohort, notes, _ = synthesize(other, builtin_profiles())
     with pytest.raises(OSError, match="disk full"):
-        write_cohort(generate_synthetic(other, builtin_profiles())[0], *paths)
-    assert paths[0].read_bytes() == before[0]
-    assert paths[2].read_bytes() == before[2]
+        write_cohort(notes, cohort, *paths)
+    assert [path.read_bytes() for path in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
@@ -296,7 +300,7 @@ def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
 
 def test_generate_synthetic_truth_matches_labels():
     spec = SynthSpec(n_patients=200, prevalence={"diabetes": 0.3}, seed=3)
-    cohort, truth = generate_synthetic(spec, builtin_profiles())
+    cohort, _, truth = synthesize(spec, builtin_profiles())
     assert len(truth) == 200
     for label in cohort.labels:
         assert label.registry_label == truth[label.patient_id][label.condition]
@@ -307,10 +311,10 @@ def test_generate_synthetic_truth_matches_labels():
 
 def test_generate_synthetic_positive_patient_has_evidence():
     spec = SynthSpec(n_patients=80, prevalence={"diabetes": 0.5}, seed=5)
-    cohort, truth = generate_synthetic(spec, builtin_profiles())
+    _, notes, truth = synthesize(spec, builtin_profiles())
     for pid, per_cond in truth.items():
         if per_cond["diabetes"]:
-            text = " ".join(d.text for d in cohort.documents if d.patient_id == pid)
+            text = " ".join(d.text for d in notes if d.patient_id == pid)
             assert "diabetes" in text.lower()
 
 
@@ -318,20 +322,20 @@ def test_unread_files_are_neither_required_nor_checked(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.write_text("not json\n", encoding="utf-8")
     labs.unlink()
-    cohort = load_cohort(None, pats, None)
+    cohort = load_cohort(pats)
     assert list(cohort.patients) == ["p1"]
-    assert cohort.documents == () and cohort.labels == ()
+    assert cohort.labels == ()
     with pytest.raises(CorpusError, match="documents.jsonl line 1"):
-        load_cohort(docs, pats, None)
+        list(iter_documents(docs, cohort.patients))
 
 
 def test_unread_documents_keep_the_label_checks(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.unlink()
-    assert load_cohort(None, pats, labs).reference_map("diabetes") == {"p1": 1}
+    assert load_cohort(pats, labs).reference_map("diabetes") == {"p1": 1}
     _write_lines(labs, [{"patient_id": "ghost", "condition": "diabetes", "registry_label": 1}])
     with pytest.raises(CorpusError, match="labels.jsonl line 1: unknown patient_id 'ghost'"):
-        load_cohort(None, pats, labs)
+        load_cohort(pats, labs)
 
 
 _texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -447,4 +451,6 @@ def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
         raise AssertionError("json.loads called on a valid line")
 
     monkeypatch.setattr(json, "loads", refuse)
-    assert load_cohort(*files).patients["p1"].admit_date.isoformat() == "2015-01-02"
+    cohort = load_cohort(*files[1:])
+    assert cohort.patients["p1"].admit_date.isoformat() == "2015-01-02"
+    assert [doc.doc_id for doc in iter_documents(files[0], cohort.patients)] == ["d1"]

@@ -72,7 +72,7 @@ def test_each_condition_reads_its_own_replies_in_chunk_order(layout, parallelism
         texts = {"ami": raw, "diabetes": {pid: text + " Extra." for pid, text in raw.items()}}
     assert all(len(chunk_text(text, BUDGET)) >= 3 for by_pid in texts.values() for text in by_pid.values())
     profiles = [p for p in builtin_profiles() if p.name in texts]
-    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in (*pids, "p4")])
+    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in (*pids, "p4")])[0]
     backend = ChunkBackend(texts, "diabetes", "p2")
     found = dict(cli.run_detect(
         cohort, [(texts[p.name], p) for p in profiles], backend, GenerationParams(),
@@ -94,7 +94,7 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
     pids = ("p1", "p2", "p3")
     raw = {pid: _text(pid) for pid in pids}
     profiles = [p for p in builtin_profiles() if p.name in UNITS]
-    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in pids])
+    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in pids])[0]
     backend = ChunkBackend({p.name: raw for p in profiles}, "diabetes", "p2")
     calls = []
     inner = cli.chunk_text
@@ -120,7 +120,7 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
     assert [chunk.oversized for chunk in chunks] == [True, False]
     calls.clear()
     counts = Counter()
-    found = dict(cli.run_detect(make_cohort([("p1", "dp1", "Note", "")]), [(texts[p.name], p) for p in profiles],
+    found = dict(cli.run_detect(make_cohort([("p1", "dp1", "Note", "")])[0], [(texts[p.name], p) for p in profiles],
                                 ChunkBackend(texts, "diabetes", "p1"), GenerationParams(), modes=tuple(MODE_PATHS),
                                 chunk_budget=BUDGET, counts=counts))
     assert calls == [shared] and counts["oversized_chunks"] == 1
@@ -134,9 +134,9 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
 def _write_corpus(directory, docs):
     """A corpus directory of (patient_id, doc_id, doc_type, text) notes, in
     the given order, each note an hour after the one before."""
-    cohort = make_cohort(docs)
+    cohort, notes = make_cohort(docs)
     directory.mkdir(parents=True, exist_ok=True)
-    write_cohort(cohort, directory / "documents.jsonl", directory / "patients.jsonl", directory / "labels.jsonl")
+    write_cohort(notes, cohort, directory / "documents.jsonl", directory / "patients.jsonl", directory / "labels.jsonl")
     return directory
 
 
@@ -211,23 +211,6 @@ def test_labels_at_parallelism_1_and_4_are_byte_identical(synth_corpus, tmp_path
                          "--out", str(tmp_path / parallelism)]) == 0
     assert len(_label_files(tmp_path / "1")) == 9
     assert _label_files(tmp_path / "4") == _label_files(tmp_path / "1")
-
-
-def test_detect_reads_no_documents_through_load_cohort(synth_corpus, tmp_path, monkeypatch):
-    asked = []
-    inner = cli.load_cohort
-
-    def recording(documents_path, patients_path, labels_path):
-        asked.append(documents_path)
-        return inner(documents_path, patients_path, labels_path)
-
-    monkeypatch.setattr(cli, "load_cohort", recording)
-    merged = tmp_path / "merged_diabetes.jsonl"
-    merged.write_text("", encoding="utf-8")  # labels every patient 0
-    for flags in (["--no-preprocess"], ["--merged", str(merged)]):
-        assert cli.main(["detect", "--corpus", str(synth_corpus), *flags, "--condition", "diabetes",
-                         "--mock", "--out", str(tmp_path / flags[0].strip("-"))]) == 0
-    assert len(asked) == 2 and asked == [None, None]
 
 
 def test_detect_manifest_records_its_input(synth_corpus, tmp_path):

@@ -81,7 +81,7 @@ def _cohort_with_months():
         "b": Patient("b", date(2015, 1, 20)),
         "c": Patient("c", date(2015, 2, 5)),
     }
-    return Cohort(patients=patients, documents=(), labels=())
+    return Cohort(patients=patients, labels=())
 
 
 def test_monthly_trend_groups_by_admit_month():

@@ -3,12 +3,12 @@ import re
 from collections import Counter
 
 import pytest
-from conftest import make_cohort, sampled_documents
+from conftest import make_cohort, sampled_documents, synthesize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notepheno.adjudication import InferredStatus
-from notepheno.corpus import SynthSpec, generate_synthetic
+from notepheno.corpus import SynthSpec
 from notepheno.preprocess import (
     DocTypeProfile,
     FilterPlan,
@@ -50,19 +50,19 @@ def test_keyword_regex_word_boundaries():
     assert not pattern.search("amity")
 
 
-def test_sample_document_types_deterministic_and_bounded(small_cohort):
-    a = sample_document_types(small_cohort.documents, m=1, seed=9)
-    assert sample_document_types(iter(small_cohort.documents), m=1, seed=9) == a
+def test_sample_document_types_deterministic_and_bounded(small_notes):
+    a = sample_document_types(small_notes, m=1, seed=9)
+    assert sample_document_types(iter(small_notes), m=1, seed=9) == a
     for positions in a.values():
         assert len(positions) == 1
-    everything = sample_document_types(small_cohort.documents, m=10, seed=9)
+    everything = sample_document_types(small_notes, m=10, seed=9)
     assert sorted(at for positions in everything.values() for at in positions) == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="m must be >= 1"):
-        sample_document_types(small_cohort.documents, m=0, seed=9)
+        sample_document_types(small_notes, m=0, seed=9)
 
 
-def test_information_relevance_uses_actual_sample_size(small_cohort):
-    samples = sampled_documents(small_cohort, m=10, seed=0)
+def test_information_relevance_uses_actual_sample_size(small_notes):
+    samples = sampled_documents(small_notes, m=10, seed=0)
     verdicts = {
         "d1": InferredStatus.YES,
         "d2": InferredStatus.NO,
@@ -76,8 +76,8 @@ def test_information_relevance_uses_actual_sample_size(small_cohort):
     assert profiles["BloodLog"].ir == 0.0
 
 
-def test_information_relevance_missing_verdict(small_cohort):
-    samples = sampled_documents(small_cohort, m=10, seed=0)
+def test_information_relevance_missing_verdict(small_notes):
+    samples = sampled_documents(small_notes, m=10, seed=0)
     with pytest.raises(ValueError, match="missing verdict"):
         compute_information_relevance(samples, {})
 
@@ -132,12 +132,12 @@ def test_filter_monotone_in_percentile(counts):
     assert kept_q2 <= kept_q1 <= kept_0
 
 
-def _words(cohort):
-    return sum(len(doc.text.split()) for doc in cohort.documents)
+def _words(notes):
+    return sum(len(doc.text.split()) for doc in notes)
 
 
 def test_consolidate_merges_keyword_sentences(diabetes_profile):
-    cohort = make_cohort(
+    _, notes = make_cohort(
         [
             ("p1", "d1", "DischargeSummary", "Routine note. Known diabetes on insulin. All else fine."),
             ("p1", "d2", "DischargeSummary", "Glucose - mmol/l random : 13.0 mmol/l. Plan unchanged."),
@@ -146,17 +146,17 @@ def test_consolidate_merges_keyword_sentences(diabetes_profile):
         ]
     )
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 3), DocTypeProfile("SocialWork", 5, 0)], 0)
-    corpus = consolidate(cohort.documents, [(plan, diabetes_profile)])[0]
+    corpus = consolidate(notes, [(plan, diabetes_profile)])[0]
     assert corpus == {"p1": "Known diabetes on insulin. Glucose - mmol/l random : 13.0 mmol/l."}
-    assert 0.0 < retention_report(_words(cohort), {"p1"}, corpus).words_fraction_remaining < 1.0
+    assert 0.0 < retention_report(_words(notes), {"p1"}, corpus).words_fraction_remaining < 1.0
 
 
-def test_retention_report_undefined_without_positives(small_cohort, diabetes_profile):
+def test_retention_report_undefined_without_positives(small_notes, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus = consolidate(small_cohort.documents, [(plan, diabetes_profile)])[0]
-    stats = retention_report(_words(small_cohort), set(), corpus)
+    corpus = consolidate(small_notes, [(plan, diabetes_profile)])[0]
+    stats = retention_report(_words(small_notes), set(), corpus)
     assert stats.positive_retention is None
-    stats2 = retention_report(_words(small_cohort), {"p1"}, corpus)
+    stats2 = retention_report(_words(small_notes), {"p1"}, corpus)
     assert stats2.positive_retention == 1.0
 
 
@@ -203,11 +203,11 @@ def test_keyword_regex_rejects_empty_keyword_list():
         keyword_regex([])
 
 
-def _consolidate_reference(cohort, plan, profile):
+def _consolidate_reference(notes, plan, profile):
     """The per-condition loop consolidation replaced by the single pass."""
     pattern = _lookarounds_per_keyword(profile.keywords)
     hits, words_before = {}, 0
-    for doc in cohort.documents:
+    for doc in notes:
         words_before += len(doc.text.split())
         if doc.doc_type not in plan.kept_types:
             continue
@@ -228,8 +228,8 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     spec = SynthSpec(
         n_patients=60, prevalence={"ami": 0.3, "diabetes": 0.3, "hypertension": 0.3}, seed=4
     )
-    cohort, _ = generate_synthetic(spec, profiles)
-    doc_types = sorted({d.doc_type for d in cohort.documents})
+    _, notes, _ = synthesize(spec, profiles)
+    doc_types = sorted({d.doc_type for d in notes})
     # Overlapping, differing kept types, one of them empty.
     kept = {
         "ami": frozenset(doc_types[::2]),
@@ -238,24 +238,24 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     }
     selected = [(FilterPlan(0.0, kept[p.name]), p) for p in profiles]
     counts = Counter()
-    together = consolidate(iter(cohort.documents), selected, counts)  # a stream, read once
-    assert counts["words"] == _words(cohort)
+    together = consolidate(iter(notes), selected, counts)  # a stream, read once
+    assert counts["words"] == _words(notes)
     assert len(together) == len(profiles)
     for (plan, profile), corpus in zip(selected, together):
         fraction = retention_report(counts["words"], set(), corpus).words_fraction_remaining
-        assert corpus == consolidate(cohort.documents, [(plan, profile)])[0]
-        merged, reference_fraction = _consolidate_reference(cohort, plan, profile)
+        assert corpus == consolidate(notes, [(plan, profile)])[0]
+        merged, reference_fraction = _consolidate_reference(notes, plan, profile)
         assert corpus == merged
         assert fraction == reference_fraction
     assert together[0] and together[1]
     assert not together[2]
 
 
-def test_retention_report_counts_merged_words_over_the_cohort(small_cohort, diabetes_profile):
+def test_retention_report_counts_merged_words_over_the_cohort(small_notes, diabetes_profile):
     plan = filter_document_types([DocTypeProfile("DischargeSummary", 5, 1)], 0)
-    corpus = consolidate(small_cohort.documents, [(plan, diabetes_profile)])[0]
-    report = retention_report(_words(small_cohort), {"p1", "p3"}, corpus)
+    corpus = consolidate(small_notes, [(plan, diabetes_profile)])[0]
+    report = retention_report(_words(small_notes), {"p1", "p3"}, corpus)
     words = sum(len(text.split()) for text in corpus.values())
-    assert 0 < words < _words(small_cohort)
-    assert report.words_fraction_remaining == words / _words(small_cohort)
+    assert 0 < words < _words(small_notes)
+    assert report.words_fraction_remaining == words / _words(small_notes)
     assert report.positive_retention == positive_retention({"p1", "p3"}, corpus) == 0.5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from notepheno.adjudication import MODE_PATHS, Findings, InferredStatus, LabMeasurement, merge_patient
 from notepheno.cli import _detect_texts, _label_lines, _merged_lines
 from notepheno.cli import _read_profile_csv, main, run_detect
-from notepheno.corpus import encode_record, load_cohort
+from notepheno.corpus import encode_record, iter_documents, load_cohort
 from notepheno.inference import GenerationParams, MockBackend
 from notepheno.preprocess import consolidate, filter_document_types
 from notepheno.prompting import builtin_profiles
@@ -103,13 +103,13 @@ def seeded_run(tmp_path_factory):
 
 def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
     corpus = seeded_run / "corpus"
-    cohort = load_cohort(corpus / "documents.jsonl", corpus / "patients.jsonl", None)
+    notes = iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients)
     profiles = builtin_profiles()
     selected = [
         (filter_document_types(_read_profile_csv(seeded_run / "profile.csv")[p.name], "q1"), p)
         for p in profiles
     ]
-    for profile, merged in zip(profiles, consolidate(cohort.documents, selected)):
+    for profile, merged in zip(profiles, consolidate(notes, selected)):
         assert merged  # else the comparison proves little
         written = (seeded_run / "prep" / f"merged_{profile.name}.jsonl").read_text(encoding="utf-8")
         assert written == _merged_file(profile.name, merged)
@@ -118,7 +118,7 @@ def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
 @pytest.mark.parametrize("no_preprocess, out", [(False, "det"), (True, "raw")])
 def test_detect_writes_the_label_files_of_its_records(seeded_run, no_preprocess, out):
     corpus = seeded_run / "corpus"
-    cohort = load_cohort(corpus / "documents.jsonl" if no_preprocess else None, corpus / "patients.jsonl", None)
+    cohort = load_cohort(corpus / "patients.jsonl")
     profiles = builtin_profiles()
     args = argparse.Namespace(no_preprocess=no_preprocess, merged=str(seeded_run / "prep"), corpus=seeded_run / "corpus")
     texts = _detect_texts(args, cohort, [p.name for p in profiles])
