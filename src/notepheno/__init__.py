@@ -15,7 +15,16 @@ from .adjudication import (
     parse_extraction_response,
     parse_inference_response,
 )
-from .corpus import Cohort, CorpusError, SynthSpec, generate_synthetic, iter_documents, load_cohort, write_cohort
+from .corpus import (
+    CorpusError,
+    SynthSpec,
+    generate_synthetic,
+    iter_documents,
+    load_labels,
+    load_patients,
+    reference_map,
+    write_cohort,
+)
 from .evaluation import ConfusionMatrix, MetricSet, confusion, metrics, wilson_interval
 from .inference import (
     Backend,
@@ -46,7 +55,6 @@ __all__ = [
     "BackendError",
     "CachedBackend",
     "ClinicalRule",
-    "Cohort",
     "CompletionRequest",
     "ConditionProfile",
     "ConfusionMatrix",
@@ -73,11 +81,13 @@ __all__ = [
     "filter_document_types",
     "generate_synthetic",
     "iter_documents",
-    "load_cohort",
+    "load_labels",
+    "load_patients",
     "merge_patient",
     "metrics",
     "parse_extraction_response",
     "parse_inference_response",
+    "reference_map",
     "render_prompt",
     "sample_document_types",
     "wilson_interval",

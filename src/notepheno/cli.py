@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import evaluation
 from .adjudication import (
@@ -28,7 +28,6 @@ from .adjudication import (
     parse_inference_response,
 )
 from .corpus import (
-    Cohort,
     CorpusError,
     SynthSpec,
     _atomic_write,
@@ -37,7 +36,9 @@ from .corpus import (
     encode_record,
     generate_synthetic,
     iter_documents,
-    load_cohort,
+    load_labels,
+    load_patients,
+    reference_map,
     write_cohort,
 )
 from .inference import (
@@ -189,13 +190,12 @@ def _corpus_file(directory, name: str) -> Path:
     return path
 
 
-def _load_corpus_dir(directory, *, labels: bool) -> Cohort:
-    """The patients of a corpus directory, and its labels when asked. A file
-    left unread is neither required nor checked."""
-    return load_cohort(
-        _corpus_file(directory, "patients.jsonl"),
-        _corpus_file(directory, "labels.jsonl") if labels else None,
-    )
+def _check_dispatch(args) -> None:
+    """Refuse a backend stage's `--parallelism` or `--chunk-budget` below 1,
+    by its config key and flag, before the stage reads any corpus file."""
+    for key, flag in (("parallelism", "--parallelism"), ("chunk_budget", "--chunk-budget")):
+        if getattr(args, key) < 1:
+            raise ValueError(f"{key} must be at least 1, got {getattr(args, key)} ({flag})")
 
 
 def _select_profiles(args) -> list[ConditionProfile]:
@@ -336,7 +336,7 @@ def run_profile(
 
 
 def run_detect(
-    cohort: Cohort,
+    patients: Iterable[str],
     selected: Sequence[tuple[Mapping[str, str], ConditionProfile]],
     backend: Backend,
     params: GenerationParams,
@@ -348,7 +348,7 @@ def run_detect(
     """Ask the prompt paths of `modes` about every condition's `{patient_id:
     text}` in one dispatch.
 
-    Yields `(condition, {patient_id: findings})` for every cohort patient, in
+    Yields `(condition, {patient_id: findings})` for every id of `patients`, in
     the order of `selected`, adjudicating each condition only when it is
     taken, so a caller that writes one condition before taking the next holds
     one condition's findings at a time. The texts are not held once this
@@ -371,7 +371,7 @@ def run_detect(
     def findings(by_path: dict[str, dict], profile: ConditionProfile) -> dict[str, Findings]:
         no_text = Findings({}, ())
         found = {}
-        for pid in sorted(cohort.patients):
+        for pid in sorted(patients):
             statuses = {path: by_owner[pid] for path, by_owner in by_path.items() if pid in by_owner}
             measurements = statuses.get("extraction", ())
             if "extraction" in statuses:
@@ -422,22 +422,23 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     out_dir = _out_dir(args.out)
-    cohort = Cohort({}, [])
+    patients, labels = {}, []
 
     def notes():  # one patient's notes at a time, written as they are drawn
-        for patient, drawn, labels, _ in generate_synthetic(spec, profiles):
-            cohort.patients[patient.patient_id] = patient
-            cohort.labels.extend(labels)
+        for patient, drawn, drawn_labels in generate_synthetic(spec, profiles):
+            patients[patient.patient_id] = patient
+            labels.extend(drawn_labels)
             yield from drawn
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cohort(notes(), cohort, *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
+    write_cohort(notes(), patients, labels,
+                 *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
     # a synthetic patient's registry label is its planted truth
     _write_jsonl(
         out_dir / "truth.jsonl",
         (
             {"patient_id": label.patient_id, "condition": label.condition, "label": label.registry_label}
-            for label in sorted(cohort.labels)
+            for label in sorted(labels)
         ),
     )
     _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()})
@@ -447,9 +448,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_profile(args) -> int:
     started = time.monotonic()
+    _check_dispatch(args)
     out = _out_file(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
-    patients = _load_corpus_dir(args.corpus, labels=False).patients
+    patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
     backend = _make_backend(args)
     profiles = _select_profiles(args)
     counts: Counter = Counter()
@@ -525,7 +527,8 @@ def _cmd_preprocess(args) -> int:
     started = time.monotonic()
     out_dir = _out_dir(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
-    cohort = _load_corpus_dir(args.corpus, labels=True)
+    patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
+    labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
     profiles = _select_profiles(args)
     tables = _read_profile_csv(args.profile_csv)
     for profile in profiles:
@@ -538,11 +541,9 @@ def _cmd_preprocess(args) -> int:
                            profile.name, args.percentile)
     # the stage needs the labels only as each condition's positive patients:
     # the rest is freed before the notes stream
-    patients = cohort.patients
-    positives = [
-        {pid for pid, label in cohort.reference_map(profile.name).items() if label} for _, profile in selected
-    ]
-    del cohort
+    positives = [{pid for pid, label in reference_map(labels, profile.name).items() if label}
+                 for _, profile in selected]
+    del labels
     counts: Counter = Counter()
     consolidated = consolidate(iter_documents(documents, patients), selected, counts)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -569,7 +570,7 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[str, str]]:
+def _detect_texts(args, patients: Mapping, conditions: Sequence[str]) -> list[dict[str, str]]:
     """Each condition's `{patient_id: text}` for detect, in the order of
     `conditions`: the merged text of the preprocess artifact, or under
     --no-preprocess each patient's raw notes joined in timestamp order, the
@@ -587,10 +588,10 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
     """
     if args.no_preprocess:
         documents = _corpus_file(args.corpus, "documents.jsonl")
-        last = {doc.patient_id: at for at, doc in enumerate(iter_documents(documents, cohort.patients))}
+        last = {doc.patient_id: at for at, doc in enumerate(iter_documents(documents, patients))}
         notes: dict[str, list] = defaultdict(list)
         raw = {}
-        for at, doc in enumerate(iter_documents(documents, cohort.patients)):
+        for at, doc in enumerate(iter_documents(documents, patients)):
             pid = doc.patient_id
             notes[pid].append((doc.timestamp, doc.doc_id, doc.text))
             if last[pid] == at:
@@ -614,7 +615,7 @@ def _detect_texts(args, cohort: Cohort, conditions: Sequence[str]) -> list[dict[
         held = False
         for lineno, record, (pid, cond) in _records(path, ("patient_id", "condition")):
             text = record.get("text")
-            complaint = _check_merged(pid, text, cohort.patients)
+            complaint = _check_merged(pid, text, patients)
             if not complaint and cond == condition:
                 if pid in found:
                     complaint = f"duplicate record for {pid!r}/{condition!r}"
@@ -647,11 +648,14 @@ def _label_lines(condition: str, mode: str, findings: Mapping[str, Findings]):
 
 def _cmd_detect(args) -> int:
     started = time.monotonic()
+    if args.merged and args.no_preprocess:
+        raise ValueError("--merged and --no-preprocess exclude each other: pass one of them")
+    _check_dispatch(args)
     # The merged texts come from the preprocess artifact, and the raw notes of
-    # --no-preprocess are streamed from the documents file: the cohort is
-    # only its patients.
+    # --no-preprocess are streamed from the documents file: of the corpus,
+    # only the patients are loaded.
     out_dir = _out_dir(args.out)
-    cohort = _load_corpus_dir(args.corpus, labels=False)
+    patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
     backend = _make_backend(args)
     modes = tuple(MODE_PATHS) if args.mode == "all" else (args.mode,)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -661,7 +665,7 @@ def _cmd_detect(args) -> int:
     counts: Counter = Counter()
     # run_detect is the only holder of the texts, so they are freed once it has planned
     for condition, findings in run_detect(
-        cohort, list(zip(_detect_texts(args, cohort, [profile.name for profile in profiles]), profiles)),
+        patients, list(zip(_detect_texts(args, patients, [profile.name for profile in profiles]), profiles)),
         backend, args.generation, modes=modes,
         chunk_budget=args.chunk_budget, parallelism=args.parallelism, counts=counts,
     ):
@@ -716,7 +720,8 @@ def _format_metric(est) -> tuple[str, str, str]:
 def _cmd_evaluate(args) -> int:
     started = time.monotonic()
     out = _out_file(args.out)
-    cohort = _load_corpus_dir(args.corpus, labels=True)
+    patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
+    labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
     detect_dir = Path(args.detect_dir)
     header = (
         "method", "condition",
@@ -728,12 +733,8 @@ def _cmd_evaluate(args) -> int:
     rows = []
     for profile in _select_profiles(args):
         condition = profile.name
-        reference = cohort.reference_map(condition)
-        has_icd = all(
-            lab.icd_label is not None
-            for lab in cohort.labels
-            if lab.condition == condition
-        )
+        reference = reference_map(labels, condition)
+        has_icd = all(lab.icd_label is not None for lab in labels if lab.condition == condition)
         predictions: dict[str, dict[str, int]] = {}
         for mode in MODE_PATHS:
             path = detect_dir / f"detect_{mode}_{condition}.jsonl"
@@ -745,7 +746,7 @@ def _cmd_evaluate(args) -> int:
             evaluation._require_same_patients(predictions[mode], reference, f"{path}: ")
         methods: list[tuple[str, dict[str, int]]] = []
         if has_icd:
-            icd = cohort.reference_map(condition, icd=True)
+            icd = reference_map(labels, condition, icd=True)
             methods.append(("icd10", icd))
         methods += list(predictions.items())
         if has_icd:
@@ -808,10 +809,10 @@ def _trend_svg(points, condition: str) -> str:
 def _cmd_trend(args) -> int:
     out = _out_file(args.out)
     svg = _out_file(args.svg, "--svg") if args.svg else None
-    cohort = _load_corpus_dir(args.corpus, labels=True)
+    patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
+    labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
     condition, predicted = _predictions(args.pred)
-    reference = cohort.reference_map(condition)
-    points = evaluation.monthly_trend(cohort, predicted, reference)
+    points = evaluation.monthly_trend(patients, predicted, reference_map(labels, condition))
     _write_csv(
         out,
         ("month", "n", "reference_pct", "predicted_pct"),

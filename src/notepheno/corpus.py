@@ -1,4 +1,4 @@
-"""Cohort data model, line-record corpus IO, and synthetic cohort generation."""
+"""Corpus records, line-record corpus IO, and synthetic cohort generation."""
 from __future__ import annotations
 
 import json
@@ -15,11 +15,12 @@ __all__ = [
     "ClinicalDocument",
     "Patient",
     "ReferenceLabel",
-    "Cohort",
     "SynthSpec",
     "CorpusError",
-    "load_cohort",
+    "load_patients",
+    "load_labels",
     "iter_documents",
+    "reference_map",
     "write_cohort",
     "generate_synthetic",
     "HIGH_YIELD_DOC_TYPES",
@@ -84,26 +85,17 @@ class ReferenceLabel(NamedTuple):
     icd_label: int | None = None
 
 
-class Cohort(NamedTuple):
-    """The patients and reference labels of a corpus. Its notes are never
-    held together: `iter_documents` streams them from the documents file."""
-
-    patients: Mapping[str, Patient]
-    labels: Sequence[ReferenceLabel]
-
-    def reference_map(self, condition: str, *, icd: bool = False) -> dict[str, int]:
-        """Per-patient label map for one condition (registry or ICD)."""
-        out: dict[str, int] = {}
-        for lab in self.labels:
-            if lab.condition != condition:
-                continue
-            value = lab.icd_label if icd else lab.registry_label
-            if value is None:
-                raise CorpusError(
-                    f"patient {lab.patient_id!r} has no ICD label for {condition!r}"
-                )
-            out[lab.patient_id] = value
-        return out
+def reference_map(labels: Iterable[ReferenceLabel], condition: str, *, icd: bool = False) -> dict[str, int]:
+    """Per-patient label map for one condition (registry or ICD)."""
+    out: dict[str, int] = {}
+    for lab in labels:
+        if lab.condition != condition:
+            continue
+        value = lab.icd_label if icd else lab.registry_label
+        if value is None:
+            raise CorpusError(f"patient {lab.patient_id!r} has no ICD label for {condition!r}")
+        out[lab.patient_id] = value
+    return out
 
 
 # Default document-type vocabulary shipped with the package. It is a naming
@@ -197,16 +189,9 @@ def _records(path, fields: Sequence[str], only: Collection[int] | None = None):
             yield lineno, record, values
 
 
-def load_cohort(patients_path, labels_path=None) -> Cohort:
-    """Load and cross-validate the patients and labels of a corpus. The
-    patients' ids are the ones that notes and labels must name. A
-    `labels_path` of None leaves the labels unread and empty."""
-    patients = _load_patients(Path(patients_path))
-    labels = () if labels_path is None else _load_labels(Path(labels_path), patients)
-    return Cohort(patients=patients, labels=labels)
-
-
-def _load_patients(patients_path: Path) -> dict[str, Patient]:
+def load_patients(patients_path) -> dict[str, Patient]:
+    """The patients of a patients file, by id: the ids that notes and labels must name."""
+    patients_path = Path(patients_path)
     patients: dict[str, Patient] = {}
     for lineno, record, (pid, admit) in _records(patients_path, ("patient_id", "admit_date")):
         if pid in patients:
@@ -216,6 +201,11 @@ def _load_patients(patients_path: Path) -> dict[str, Patient]:
             raise CorpusError(f"{patients_path.name} line {lineno}: attributes must be a map")
         patients[pid] = Patient(pid, _parse_date(admit, patients_path, lineno), attributes)
     return patients
+
+
+# The name the benchmark's tracer (perfbench/tracing.py) wraps to time the
+# corpus load; it goes when that target list names `load_patients`.
+load_cohort = load_patients
 
 
 def iter_documents(
@@ -260,7 +250,9 @@ def iter_documents(
         yield tuple.__new__(ClinicalDocument, (pid, doc_id, doc_type, when, text))
 
 
-def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
+def load_labels(labels_path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
+    """The reference labels of a labels file, each naming one of `patients`."""
+    labels_path = Path(labels_path)
     labels: list[ReferenceLabel] = []
     seen_label_keys: set[tuple[str, str]] = set()
     for lineno, record, (pid, condition) in _records(labels_path, ("patient_id", "condition")):
@@ -286,24 +278,33 @@ def _load_labels(labels_path: Path, patients: Mapping[str, Patient]) -> tuple[Re
 encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
 
 
-def _atomic_write(path: Path, parts: Iterable[str]) -> None:
-    """Write `parts` in turn to a file beside `path`, then rename it into
-    place, so a failure leaves any earlier file at `path` whole and no
-    temporary file behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+def _atomic_write(path: Path, parts: Iterable[str], *more: tuple[Path, Iterable[str]]) -> None:
+    """Write `parts` in turn to a file beside `path`, and so on for each
+    `(path, parts)` of `more`, then rename every file into place, so a
+    failure leaves each earlier file at those paths whole and no temporary
+    file behind."""
+    files = [(path, parts), *more]
+    tmps = [path.with_name(path.name + ".tmp") for path, _ in files]
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.writelines(parts)
-        os.replace(tmp, path)
+        for (path, parts), tmp in zip(files, tmps):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with tmp.open("w", encoding="utf-8") as handle:
+                handle.writelines(parts)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def _lines(records) -> Iterator[str]:
+    return (encode_record(record) + "\n" for record in records)
 
 
 def _write_jsonl(path, records) -> None:
     """Stream one encoded record per line into place (see `_atomic_write`)."""
-    _atomic_write(Path(path), (encode_record(record) + "\n" for record in records))
+    _atomic_write(Path(path), _lines(records))
 
 
 def _label_record(label: ReferenceLabel) -> dict:
@@ -317,37 +318,34 @@ def _label_record(label: ReferenceLabel) -> dict:
     return record
 
 
-def write_cohort(notes: Iterable[ClinicalDocument], cohort: Cohort, documents_path, patients_path,
-                 labels_path) -> None:
+def write_cohort(notes: Iterable[ClinicalDocument], patients: Mapping[str, Patient],
+                 labels: Iterable[ReferenceLabel], documents_path, patients_path, labels_path) -> None:
     """Write a corpus in the three-file line-record format: the documents
-    file as `notes` arrive, then the cohort's patients, by id, and its labels.
-    The cohort is read only once every note is written, so a caller that
-    draws patients and labels with their notes can fill it as they stream."""
-    _write_jsonl(
-        documents_path,
-        (
-            {
-                "patient_id": doc.patient_id,
-                "doc_id": doc.doc_id,
-                "doc_type": doc.doc_type,
-                "timestamp": doc.timestamp.isoformat(),
-                "text": doc.text,
-            }
-            for doc in notes
-        ),
+    file as `notes` arrive, then `patients`, by id, and `labels`. The patients
+    and labels are read only once every note is written, so a caller that
+    draws them with their notes can fill them as they stream. The three files
+    replace any earlier ones together, once all three are written."""
+    documents = (
+        {
+            "patient_id": doc.patient_id,
+            "doc_id": doc.doc_id,
+            "doc_type": doc.doc_type,
+            "timestamp": doc.timestamp.isoformat(),
+            "text": doc.text,
+        }
+        for doc in notes
     )
-    _write_jsonl(
-        patients_path,
-        (
-            {
+
+    def patient_records():  # a generator body, so the patients are sorted only once they are read
+        for _, patient in sorted(patients.items()):
+            yield {
                 "patient_id": patient.patient_id,
                 "admit_date": patient.admit_date.isoformat(),
                 "attributes": dict(patient.attributes),
             }
-            for _, patient in sorted(cohort.patients.items())
-        ),
-    )
-    _write_jsonl(labels_path, (_label_record(label) for label in cohort.labels))
+
+    _atomic_write(Path(documents_path), _lines(documents), (Path(patients_path), _lines(patient_records())),
+                  (Path(labels_path), _lines(map(_label_record, labels))))
 
 
 class _SynthSpecFields(NamedTuple):
@@ -408,11 +406,11 @@ def _lab_sentence(rule, rng: random.Random, positive: bool) -> str:
     raise ValueError(f"unknown analyte {rule.analyte!r}")
 
 
-def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, list, list, dict[str, int]]]:
+def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, list, list]]:
     """Draw a deterministic synthetic cohort one patient at a time, yielding
-    per patient in id order `(patient, notes, labels, truth)`: its
-    `ClinicalDocument`s, its `ReferenceLabel`s and the planted truth,
-    `{condition: 0 or 1}`.
+    per patient in id order `(patient, notes, labels)`: its
+    `ClinicalDocument`s and its `ReferenceLabel`s, whose registry label is
+    the planted truth.
 
     Positive patients receive condition evidence (a diagnosis sentence,
     sometimes also an over-threshold lab sentence) in one high-yield document.
@@ -485,4 +483,4 @@ def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, lis
             elif value == 0 and roll < 0.05:
                 icd = 1
             labels.append(ReferenceLabel(pid, profile.name, value, icd))
-        yield patient, notes, labels, truth
+        yield patient, notes, labels

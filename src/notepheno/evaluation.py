@@ -5,7 +5,7 @@ import math
 from collections import defaultdict
 from typing import Mapping, NamedTuple
 
-from .corpus import Checked, Cohort
+from .corpus import Checked, Patient
 
 __all__ = [
     "ConfusionMatrix",
@@ -149,7 +149,7 @@ def combine_or(a: Mapping[str, int], b: Mapping[str, int]) -> dict[str, int]:
 
 
 def monthly_trend(
-    cohort: Cohort,
+    patients: Mapping[str, Patient],
     predicted: Mapping[str, int],
     reference: Mapping[str, int],
 ) -> list[TrendPoint]:
@@ -158,7 +158,7 @@ def monthly_trend(
     _require_same_patients(predicted, reference)
     buckets: dict[str, list[str]] = defaultdict(list)
     for pid in reference:
-        patient = cohort.patients.get(pid)
+        patient = patients.get(pid)
         if patient is None:
             raise ValueError(f"no patient record for {pid!r}")
         buckets[patient.admit_date.strftime("%Y-%m")].append(pid)

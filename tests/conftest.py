@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from notepheno.corpus import ClinicalDocument, Cohort, Patient, ReferenceLabel, generate_synthetic
+from notepheno.corpus import ClinicalDocument, Patient, ReferenceLabel, generate_synthetic
 from notepheno.inference import CompletionResponse
 from notepheno.preprocess import sample_document_types
 from notepheno.prompting import builtin_profiles
@@ -204,7 +204,8 @@ def record_prompts(monkeypatch, backend_cls):
 
 
 def make_cohort(docs, labels=None):
-    """A cohort and its notes, from (patient_id, doc_id, doc_type, text) tuples."""
+    """The patients, labels and notes of a cohort, from (patient_id, doc_id,
+    doc_type, text) tuples and (patient_id, condition, registry, icd) ones."""
     patients = {}
     documents = []
     for i, (pid, doc_id, doc_type, text) in enumerate(docs):
@@ -216,18 +217,19 @@ def make_cohort(docs, labels=None):
     label_objs = tuple(
         ReferenceLabel(pid, cond, reg, icd) for pid, cond, reg, icd in (labels or [])
     )
-    return Cohort(patients=patients, labels=label_objs), tuple(documents)
+    return patients, label_objs, tuple(documents)
 
 
 def synthesize(spec, profiles):
-    """`generate_synthetic`'s stream held in memory: the cohort, a list of
-    every note in file order, and the planted truth per patient."""
-    patients, notes, labels, truth = {}, [], [], {}
-    for patient, drawn, patient_labels, planted in generate_synthetic(spec, profiles):
-        patients[patient.patient_id], truth[patient.patient_id] = patient, planted
+    """`generate_synthetic`'s stream held in memory: the patients by id, the
+    labels (whose registry label is the planted truth) and a list of every
+    note in file order."""
+    patients, labels, notes = {}, [], []
+    for patient, drawn, patient_labels in generate_synthetic(spec, profiles):
+        patients[patient.patient_id] = patient
         notes += drawn
         labels += patient_labels
-    return Cohort(patients, tuple(labels)), notes, truth
+    return patients, tuple(labels), notes
 
 
 def sampled_documents(notes, m, seed):
@@ -245,4 +247,4 @@ def small_notes():
             ("p2", "d3", "DischargeSummary", "No acute issues. Glucose - mmol/l random : 6.1 mmol/l."),
             ("p3", "d4", "BloodLog", "Routine draw completed."),
         ]
-    )[1]
+    )[2]

@@ -20,7 +20,7 @@ from notepheno.adjudication import (
 )
 from notepheno.bench import builtin_questions, run_benchmark
 from notepheno.cli import main, run_detect, run_profile
-from notepheno.corpus import HIGH_YIELD_DOC_TYPES, SynthSpec
+from notepheno.corpus import HIGH_YIELD_DOC_TYPES, SynthSpec, reference_map
 from notepheno.evaluation import combine_or, confusion, metrics
 from notepheno.inference import GenerationParams, MockBackend
 from notepheno.preprocess import (
@@ -150,7 +150,7 @@ def test_criterion_4_synthetic_recovery():
         passes = 0
         for seed in range(20):
             spec = SynthSpec(n_patients=2000, prevalence={"diabetes": 0.3}, seed=seed)
-            cohort, notes, truth = synthesize(spec, [profile])
+            patients, labels, notes = synthesize(spec, [profile])
             clean = MockBackend()
             samples = sampled_documents(notes, 60, seed)
             type_profiles = run_profile(samples, [profile], clean, params, parallelism=1)["diabetes"]
@@ -158,11 +158,11 @@ def test_criterion_4_synthetic_recovery():
             merged = consolidate(notes, [(plan, profile)])[0]
             noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
             findings = dict(run_detect(
-                cohort, [(merged, profile)], noisy, params,
+                patients, [(merged, profile)], noisy, params,
                 modes=("prompt1",), parallelism=1,
             ))["diabetes"]
             pred = {pid: merge_patient(f.statuses, "prompt1") for pid, f in findings.items()}
-            ref = {pid: truth[pid]["diabetes"] for pid in truth}
+            ref = reference_map(labels, "diabetes")
             ms = metrics(confusion(pred, ref))
             if (
                 abs(ms.sensitivity.point - 0.95) <= 0.03
@@ -181,12 +181,12 @@ def test_criterion_5_or_mode_algebra():
         profile = _profile("diabetes")
         params = GenerationParams()
         spec = SynthSpec(n_patients=300, prevalence={"diabetes": 0.3}, seed=42)
-        cohort, notes, truth = synthesize(spec, [profile])
+        patients, _, notes = synthesize(spec, [profile])
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
         merged = consolidate(notes, [(plan, profile)])[0]
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
-            cohort, [(merged, profile)],
+            patients, [(merged, profile)],
             MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
             params, modes=modes, parallelism=1,
         ))["diabetes"]
@@ -229,7 +229,7 @@ def test_criterion_6_preprocessing_properties():
 
         profile = _profile("diabetes")
         spec = SynthSpec(n_patients=250, prevalence={"diabetes": 0.4}, seed=13)
-        _, notes, truth = synthesize(spec, [profile])
+        _, labels, notes = synthesize(spec, [profile])
         assert len(notes) >= 500
         plan = FilterPlan(threshold_value=0.0, kept_types=frozenset(HIGH_YIELD_DOC_TYPES))
         merged = consolidate(notes, [(plan, profile)])[0]
@@ -247,7 +247,7 @@ def test_criterion_6_preprocessing_properties():
         assert expected
         assert merged == {pid: " ".join(sentences) for pid, sentences in expected.items()}
 
-        positives = {pid for pid, t in truth.items() if t["diabetes"] == 1}
+        positives = {pid for pid, label in reference_map(labels, "diabetes").items() if label == 1}
         assert positive_retention(positives, merged) == 1.0
 
 

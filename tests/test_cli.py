@@ -16,8 +16,8 @@ from conftest import FirstSendDropped, make_cohort, record_prompts, sampled_docu
 
 import notepheno
 from notepheno import cli, inference
-from notepheno.cli import _load_corpus_dir, _read_profile_csv, main
-from notepheno.corpus import iter_documents, load_cohort, write_cohort
+from notepheno.cli import _read_profile_csv, main
+from notepheno.corpus import iter_documents, load_labels, load_patients, write_cohort
 from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import filter_document_types
 from notepheno.prompting import builtin_profiles
@@ -607,7 +607,7 @@ def test_detect_no_preprocess_chunks_each_patient_once(pipeline_dirs, tmp_path, 
     # three conditions share each patient's raw notes
     assert _run("detect", "--corpus", corpus, "--no-preprocess", "--mode", "all", "--mock",
                 "--parallelism", "1", "--out", str(tmp_path / "det")) == 0
-    patients = _load_corpus_dir(corpus, labels=False).patients
+    patients = load_patients(pipeline_dirs / "corpus" / "patients.jsonl")
     assert len(calls) == len(set(calls)) == len(patients)
 
 
@@ -835,6 +835,41 @@ def test_parallelism_below_1_exits_1_naming_the_value(pipeline_dirs, tmp_path, c
     assert _run("profile", "--corpus", str(pipeline_dirs / "corpus"), "--m", "5", "--mock",
                 "--parallelism", value, "--out", str(out)) == 1
     assert f"error: parallelism must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def broken_notes_corpus(pipeline_dirs, tmp_path):
+    """A copy of the pipeline's corpus whose documents.jsonl line 1 is malformed."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    docs = corpus / "documents.jsonl"
+    docs.write_text("{not json\n" + docs.read_text(encoding="utf-8"), encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--no-preprocess", "--parallelism", "0"], "parallelism must be at least 1, got 0 (--parallelism)"),
+    (["profile", "--chunk-budget", "0"], "chunk_budget must be at least 1, got 0 (--chunk-budget)"),
+])
+def test_a_dispatch_flag_below_1_is_refused_before_any_corpus_file_is_read(
+    broken_notes_corpus, tmp_path, capsys, argv, message
+):
+    out = tmp_path / "out"
+    assert _run(*argv, "--corpus", str(broken_notes_corpus), "--mock", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "line 1" not in err
+    assert not out.exists()
+
+
+def test_detect_refuses_merged_with_no_preprocess_before_reading_the_corpus(pipeline_dirs, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    (corpus / "patients.jsonl").write_text("{not json\n", encoding="utf-8")
+    out = tmp_path / "det"
+    assert _run("detect", "--corpus", str(corpus), "--merged", str(pipeline_dirs / "prep"), "--no-preprocess",
+                "--mock", "--out", str(out)) == 1
+    assert "error: --merged and --no-preprocess exclude each other" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1218,12 +1253,14 @@ def test_a_note_with_an_unpaired_surrogate_exits_1_at_load(pipeline_dirs, tmp_pa
                 "--out", str(tmp_path / "prep"))
     if escape == "\\ud83d\\ude00":  # a valid pair loads and is written back whole
         assert code == 0
-        cohort = load_cohort(corpus / "patients.jsonl", corpus / "labels.jsonl")
-        notes = list(iter_documents(docs, cohort.patients))
+        patients = load_patients(corpus / "patients.jsonl")
+        labels = load_labels(corpus / "labels.jsonl", patients)
+        notes = list(iter_documents(docs, patients))
         assert notes[1].text.startswith("\U0001F600 ")
-        write_cohort(notes, cohort, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
-        assert load_cohort(tmp_path / "p.jsonl", tmp_path / "l.jsonl") == cohort
-        assert list(iter_documents(tmp_path / "d.jsonl", cohort.patients)) == notes
+        write_cohort(notes, patients, labels, *(tmp_path / name for name in ("d.jsonl", "p.jsonl", "l.jsonl")))
+        assert load_patients(tmp_path / "p.jsonl") == patients
+        assert load_labels(tmp_path / "l.jsonl", patients) == labels
+        assert list(iter_documents(tmp_path / "d.jsonl", patients)) == notes
     else:
         assert code == 1
         err = capsys.readouterr().err
@@ -1351,7 +1388,7 @@ def test_profile_sends_one_request_per_chunk_of_the_budget(pipeline_dirs, tmp_pa
         "--parallelism", "1", "--out", str(tmp_path / "p.csv"),
     ) == 0
     corpus = pipeline_dirs / "corpus"
-    notes = list(iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients))
+    notes = list(iter_documents(corpus / "documents.jsonl", load_patients(corpus / "patients.jsonl")))
     samples = sampled_documents(notes, 4, 3)
     docs = [doc for picked in samples.values() for doc in picked]
     chunks = [chunk.text for doc in docs for chunk in chunk_text(doc.text, budget)]
@@ -1429,9 +1466,9 @@ _LONG_SENTENCE = "Diabetes noted with " + "stable readings " * 6 + "today."
 
 def test_a_library_run_detect_warns_once_of_its_oversized_chunk(caplog):
     texts = {"p1": "Short note. " + _LONG_SENTENCE, "p2": "Diabetes on diet. Review soon."}
-    cohort = make_cohort([(pid, f"d{pid}", "DischargeSummary", text) for pid, text in texts.items()])[0]
+    patients = make_cohort([(pid, f"d{pid}", "DischargeSummary", text) for pid, text in texts.items()])[0]
     diabetes = [p for p in builtin_profiles() if p.name == "diabetes"]
-    labelled = dict(cli.run_detect(cohort, [(texts, diabetes[0])], MockBackend(), GenerationParams(),
+    labelled = dict(cli.run_detect(patients, [(texts, diabetes[0])], MockBackend(), GenerationParams(),
                                    modes=tuple(cli.MODE_PATHS), chunk_budget=60))
     assert set(labelled["diabetes"]) == {"p1", "p2"}
     warnings = [r for r in caplog.records if "chunk budget" in r.getMessage()]
@@ -1440,7 +1477,7 @@ def test_a_library_run_detect_warns_once_of_its_oversized_chunk(caplog):
 
 
 def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog):
-    cohort, notes = make_cohort(
+    patients, labels, notes = make_cohort(
         [
             ("p1", "d1", "DischargeSummary", "Short note. " + _LONG_SENTENCE),
             ("p2", "d2", "DischargeSummary", "Diabetes on diet. Review soon."),
@@ -1449,7 +1486,8 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
     )
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    write_cohort(notes, cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
+    write_cohort(notes, patients, labels, corpus / "documents.jsonl", corpus / "patients.jsonl",
+                 corpus / "labels.jsonl")
     budget = "60"
     assert len(_LONG_SENTENCE) > 60
     stages = {
@@ -1562,7 +1600,7 @@ def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, t
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_the_profile_stage_samples_what_sample_document_types_picks(pipeline_dirs, tmp_path, monkeypatch, seed):
     corpus = pipeline_dirs / "corpus"
-    notes = list(iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients))
+    notes = list(iter_documents(corpus / "documents.jsonl", load_patients(corpus / "patients.jsonl")))
     sizes = sorted(Counter(doc.doc_type for doc in notes).values())
     seen = []
     relevance = cli.compute_information_relevance
@@ -1581,14 +1619,14 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
 ):
     prompts = record_prompts(monkeypatch, MockBackend)
     source = pipeline_dirs / "corpus"
-    cohort = load_cohort(source / "patients.jsonl")
-    notes = list(iter_documents(source / "documents.jsonl", cohort.patients))
+    patients = load_patients(source / "patients.jsonl")
+    notes = list(iter_documents(source / "documents.jsonl", patients))
     kept = set().union(*(
         filter_document_types(_read_profile_csv(pipeline_dirs / "profile.csv")[condition], "q1").kept_types
         for condition in ("ami", "diabetes", "hypertension")
     ))
     doc_type = min({doc.doc_type for doc in notes} - kept)
-    valid = {"patient_id": min(cohort.patients), "doc_id": "P99999-D00", "doc_type": doc_type,
+    valid = {"patient_id": min(patients), "doc_id": "P99999-D00", "doc_type": doc_type,
              "timestamp": "2015-03-01T08:00:00", "text": "An unused note."}
     corpus = tmp_path / "corpus"
     shutil.copytree(source, corpus)
@@ -1596,7 +1634,7 @@ def test_every_documents_check_fires_on_a_line_profile_and_preprocess_would_not_
     original = docs.read_text(encoding="utf-8")
     # as a valid line, profile --m 1 --seed 5 would not sample it, and preprocess would keep none of it
     docs.write_text(original + json.dumps(valid) + "\n", encoding="utf-8")
-    with_valid = list(iter_documents(corpus / "documents.jsonl", cohort.patients))
+    with_valid = list(iter_documents(corpus / "documents.jsonl", patients))
     assert valid["doc_id"] not in {d.doc_id for d in sampled_documents(with_valid, 1, 5)[doc_type]}
     lineno = original.count("\n") + 1
     first = notes[0].doc_id

@@ -42,23 +42,23 @@ def _asks(texts, conditions, kinds):
 
 
 @pytest.fixture
-def cohort():
+def patients():
     return make_cohort(NOTES)[0]
 
 
 @pytest.fixture
 def notes():
-    return make_cohort(NOTES)[1]
+    return make_cohort(NOTES)[2]
 
 
-def test_run_detect_sends_each_distinct_prompt_once_and_shares_the_findings(cohort, monkeypatch):
+def test_run_detect_sends_each_distinct_prompt_once_and_shares_the_findings(patients, monkeypatch):
     sent = record_prompts(monkeypatch, MockBackend)
     profiles = [p for p in builtin_profiles() if p.name in ("ami", "diabetes")]
     runs = {}
     for name, texts in (("with", MERGED), ("without", {pid: MERGED[pid] for pid in ("p1", "p3")})):
         before, counts = len(sent), Counter()
         found = dict(cli.run_detect(
-            cohort, [(texts, profile) for profile in profiles], MockBackend(), GenerationParams(),
+            patients, [(texts, profile) for profile in profiles], MockBackend(), GenerationParams(),
             modes=tuple(MODE_PATHS), chunk_budget=BUDGET, parallelism=1, counts=counts,
         ))
         runs[name] = found, sent[before:], counts
@@ -107,10 +107,10 @@ def test_run_profile_sends_each_distinct_sampled_text_once(notes, monkeypatch):
 
 
 @pytest.fixture
-def corpus_dirs(cohort, notes, tmp_path):
+def corpus_dirs(patients, notes, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    write_cohort(notes, cohort, corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
+    write_cohort(notes, patients, (), corpus / "documents.jsonl", corpus / "patients.jsonl", corpus / "labels.jsonl")
     prep = tmp_path / "prep"
     prep.mkdir()
     for profile in builtin_profiles():

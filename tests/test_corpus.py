@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from notepheno import corpus
 from notepheno.corpus import (
-    Cohort,
     CorpusError,
     SynthSpec,
     _parse_line,
     _write_jsonl,
     encode_record,
     iter_documents,
-    load_cohort,
+    load_labels,
+    load_patients,
+    reference_map,
     write_cohort,
 )
 from notepheno.prompting import builtin_profiles
@@ -47,28 +48,37 @@ def _valid_files(tmp_path):
     return docs, pats, labs
 
 
+def _checked_patients(pats, labs):
+    """The patients of a patients file, once the labels file is read and checked against them."""
+    patients = load_patients(pats)
+    load_labels(labs, patients)
+    return patients
+
+
 def test_load_roundtrip(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
-    cohort = load_cohort(pats, labs)
-    notes = list(iter_documents(docs, cohort.patients))
-    assert cohort.patients["p1"].attributes["age"] == "61"
+    patients = load_patients(pats)
+    labels = load_labels(labs, patients)
+    notes = list(iter_documents(docs, patients))
+    assert patients["p1"].attributes["age"] == "61"
     assert notes[0].doc_type == "DischargeSummary"
-    assert cohort.labels[0].registry_label == 1
+    assert labels[0].registry_label == 1
     out = tmp_path / "out"
     out.mkdir()
-    write_cohort(notes, cohort, out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
-    again = load_cohort(out / "p.jsonl", out / "l.jsonl")
-    assert again == cohort
-    assert list(iter_documents(out / "d.jsonl", again.patients)) == notes
+    write_cohort(notes, patients, labels, out / "d.jsonl", out / "p.jsonl", out / "l.jsonl")
+    again = load_patients(out / "p.jsonl")
+    assert again == patients
+    assert load_labels(out / "l.jsonl", again) == labels
+    assert list(iter_documents(out / "d.jsonl", again)) == notes
 
 
 def test_attribute_values_survive_load_and_write_as_the_json_gives_them(tmp_path):
     record = {"patient_id": "p1", "admit_date": "2015-01-02",
               "attributes": {"age": [61], "sex": None, "weight": 61.5, "notes": {"a": "b"}, "smoker": False}}
     _write_lines(tmp_path / "patients.jsonl", [record])
-    cohort = load_cohort(tmp_path / "patients.jsonl")
-    assert cohort.patients["p1"].attributes == record["attributes"]
-    write_cohort((), cohort, tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl")
+    patients = load_patients(tmp_path / "patients.jsonl")
+    assert patients["p1"].attributes == record["attributes"]
+    write_cohort((), patients, (), tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "l.jsonl")
     written = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()]
     assert written == [record]
 
@@ -79,7 +89,7 @@ def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked
     lines = [json.dumps(dict(record, doc_id=f"d{i}", text=f"Note {i}.")) for i in range(4)]
     lines[2] = "\n" + "{not json"  # a blank line, which has no position, then a broken one
     docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    patients = load_cohort(pats).patients
+    patients = load_patients(pats)
     stream = iter_documents(docs, patients)
     assert [doc.doc_id for doc in (next(stream), next(stream))] == ["d0", "d1"]  # read as asked
     with pytest.raises(CorpusError, match="documents.jsonl line 4: invalid record"):
@@ -96,9 +106,10 @@ def test_iter_documents_streams_the_documents_and_reads_only_the_positions_asked
 
 
 def test_reference_map_registry_and_icd(tmp_path):
-    cohort = load_cohort(*_valid_files(tmp_path)[1:])
-    assert cohort.reference_map("diabetes") == {"p1": 1}
-    assert cohort.reference_map("diabetes", icd=True) == {"p1": 0}
+    _, pats, labs = _valid_files(tmp_path)
+    labels = load_labels(labs, load_patients(pats))
+    assert reference_map(labels, "diabetes") == {"p1": 1}
+    assert reference_map(labels, "diabetes", icd=True) == {"p1": 0}
 
 
 def test_duplicate_doc_id_reports_line(tmp_path):
@@ -106,7 +117,7 @@ def test_duplicate_doc_id_reports_line(tmp_path):
     record = json.loads(docs.read_text().strip())
     _write_lines(docs, [record, record])
     with pytest.raises(CorpusError, match="line 2.*duplicate doc_id"):
-        list(iter_documents(docs, load_cohort(pats, labs).patients))
+        list(iter_documents(docs, _checked_patients(pats, labs)))
 
 
 def test_unknown_patient_in_documents(tmp_path):
@@ -116,21 +127,21 @@ def test_unknown_patient_in_documents(tmp_path):
     record["doc_id"] = "d2"
     _write_lines(docs, [record])
     with pytest.raises(CorpusError, match="unknown patient_id 'ghost'"):
-        list(iter_documents(docs, load_cohort(pats, labs).patients))
+        list(iter_documents(docs, _checked_patients(pats, labs)))
 
 
 def test_malformed_json_names_file_and_line(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.write_text("not json\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="documents.jsonl line 1"):
-        list(iter_documents(docs, load_cohort(pats, labs).patients))
+        list(iter_documents(docs, _checked_patients(pats, labs)))
 
 
 def test_bad_label_value_rejected(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     _write_lines(labs, [{"patient_id": "p1", "condition": "diabetes", "registry_label": 2}])
     with pytest.raises(CorpusError, match="labels must be 0 or 1"):
-        load_cohort(pats, labs)
+        _checked_patients(pats, labs)
 
 
 def test_duplicate_label_rejected(tmp_path):
@@ -138,7 +149,7 @@ def test_duplicate_label_rejected(tmp_path):
     record = {"patient_id": "p1", "condition": "diabetes", "registry_label": 1}
     _write_lines(labs, [record, record])
     with pytest.raises(CorpusError, match="duplicate label"):
-        load_cohort(pats, labs)
+        _checked_patients(pats, labs)
 
 
 _REQUIRED = {
@@ -160,7 +171,7 @@ def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, 
         record[field] = value
     _write_lines(path, [record])
     with pytest.raises(CorpusError, match=f"^{name} line 1: missing field '{field}'$"):
-        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
+        list(iter_documents(files[0], _checked_patients(*files[1:])))
 
 
 @pytest.mark.parametrize(
@@ -181,7 +192,7 @@ def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, messag
     path = tmp_path / name
     _write_lines(path, [{**json.loads(path.read_text()), **edit}])
     with pytest.raises(CorpusError, match=f"^{name} {message}$"):
-        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
+        list(iter_documents(files[0], _checked_patients(*files[1:])))
 
 
 @pytest.mark.parametrize(
@@ -203,7 +214,7 @@ def test_a_corpus_id_that_is_not_a_string_names_the_file_line_and_field(tmp_path
                "labels.jsonl": {"condition": "ami"}}[name]
     _write_lines(path, [first, {**first, **new_key, **edit}])
     with pytest.raises(CorpusError) as exc:
-        list(iter_documents(files[0], load_cohort(*files[1:]).patients))
+        list(iter_documents(files[0], _checked_patients(*files[1:])))
     assert str(exc.value) == f"{name} line 2: {message}"
 
 
@@ -213,7 +224,7 @@ def test_the_first_timestamp_decides_whether_a_documents_file_carries_utc_offset
     second = {**first, "doc_id": "d2", "timestamp": "2015-01-02T09:00:00"}
     del second["text"]  # an absent text is an empty note
     _write_lines(docs, [first, second])
-    patients = load_cohort(pats).patients
+    patients = load_patients(pats)
     assert [doc.text for doc in iter_documents(docs, patients)] == ["Stable.", ""]
     _write_lines(docs, [{**first, "timestamp": "2015-01-02T08:00:00+01:00"}, second])
     with pytest.raises(CorpusError, match=r"^documents.jsonl line 2: timestamp '2015-01-02T09:00:00' lacks "
@@ -226,11 +237,11 @@ def test_a_duplicate_patient_and_a_label_without_registry_label_are_refused(tmp_
     record = json.loads(pats.read_text())
     pats.write_text("\n" + json.dumps(record) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="^patients.jsonl line 4: duplicate patient_id 'p1'$"):
-        load_cohort(pats, labs)
+        _checked_patients(pats, labs)
     _write_lines(pats, [record])
     _write_lines(labs, [{"patient_id": "p1", "condition": "diabetes", "icd_label": 1}])
     with pytest.raises(CorpusError, match="^labels.jsonl line 1: missing field 'registry_label'$"):
-        load_cohort(pats, labs)
+        _checked_patients(pats, labs)
 
 
 def test_synth_spec_validation():
@@ -245,37 +256,39 @@ def test_synth_spec_validation():
 def test_generate_synthetic_deterministic(tmp_path):
     spec = SynthSpec(n_patients=50, prevalence={"diabetes": 0.3, "ami": 0.2}, seed=11)
     profiles = builtin_profiles()
-    cohort_a, notes_a, truth_a = synthesize(spec, profiles)
-    cohort_b, notes_b, truth_b = synthesize(spec, profiles)
-    assert truth_a == truth_b
-    for name, cohort, notes in (("a", cohort_a, notes_a), ("b", cohort_b, notes_b)):
+    drawn_a = synthesize(spec, profiles)
+    drawn_b = synthesize(spec, profiles)
+    assert drawn_a[1] == drawn_b[1]
+    for name, (patients, labels, notes) in (("a", drawn_a), ("b", drawn_b)):
         d = tmp_path / name
         d.mkdir()
-        write_cohort(notes, cohort, d / "d.jsonl", d / "p.jsonl", d / "l.jsonl")
+        write_cohort(notes, patients, labels, d / "d.jsonl", d / "p.jsonl", d / "l.jsonl")
     for fname in ("d.jsonl", "p.jsonl", "l.jsonl"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
-def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
+# 20 patients of 3 documents each: the 10th record is a document, the 61st the first patient
+@pytest.mark.parametrize("failing_call", [10, 61], ids=["document", "patient"])
+def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch, failing_call):
     paths = [tmp_path / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")]
     spec = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=1)
-    cohort, notes, _ = synthesize(spec, builtin_profiles())
-    write_cohort(notes, cohort, *paths)
+    patients, labels, notes = synthesize(spec, builtin_profiles())
+    write_cohort(notes, patients, labels, *paths)
     before = [path.read_bytes() for path in paths]
     calls = 0
 
     def failing(record):
         nonlocal calls
         calls += 1
-        if calls == 10:  # the tenth document, the first file written
+        if calls == failing_call:
             raise OSError("disk full")
         return encode_record(record)
 
     monkeypatch.setattr(corpus, "encode_record", failing)
     other = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=2)
-    cohort, notes, _ = synthesize(other, builtin_profiles())
+    patients, labels, notes = synthesize(other, builtin_profiles())
     with pytest.raises(OSError, match="disk full"):
-        write_cohort(notes, cohort, *paths)
+        write_cohort(notes, patients, labels, *paths)
     assert [path.read_bytes() for path in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
@@ -298,22 +311,11 @@ def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
 
-def test_generate_synthetic_truth_matches_labels():
-    spec = SynthSpec(n_patients=200, prevalence={"diabetes": 0.3}, seed=3)
-    cohort, _, truth = synthesize(spec, builtin_profiles())
-    assert len(truth) == 200
-    for label in cohort.labels:
-        assert label.registry_label == truth[label.patient_id][label.condition]
-        assert label.icd_label in (0, 1)
-    prevalence = sum(t["diabetes"] for t in truth.values()) / 200
-    assert 0.15 < prevalence < 0.45
-
-
 def test_generate_synthetic_positive_patient_has_evidence():
     spec = SynthSpec(n_patients=80, prevalence={"diabetes": 0.5}, seed=5)
-    _, notes, truth = synthesize(spec, builtin_profiles())
-    for pid, per_cond in truth.items():
-        if per_cond["diabetes"]:
+    _, labels, notes = synthesize(spec, builtin_profiles())
+    for pid, label in reference_map(labels, "diabetes").items():
+        if label:
             text = " ".join(d.text for d in notes if d.patient_id == pid)
             assert "diabetes" in text.lower()
 
@@ -322,20 +324,19 @@ def test_unread_files_are_neither_required_nor_checked(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.write_text("not json\n", encoding="utf-8")
     labs.unlink()
-    cohort = load_cohort(pats)
-    assert list(cohort.patients) == ["p1"]
-    assert cohort.labels == ()
+    patients = load_patients(pats)
+    assert list(patients) == ["p1"]
     with pytest.raises(CorpusError, match="documents.jsonl line 1"):
-        list(iter_documents(docs, cohort.patients))
+        list(iter_documents(docs, patients))
 
 
 def test_unread_documents_keep_the_label_checks(tmp_path):
     docs, pats, labs = _valid_files(tmp_path)
     docs.unlink()
-    assert load_cohort(pats, labs).reference_map("diabetes") == {"p1": 1}
+    assert reference_map(load_labels(labs, load_patients(pats)), "diabetes") == {"p1": 1}
     _write_lines(labs, [{"patient_id": "ghost", "condition": "diabetes", "registry_label": 1}])
     with pytest.raises(CorpusError, match="labels.jsonl line 1: unknown patient_id 'ghost'"):
-        load_cohort(pats, labs)
+        _checked_patients(pats, labs)
 
 
 _texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -451,6 +452,6 @@ def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
         raise AssertionError("json.loads called on a valid line")
 
     monkeypatch.setattr(json, "loads", refuse)
-    cohort = load_cohort(*files[1:])
-    assert cohort.patients["p1"].admit_date.isoformat() == "2015-01-02"
-    assert [doc.doc_id for doc in iter_documents(files[0], cohort.patients)] == ["d1"]
+    patients = _checked_patients(*files[1:])
+    assert patients["p1"].admit_date.isoformat() == "2015-01-02"
+    assert [doc.doc_id for doc in iter_documents(files[0], patients)] == ["d1"]

@@ -16,7 +16,7 @@ from conftest import make_cohort
 
 from notepheno import cli
 from notepheno.adjudication import MODE_PATHS, InferredStatus
-from notepheno.corpus import write_cohort
+from notepheno.corpus import load_patients, write_cohort
 from notepheno.inference import CompletionResponse, GenerationParams, MockBackend, chunk_text
 from notepheno.prompting import builtin_profiles, render_prompt
 
@@ -72,10 +72,10 @@ def test_each_condition_reads_its_own_replies_in_chunk_order(layout, parallelism
         texts = {"ami": raw, "diabetes": {pid: text + " Extra." for pid, text in raw.items()}}
     assert all(len(chunk_text(text, BUDGET)) >= 3 for by_pid in texts.values() for text in by_pid.values())
     profiles = [p for p in builtin_profiles() if p.name in texts]
-    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in (*pids, "p4")])[0]
+    patients = make_cohort([(pid, f"d{pid}", "Note", "") for pid in (*pids, "p4")])[0]
     backend = ChunkBackend(texts, "diabetes", "p2")
     found = dict(cli.run_detect(
-        cohort, [(texts[p.name], p) for p in profiles], backend, GenerationParams(),
+        patients, [(texts[p.name], p) for p in profiles], backend, GenerationParams(),
         modes=tuple(MODE_PATHS), chunk_budget=BUDGET, parallelism=parallelism,
     ))
     for condition in ("ami", "diabetes"):
@@ -94,7 +94,7 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
     pids = ("p1", "p2", "p3")
     raw = {pid: _text(pid) for pid in pids}
     profiles = [p for p in builtin_profiles() if p.name in UNITS]
-    cohort = make_cohort([(pid, f"d{pid}", "Note", "") for pid in pids])[0]
+    patients = make_cohort([(pid, f"d{pid}", "Note", "") for pid in pids])[0]
     backend = ChunkBackend({p.name: raw for p in profiles}, "diabetes", "p2")
     calls = []
     inner = cli.chunk_text
@@ -107,7 +107,7 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
     found = {}
     for name, selected in (("one", [(raw, p) for p in profiles]), ("copies", [(dict(raw), p) for p in profiles])):
         calls.clear()
-        found[name] = dict(cli.run_detect(cohort, selected, backend, GenerationParams(), modes=tuple(MODE_PATHS),
+        found[name] = dict(cli.run_detect(patients, selected, backend, GenerationParams(), modes=tuple(MODE_PATHS),
                                           chunk_budget=BUDGET))
         assert sorted(calls) == sorted(raw.values())
     assert found["copies"] == found["one"]
@@ -134,9 +134,10 @@ def test_each_distinct_text_is_chunked_once_whichever_conditions_hold_it(monkeyp
 def _write_corpus(directory, docs):
     """A corpus directory of (patient_id, doc_id, doc_type, text) notes, in
     the given order, each note an hour after the one before."""
-    cohort, notes = make_cohort(docs)
+    patients, labels, notes = make_cohort(docs)
     directory.mkdir(parents=True, exist_ok=True)
-    write_cohort(notes, cohort, directory / "documents.jsonl", directory / "patients.jsonl", directory / "labels.jsonl")
+    write_cohort(notes, patients, labels, directory / "documents.jsonl", directory / "patients.jsonl",
+                 directory / "labels.jsonl")
     return directory
 
 
@@ -259,10 +260,10 @@ def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
 
 
 def test_run_detect_holds_no_text_once_it_returns(synth_corpus):
-    cohort = cli._load_corpus_dir(synth_corpus, labels=False)
-    texts = {pid: f"Known diabetes, patient {pid}." for pid in cohort.patients}
+    patients = load_patients(synth_corpus / "patients.jsonl")
+    texts = {pid: f"Known diabetes, patient {pid}." for pid in patients}
     held = sys.getrefcount(texts)
-    labelled = cli.run_detect(cohort, [(texts, p) for p in builtin_profiles()], MockBackend(), GenerationParams())
+    labelled = cli.run_detect(patients, [(texts, p) for p in builtin_profiles()], MockBackend(), GenerationParams())
     assert sys.getrefcount(texts) == held
     found = dict(labelled)
     assert all(findings.statuses["inference"] is InferredStatus.YES for findings in found["diabetes"].values())

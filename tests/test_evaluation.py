@@ -3,7 +3,7 @@ from datetime import date
 
 import pytest
 
-from notepheno.corpus import Cohort, Patient
+from notepheno.corpus import Patient
 from notepheno.evaluation import (
     ConfusionMatrix,
     combine_or,
@@ -75,31 +75,30 @@ def test_combine_or():
         combine_or({"a": 1}, {"b": 1})
 
 
-def _cohort_with_months():
-    patients = {
+def _patients_with_months():
+    return {
         "a": Patient("a", date(2015, 1, 10)),
         "b": Patient("b", date(2015, 1, 20)),
         "c": Patient("c", date(2015, 2, 5)),
     }
-    return Cohort(patients=patients, labels=())
 
 
 def test_monthly_trend_groups_by_admit_month():
-    cohort = _cohort_with_months()
-    points = monthly_trend(cohort, {"a": 1, "b": 1, "c": 0}, {"a": 1, "b": 0, "c": 1})
+    patients = _patients_with_months()
+    points = monthly_trend(patients, {"a": 1, "b": 1, "c": 0}, {"a": 1, "b": 0, "c": 1})
     assert [p.month for p in points] == ["2015-01", "2015-02"]
     jan, feb = points
     assert (jan.n, jan.reference_pct, jan.predicted_pct) == (2, 0.5, 1.0)
     assert (feb.reference_pct, feb.predicted_pct) == (1.0, 0.0)
     with pytest.raises(ValueError, match="no patient record"):
-        monthly_trend(cohort, {"zz": 1}, {"zz": 1})
+        monthly_trend(patients, {"zz": 1}, {"zz": 1})
 
 
 
 def test_monthly_trend_refuses_mismatched_patients():
-    cohort = _cohort_with_months()
+    patients = _patients_with_months()
     reference = {"a": 1, "b": 0, "c": 1}
     with pytest.raises(ValueError, match=r"missing predictions for \['c'\]"):
-        monthly_trend(cohort, {"a": 1, "b": 1}, reference)
+        monthly_trend(patients, {"a": 1, "b": 1}, reference)
     with pytest.raises(ValueError, match=r"predictions without reference for \['zz'\]"):
-        monthly_trend(cohort, {"a": 1, "b": 1, "c": 0, "zz": 1}, reference)
+        monthly_trend(patients, {"a": 1, "b": 1, "c": 0, "zz": 1}, reference)

@@ -21,3 +21,15 @@ def test_public_exports_resolve(module):
 def test_every_module_is_checked():
     found = {path.stem for path in Path(notepheno.__file__).parent.glob("*.py")}
     assert found - {"__init__"} == set(MODULES)
+
+
+def test_the_corpus_is_read_one_file_at_a_time():
+    from notepheno import corpus
+
+    for name in ("load_patients", "load_labels", "reference_map"):
+        assert name in notepheno.__all__ and name in corpus.__all__
+        assert getattr(notepheno, name) is getattr(corpus, name)
+    for gone in ("Cohort", "load_cohort"):
+        assert gone not in notepheno.__all__ and not hasattr(notepheno, gone)
+        assert gone not in corpus.__all__
+    assert not hasattr(corpus, "Cohort")

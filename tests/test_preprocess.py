@@ -137,7 +137,7 @@ def _words(notes):
 
 
 def test_consolidate_merges_keyword_sentences(diabetes_profile):
-    _, notes = make_cohort(
+    _, _, notes = make_cohort(
         [
             ("p1", "d1", "DischargeSummary", "Routine note. Known diabetes on insulin. All else fine."),
             ("p1", "d2", "DischargeSummary", "Glucose - mmol/l random : 13.0 mmol/l. Plan unchanged."),
@@ -228,7 +228,7 @@ def test_consolidate_all_matches_one_condition_calls_and_reference(profiles):
     spec = SynthSpec(
         n_patients=60, prevalence={"ami": 0.3, "diabetes": 0.3, "hypertension": 0.3}, seed=4
     )
-    _, notes, _ = synthesize(spec, profiles)
+    _, _, notes = synthesize(spec, profiles)
     doc_types = sorted({d.doc_type for d in notes})
     # Overlapping, differing kept types, one of them empty.
     kept = {

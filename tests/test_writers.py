@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from notepheno.adjudication import MODE_PATHS, Findings, InferredStatus, LabMeasurement, merge_patient
 from notepheno.cli import _detect_texts, _label_lines, _merged_lines
 from notepheno.cli import _read_profile_csv, main, run_detect
-from notepheno.corpus import encode_record, iter_documents, load_cohort
+from notepheno.corpus import encode_record, iter_documents, load_patients
 from notepheno.inference import GenerationParams, MockBackend
 from notepheno.preprocess import consolidate, filter_document_types
 from notepheno.prompting import builtin_profiles
@@ -103,7 +103,7 @@ def seeded_run(tmp_path_factory):
 
 def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
     corpus = seeded_run / "corpus"
-    notes = iter_documents(corpus / "documents.jsonl", load_cohort(corpus / "patients.jsonl").patients)
+    notes = iter_documents(corpus / "documents.jsonl", load_patients(corpus / "patients.jsonl"))
     profiles = builtin_profiles()
     selected = [
         (filter_document_types(_read_profile_csv(seeded_run / "profile.csv")[p.name], "q1"), p)
@@ -118,13 +118,13 @@ def test_preprocess_writes_the_merged_files_of_its_records(seeded_run):
 @pytest.mark.parametrize("no_preprocess, out", [(False, "det"), (True, "raw")])
 def test_detect_writes_the_label_files_of_its_records(seeded_run, no_preprocess, out):
     corpus = seeded_run / "corpus"
-    cohort = load_cohort(corpus / "patients.jsonl")
+    patients = load_patients(corpus / "patients.jsonl")
     profiles = builtin_profiles()
     args = argparse.Namespace(no_preprocess=no_preprocess, merged=str(seeded_run / "prep"), corpus=seeded_run / "corpus")
-    texts = _detect_texts(args, cohort, [p.name for p in profiles])
+    texts = _detect_texts(args, patients, [p.name for p in profiles])
     measured = 0
     for condition, findings in run_detect(
-        cohort, list(zip(texts, profiles)), MockBackend(), GenerationParams(), modes=tuple(MODE_PATHS)
+        patients, list(zip(texts, profiles)), MockBackend(), GenerationParams(), modes=tuple(MODE_PATHS)
     ):
         measured += sum(bool(found.measurements) for found in findings.values())
         for mode in MODE_PATHS:
