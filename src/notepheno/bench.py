@@ -201,19 +201,14 @@ def run_benchmark(backend: Backend, params: GenerationParams | None = None) -> B
     """Run the built-in questions sequentially against a backend and score them.
 
     Sequential on purpose: total wall clock is part of the report. A backend
-    failure on a question marks it incorrect and the suite continues.
+    failure on any question ends the run and reaches the caller.
     """
     params = params or GenerationParams()
     results: list[QuestionResult] = []
     started = time.monotonic()
     for question in builtin_questions():
         q_start = time.monotonic()
-        try:
-            response = backend.complete(CompletionRequest(question.prompt, params)).text
-        except Exception:
-            correct = False
-        else:
-            correct = question.grade(response)
+        correct = question.grade(backend.complete(CompletionRequest(question.prompt, params)).text)
         results.append(QuestionResult(question.id, correct, (time.monotonic() - q_start) * 1000.0))
     elapsed = time.monotonic() - started
     accuracy = sum(r.correct for r in results) / len(results) if results else 0.0

@@ -32,7 +32,6 @@ from .corpus import (
     SynthSpec,
     _atomic_write,
     _records,
-    _write_jsonl,
     encode_record,
     generate_synthetic,
     iter_documents,
@@ -434,13 +433,11 @@ def _cmd_synth(args) -> int:
     write_cohort(notes(), patients, labels,
                  *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
     # a synthetic patient's registry label is its planted truth
-    _write_jsonl(
-        out_dir / "truth.jsonl",
-        (
-            {"patient_id": label.patient_id, "condition": label.condition, "label": label.registry_label}
-            for label in sorted(labels)
-        ),
-    )
+    _atomic_write(out_dir / "truth.jsonl", (
+        f'{{"condition": {encode_basestring(label.condition)}, "label": {label.registry_label}, '
+        f'"patient_id": {encode_basestring(label.patient_id)}}}\n'
+        for label in sorted(labels)
+    ))
     _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()})
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
@@ -719,6 +716,8 @@ def _format_metric(est) -> tuple[str, str, str]:
 
 def _cmd_evaluate(args) -> int:
     started = time.monotonic()
+    if not 0.0 < args.ci_level < 1.0:  # before any file is read; `evaluation.metrics` checks it too
+        raise ValueError(f"ci_level must be in (0, 1), got {args.ci_level} (--ci-level)")
     out = _out_file(args.out)
     patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
     labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
@@ -771,6 +770,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _trend_svg(points, condition: str) -> str:
+    from xml.sax.saxutils import escape  # only the chart needs it
+
     width, height, pad = 640, 320, 48
     if not points:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>'
@@ -788,13 +789,14 @@ def _trend_svg(points, condition: str) -> str:
         return f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
 
     labels = "".join(
-        f'<text x="{x_px(i):.1f}" y="{height - pad + 16}" font-size="9" text-anchor="middle">{p.month}</text>'
+        f'<text x="{x_px(i):.1f}" y="{height - pad + 16}" font-size="9" text-anchor="middle">'
+        f'{escape(p.month)}</text>'
         for i, p in enumerate(points)
     )
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="13">'
-        f"monthly positive fraction: {condition}</text>"
+        f"monthly positive fraction: {escape(condition)}</text>"
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         f'fill="none" stroke="#ccc"/>'
         + polyline([p.reference_pct for p in points], "#1f77b4")

@@ -6,6 +6,7 @@ import os
 import random
 import re
 from datetime import date, datetime, time, timedelta
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -298,54 +299,38 @@ def _atomic_write(path: Path, parts: Iterable[str], *more: tuple[Path, Iterable[
         raise
 
 
-def _lines(records) -> Iterator[str]:
-    return (encode_record(record) + "\n" for record in records)
-
-
-def _write_jsonl(path, records) -> None:
-    """Stream one encoded record per line into place (see `_atomic_write`)."""
-    _atomic_write(Path(path), _lines(records))
-
-
-def _label_record(label: ReferenceLabel) -> dict:
-    record = {
-        "patient_id": label.patient_id,
-        "condition": label.condition,
-        "registry_label": label.registry_label,
-    }
-    if label.icd_label is not None:
-        record["icd_label"] = label.icd_label
-    return record
-
-
 def write_cohort(notes: Iterable[ClinicalDocument], patients: Mapping[str, Patient],
                  labels: Iterable[ReferenceLabel], documents_path, patients_path, labels_path) -> None:
     """Write a corpus in the three-file line-record format: the documents
     file as `notes` arrive, then `patients`, by id, and `labels`. The patients
     and labels are read only once every note is written, so a caller that
     draws them with their notes can fill them as they stream. The three files
-    replace any earlier ones together, once all three are written."""
+    replace any earlier ones together, once all three are written.
+
+    Each line is built from its kind's template, keys in sorted order, and
+    equals `encode_record` of the record's dict plus a newline."""
     documents = (
-        {
-            "patient_id": doc.patient_id,
-            "doc_id": doc.doc_id,
-            "doc_type": doc.doc_type,
-            "timestamp": doc.timestamp.isoformat(),
-            "text": doc.text,
-        }
+        f'{{"doc_id": {encode_basestring(doc.doc_id)}, "doc_type": {encode_basestring(doc.doc_type)}, '
+        f'"patient_id": {encode_basestring(doc.patient_id)}, "text": {encode_basestring(doc.text)}, '
+        f'"timestamp": {encode_basestring(doc.timestamp.isoformat())}}}\n'
         for doc in notes
     )
 
-    def patient_records():  # a generator body, so the patients are sorted only once they are read
+    def patient_lines():  # a generator body, so the patients are sorted only once they are read
         for _, patient in sorted(patients.items()):
-            yield {
-                "patient_id": patient.patient_id,
-                "admit_date": patient.admit_date.isoformat(),
-                "attributes": dict(patient.attributes),
-            }
+            yield (f'{{"admit_date": {encode_basestring(patient.admit_date.isoformat())}, '
+                   f'"attributes": {encode_record(dict(patient.attributes))}, '
+                   f'"patient_id": {encode_basestring(patient.patient_id)}}}\n')
 
-    _atomic_write(Path(documents_path), _lines(documents), (Path(patients_path), _lines(patient_records())),
-                  (Path(labels_path), _lines(map(_label_record, labels))))
+    def label_lines():
+        for label in labels:
+            icd = "" if label.icd_label is None else f'"icd_label": {label.icd_label}, '
+            yield (f'{{"condition": {encode_basestring(label.condition)}, {icd}'
+                   f'"patient_id": {encode_basestring(label.patient_id)}, '
+                   f'"registry_label": {label.registry_label}}}\n')
+
+    _atomic_write(Path(documents_path), documents, (Path(patients_path), patient_lines()),
+                  (Path(labels_path), label_lines()))
 
 
 class _SynthSpecFields(NamedTuple):
@@ -399,9 +384,9 @@ def _lab_sentence(rule, rng: random.Random, positive: bool) -> str:
         return f"troponin level: {value} ng/L."
     if rule.analyte == "blood_pressure":
         if positive:
-            sys_v, dia_v = rng.randint(145, 195), rng.randint(92, 112)
+            sys_v, dia_v = rng.randrange(145, 196), rng.randrange(92, 113)
         else:
-            sys_v, dia_v = rng.randint(104, 134), rng.randint(62, 84)
+            sys_v, dia_v = rng.randrange(104, 135), rng.randrange(62, 85)
         return f"blood pressure systolic : {sys_v} diastolic : {dia_v}."
     raise ValueError(f"unknown analyte {rule.analyte!r}")
 
@@ -420,11 +405,13 @@ def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, lis
     if not profiles:
         raise ValueError("profiles must be non-empty")
     rng = random.Random(spec.seed)
+    docs_min, docs_max = spec.docs_per_patient
+    all_doc_types = HIGH_YIELD_DOC_TYPES + LOW_YIELD_DOC_TYPES
 
     for i in range(spec.n_patients):
         pid = f"P{i:05d}"
         admit = date(2015, 1, 1) + timedelta(days=rng.randrange(365))
-        age = rng.randint(35, 90)
+        age = rng.randrange(35, 91)
         attributes = {
             "sex": rng.choice(["M", "F"]),
             "age": str(age),
@@ -432,17 +419,13 @@ def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, lis
         }
         patient = Patient(pid, admit, attributes)
 
-        n_docs = rng.randint(*spec.docs_per_patient)
+        n_docs = rng.randrange(docs_min, docs_max + 1)
         doc_plans: list[tuple[str, list[str]]] = []
         for j in range(n_docs):
             # First document is always a high-yield type so evidence can land there.
-            doc_type = (
-                rng.choice(HIGH_YIELD_DOC_TYPES)
-                if j == 0
-                else rng.choice(HIGH_YIELD_DOC_TYPES + LOW_YIELD_DOC_TYPES)
-            )
+            doc_type = rng.choice(HIGH_YIELD_DOC_TYPES if j == 0 else all_doc_types)
             sentences = [
-                f"Patient age {age}, weight {rng.randint(50, 110)} kg, medication list reviewed."
+                f"Patient age {age}, weight {rng.randrange(50, 111)} kg, medication list reviewed."
             ]
             if rng.random() < _DISTRACTOR_RATE:
                 sentences.append(rng.choice(_DISTRACTOR_SENTENCES))
@@ -467,10 +450,9 @@ def generate_synthetic(spec: SynthSpec, profiles) -> Iterator[tuple[Patient, lis
                 doc_plans[k][1].append(_lab_sentence(profile.rule, rng, positive=False))
 
         notes = []
+        morning = datetime.combine(admit, time(6, 0))
         for j, (doc_type, sentences) in enumerate(doc_plans):
-            timestamp = datetime.combine(admit, time(6, 0)) + timedelta(
-                hours=rng.randint(0, 72), minutes=rng.randint(0, 59)
-            )
+            timestamp = morning + timedelta(hours=rng.randrange(73), minutes=rng.randrange(60))
             notes.append(ClinicalDocument(pid, f"{pid}-D{j:02d}", doc_type, timestamp, " ".join(sentences)))
 
         labels = []

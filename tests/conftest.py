@@ -31,13 +31,6 @@ class ScriptedBackend:
         return CompletionResponse(text=self.responses.pop(0), latency_ms=0.0)
 
 
-class FailingBackend:
-    backend_id = "failing"
-
-    def complete(self, request):
-        raise RuntimeError("backend down")
-
-
 DROP = "drop"  # server outcome: read the request, close the connection, send nothing
 
 
@@ -160,11 +153,6 @@ def scripted_server():
 @pytest.fixture
 def scripted_backend_cls():
     return ScriptedBackend
-
-
-@pytest.fixture
-def failing_backend_cls():
-    return FailingBackend
 
 
 @pytest.fixture

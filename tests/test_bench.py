@@ -1,7 +1,10 @@
-"""Benchmark harness: matchers, scoring, and failure tolerance."""
-import pytest
+"""Benchmark harness: matchers, scoring, and a dead backend."""
+import socket
+from functools import partial
 
+from notepheno import cli
 from notepheno.bench import builtin_questions, run_benchmark
+from notepheno.inference import HttpBackend
 
 
 def _by_id():
@@ -65,8 +68,12 @@ def test_scripted_eight_of_ten_scores_exactly_eighty_percent(scripted_backend_cl
     assert all(r.latency_ms >= 0.0 for r in result.results)
 
 
-def test_backend_failure_marks_question_incorrect(failing_backend_cls):
-    result = run_benchmark(failing_backend_cls())
-    assert len(result.results) == 10
-    assert result.accuracy == 0.0
-    assert all(not r.correct for r in result.results)
+def test_bench_against_a_dead_backend_exits_2(tmp_path, monkeypatch, capsys):
+    with socket.socket() as probe:  # a local port that nothing listens on once the probe closes
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    monkeypatch.setattr(cli, "HttpBackend", partial(HttpBackend, backoff_s=0.0))
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--backend-url", f"http://127.0.0.1:{port}", "--out", str(out)]) == 2
+    assert "backend error: backend unreachable" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from conftest import FirstSendDropped, make_cohort, record_prompts, sampled_documents
@@ -182,6 +183,23 @@ def test_trend_csv_and_svg(pipeline_dirs, tmp_path):
         rows = list(csv.DictReader(handle))
     assert rows and all(r["month"].count("-") == 1 for r in rows)
     assert svg.read_text().startswith("<svg")
+
+
+def test_the_trend_svg_is_well_formed_for_any_condition_name(pipeline_dirs, tmp_path):
+    condition = "ami & <co>"
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dirs / "corpus", corpus)
+    pred = tmp_path / "pred.jsonl"
+    for source, target in ((corpus / "labels.jsonl", corpus / "labels.jsonl"),
+                           (pipeline_dirs / "det" / "detect_merged_ami.jsonl", pred)):
+        records = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+        target.write_text("".join(json.dumps({**r, "condition": condition}) + "\n"
+                                  for r in records if r["condition"] == "ami"), encoding="utf-8")
+    svg = tmp_path / "trend.svg"
+    assert _run("trend", "--corpus", str(corpus), "--pred", str(pred), "--out", str(tmp_path / "trend.csv"),
+                "--svg", str(svg)) == 0
+    title = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == f"monthly positive fraction: {condition}"
 
 
 def test_trend_with_a_patient_missing_from_the_predictions_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -886,6 +904,18 @@ def test_a_ci_level_outside_0_1_exits_1_naming_the_setting(pipeline_dirs, tmp_pa
     assert _run(*argv) == 1
     assert "error: ci_level must be in (0, 1), got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_ci_level_outside_0_1_is_refused_before_any_file_is_read(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "patients.jsonl").write_text("{not json\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert _run("evaluate", "--corpus", str(corpus), "--detect-dir", str(tmp_path / "missing"),
+                "--ci-level", "2", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: ci_level must be in (0, 1), got 2.0 (--ci-level)" in err and "line 1" not in err
+    assert not out.exists()
 
 
 def test_parallelism_0_from_a_config_file_exits_1(pipeline_dirs, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Corpus IO validation and deterministic synthetic generation."""
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from notepheno import corpus
 from notepheno.corpus import (
     CorpusError,
     SynthSpec,
+    _atomic_write,
     _parse_line,
-    _write_jsonl,
     encode_record,
     iter_documents,
     load_labels,
@@ -267,26 +268,25 @@ def test_generate_synthetic_deterministic(tmp_path):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
-# 20 patients of 3 documents each: the 10th record is a document, the 61st the first patient
-@pytest.mark.parametrize("failing_call", [10, 61], ids=["document", "patient"])
-def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch, failing_call):
+# The second write fails at the 10th document, on its doc_id, or at the 1st
+# patient, on its admit_date: strings that no earlier line holds.
+@pytest.mark.parametrize("failing", ["document", "patient"])
+def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypatch, failing):
     paths = [tmp_path / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")]
     spec = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=1)
     patients, labels, notes = synthesize(spec, builtin_profiles())
     write_cohort(notes, patients, labels, *paths)
     before = [path.read_bytes() for path in paths]
-    calls = 0
-
-    def failing(record):
-        nonlocal calls
-        calls += 1
-        if calls == failing_call:
-            raise OSError("disk full")
-        return encode_record(record)
-
-    monkeypatch.setattr(corpus, "encode_record", failing)
     other = SynthSpec(n_patients=20, prevalence={"diabetes": 0.3}, docs_per_patient=(3, 3), seed=2)
     patients, labels, notes = synthesize(other, builtin_profiles())
+    target = notes[9].doc_id if failing == "document" else patients["P00000"].admit_date.isoformat()
+
+    def failing_encode(text):
+        if text == target:
+            raise OSError("disk full")
+        return encode_basestring(text)
+
+    monkeypatch.setattr(corpus, "encode_basestring", failing_encode)
     with pytest.raises(OSError, match="disk full"):
         write_cohort(notes, patients, labels, *paths)
     assert [path.read_bytes() for path in paths] == before
@@ -295,18 +295,18 @@ def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypa
 
 def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
     path = tmp_path / "records.jsonl"
-    _write_jsonl(path, ({"n": n} for n in range(10)))
+    _atomic_write(path, (f"{n}\n" for n in range(10)))
     before = path.read_bytes()
 
     def records():
         for n in range(5):
-            yield {"n": -n, "text": "x" * 10_000}
+            yield f"{-n} {'x' * 10_000}\n"
         # the five records went to the temporary file, not to `path`
         assert path.with_name("records.jsonl.tmp").exists()
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _write_jsonl(path, records())
+        _atomic_write(path, records())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 

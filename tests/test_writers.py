@@ -1,15 +1,21 @@
-"""The label and merged files: each line built from its file's template is
-`encode_record` of the record the stage used to build and encode whole."""
+"""The corpus, truth, label and merged files: each line built from its
+file's template is `encode_record` of the record the stage used to build and
+encode whole."""
 import argparse
+import tempfile
+from datetime import timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from notepheno import cli
 from notepheno.adjudication import MODE_PATHS, Findings, InferredStatus, LabMeasurement, merge_patient
 from notepheno.cli import _detect_texts, _label_lines, _merged_lines
 from notepheno.cli import _read_profile_csv, main, run_detect
-from notepheno.corpus import encode_record, iter_documents, load_patients
+from notepheno.corpus import ClinicalDocument, Patient, ReferenceLabel, encode_record, iter_documents, load_patients
 from notepheno.inference import GenerationParams, MockBackend
 from notepheno.preprocess import consolidate, filter_document_types
 from notepheno.prompting import builtin_profiles
@@ -50,6 +56,36 @@ def _merged_file(condition: str, merged) -> str:
     )
 
 
+def _encoded(records) -> str:
+    return "".join(encode_record(record) + "\n" for record in records)
+
+
+def _cohort_files(drawn) -> dict[str, str]:
+    """The four files synth wrote of a drawn cohort, from the records it built."""
+    labels = [label for _, _, patient_labels in drawn for label in patient_labels]
+    return {
+        "documents.jsonl": _encoded(
+            {"patient_id": doc.patient_id, "doc_id": doc.doc_id, "doc_type": doc.doc_type,
+             "timestamp": doc.timestamp.isoformat(), "text": doc.text}
+            for _, notes, _ in drawn for doc in notes
+        ),
+        "patients.jsonl": _encoded(
+            {"patient_id": patient.patient_id, "admit_date": patient.admit_date.isoformat(),
+             "attributes": dict(patient.attributes)}
+            for patient, _, _ in sorted(drawn, key=lambda each: each[0].patient_id)
+        ),
+        "labels.jsonl": _encoded(
+            {"patient_id": label.patient_id, "condition": label.condition, "registry_label": label.registry_label,
+             **({} if label.icd_label is None else {"icd_label": label.icd_label})}
+            for label in labels
+        ),
+        "truth.jsonl": _encoded(
+            {"patient_id": label.patient_id, "condition": label.condition, "label": label.registry_label}
+            for label in sorted(labels)
+        ),
+    }
+
+
 # -- property tests ----------------------------------------------------------
 
 # quotes, backslashes, control characters and characters outside the Basic
@@ -76,6 +112,45 @@ def test_a_label_line_is_encode_record_of_its_record(condition, mode, findings):
 @given(_texts, st.dictionaries(_texts, _texts, max_size=5))
 def test_a_merged_line_is_encode_record_of_its_record(condition, merged):
     assert "".join(_merged_lines(condition, merged)) == _merged_file(condition, merged)
+
+
+# naive and UTC-offset timestamps, with microseconds
+_timestamps = st.datetimes(timezones=st.sampled_from(
+    [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(-timedelta(hours=3))]
+))
+# any JSON value, nested or null
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _texts),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_texts, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _drawn_cohorts(draw):
+    """What `generate_synthetic` yields: per patient, `(patient, notes, labels)`."""
+    drawn = []
+    for pid in draw(st.lists(_texts, unique=True, max_size=4)):
+        patient = Patient(pid, draw(st.dates()), draw(st.dictionaries(_texts, _json, max_size=4)))
+        notes = draw(st.lists(st.builds(ClinicalDocument, st.just(pid), _texts, _texts, _timestamps, _texts),
+                              max_size=3))
+        labels = draw(st.lists(
+            st.builds(ReferenceLabel, st.just(pid), _texts, st.sampled_from([0, 1]), st.sampled_from([None, 0, 1])),
+            max_size=3, unique_by=lambda label: label.condition,
+        ))
+        drawn.append((patient, notes, labels))
+    return drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_cohorts())
+def test_every_synth_line_is_encode_record_of_its_record(drawn):
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(cli, "generate_synthetic", lambda spec, profiles: iter(drawn)):
+        assert main(["synth", "--out", out, "--n-patients", "1", "--condition", "ami",
+                     "--prevalence", "ami=0.5"]) == 0
+        written = {name: (Path(out) / name).read_bytes().decode("utf-8") for name in _cohort_files(drawn)}
+    assert written == _cohort_files(drawn)
 
 
 # -- whole files -------------------------------------------------------------
