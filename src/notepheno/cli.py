@@ -63,7 +63,7 @@ from .preprocess import (
     retention_report,
     sample_document_types,
 )
-from .prompting import ConditionProfile, builtin_profiles, load_profiles, render_prompt
+from .prompting import ConditionProfile, _read_yaml, builtin_profiles, load_profiles, render_prompt
 
 __all__ = ["main", "run_profile", "run_detect"]
 
@@ -137,12 +137,7 @@ def _load_config(path, args, settings: Mapping[str, Callable]) -> tuple[dict, di
     cannot be read raises ValueError naming the file and key."""
     if not path:
         return {}, {}
-    import yaml  # only runs that pass --config pay for the import
-
-    try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: not valid YAML: {exc}") from None
+    raw = _read_yaml(path)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -429,15 +424,16 @@ def _cmd_synth(args) -> int:
             labels.extend(drawn_labels)
             yield from drawn
 
+    def truth():  # a generator body, so the labels are sorted only once every note is drawn
+        # a synthetic patient's registry label is its planted truth
+        for label in sorted(labels):
+            yield (f'{{"condition": {encode_basestring(label.condition)}, "label": {label.registry_label}, '
+                   f'"patient_id": {encode_basestring(label.patient_id)}}}\n')
+
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(notes(), patients, labels,
-                 *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")))
-    # a synthetic patient's registry label is its planted truth
-    _atomic_write(out_dir / "truth.jsonl", (
-        f'{{"condition": {encode_basestring(label.condition)}, "label": {label.registry_label}, '
-        f'"patient_id": {encode_basestring(label.patient_id)}}}\n'
-        for label in sorted(labels)
-    ))
+                 *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")),
+                 (out_dir / "truth.jsonl", truth()))
     _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()})
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
@@ -446,6 +442,8 @@ def _cmd_synth(args) -> int:
 def _cmd_profile(args) -> int:
     started = time.monotonic()
     _check_dispatch(args)
+    if args.m < 1:
+        raise ValueError(f"m must be at least 1, got {args.m} (--m)")
     out = _out_file(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
     patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))

@@ -300,12 +300,14 @@ def _atomic_write(path: Path, parts: Iterable[str], *more: tuple[Path, Iterable[
 
 
 def write_cohort(notes: Iterable[ClinicalDocument], patients: Mapping[str, Patient],
-                 labels: Iterable[ReferenceLabel], documents_path, patients_path, labels_path) -> None:
+                 labels: Iterable[ReferenceLabel], documents_path, patients_path, labels_path,
+                 *more: tuple[Path, Iterable[str]]) -> None:
     """Write a corpus in the three-file line-record format: the documents
-    file as `notes` arrive, then `patients`, by id, and `labels`. The patients
-    and labels are read only once every note is written, so a caller that
-    draws them with their notes can fill them as they stream. The three files
-    replace any earlier ones together, once all three are written.
+    file as `notes` arrive, then `patients`, by id, and `labels`, then the
+    parts of each `(path, parts)` of `more`. The patients, labels and `more`
+    are read only once every note is written, so a caller that draws them
+    with their notes can fill them as they stream. All the files replace any
+    earlier ones together, once all are written.
 
     Each line is built from its kind's template, keys in sorted order, and
     equals `encode_record` of the record's dict plus a newline."""
@@ -330,7 +332,7 @@ def write_cohort(notes: Iterable[ClinicalDocument], patients: Mapping[str, Patie
                    f'"registry_label": {label.registry_label}}}\n')
 
     _atomic_write(Path(documents_path), documents, (Path(patients_path), patient_lines()),
-                  (Path(labels_path), label_lines()))
+                  (Path(labels_path), label_lines()), *more)
 
 
 class _SynthSpecFields(NamedTuple):

@@ -36,10 +36,6 @@ class ConfusionMatrix(Checked, _ConfusionMatrixFields):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 class Estimate(NamedTuple):
     """Point estimate with its confidence interval bounds."""

@@ -5,7 +5,6 @@ import hashlib
 import json
 import logging
 import os
-import random
 import re
 import threading
 import time
@@ -73,7 +72,6 @@ class CompletionRequest(NamedTuple):
 
 class CompletionResponse(NamedTuple):
     text: str
-    latency_ms: float
 
 
 class BackendError(RuntimeError):
@@ -207,7 +205,6 @@ class HttpBackend:
                 "max_tokens": params.max_new_tokens,
             }
         ).encode("utf-8")
-        started = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -233,9 +230,7 @@ class HttpBackend:
                 payload = json.loads(data)
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
                 raise BackendError(f"completion body is not JSON: {data[:200]!r}") from exc
-            text = self._extract_text(payload)
-            latency = (time.monotonic() - started) * 1000.0
-            return CompletionResponse(text=text, latency_ms=latency)
+            return CompletionResponse(self._extract_text(payload))
         raise TransportError(f"backend unreachable after {self.max_retries + 1} attempts") from last_error
 
 
@@ -248,18 +243,8 @@ class ResponseCache:
 
     @staticmethod
     def key(request: CompletionRequest) -> str:
-        params = request.params
         payload = json.dumps(
-            {
-                "model_id": params.model_id,
-                "temperature": params.temperature,
-                "top_p": params.top_p,
-                "top_k": params.top_k,
-                "max_new_tokens": params.max_new_tokens,
-                "prompt": request.prompt,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+            {**request.params._asdict(), "prompt": request.prompt}, sort_keys=True, ensure_ascii=False
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -306,7 +291,7 @@ class CachedBackend:
         if cached is not None:
             with self._count_lock:
                 self.hits += 1
-            return CompletionResponse(text=cached, latency_ms=0.0)
+            return CompletionResponse(cached)
         with self._count_lock:
             self.misses += 1
         response = self.inner.complete(request)
@@ -366,9 +351,7 @@ class MockBackend:
     note is the text between them. Inference prompts answer "Yes, ..." iff
     one of the condition's positive tokens occurs word-bounded in the note;
     extraction prompts echo each lab pattern of the condition's analyte, one
-    per line. Any other prompt is a BackendError. Optional flip rates turn
-    inference verdicts over at a seeded per-prompt probability, for
-    simulating an imperfect model.
+    per line. Any other prompt is a BackendError.
     """
 
     backend_id = "mock"
@@ -383,12 +366,7 @@ class MockBackend:
         "hypertension": ("hypertension", "hypertensive", "htn"),
     }
 
-    def __init__(
-        self, flip_fn_rate: float = 0.0, flip_fp_rate: float = 0.0, flip_seed: int = 0
-    ) -> None:
-        self.flip_fn_rate = flip_fn_rate
-        self.flip_fp_rate = flip_fp_rate
-        self.flip_seed = flip_seed
+    def __init__(self) -> None:
         # (prefix, suffix, profile, kind) of every built-in template
         self._templates = [
             (*template.split(PLACEHOLDER), profile, kind)
@@ -401,10 +379,6 @@ class MockBackend:
         self._token_patterns = {
             name: keyword_regex(tokens) for name, tokens in self.POSITIVE_TOKENS.items()
         }
-
-    def _flip_roll(self, prompt: str) -> float:
-        digest = hashlib.sha256(f"{self.flip_seed}:{prompt}".encode("utf-8")).digest()
-        return random.Random(int.from_bytes(digest[:8], "big")).random()
 
     def _recognise(self, prompt: str) -> tuple[ConditionProfile, str, str]:
         """The profile, kind and note of a prompt rendered from a built-in template."""
@@ -430,27 +404,20 @@ class MockBackend:
             return f"There are no key-value pairs of {analyte.replace('_', ' ')} in the given text."
         return "\n".join(lines)
 
-    def _inference_response(self, prompt: str, condition: str, note: str) -> str:
-        positive = self._token_patterns[condition].search(note) is not None
-        if self.flip_fn_rate or self.flip_fp_rate:
-            roll = self._flip_roll(prompt)
-            if positive and roll < self.flip_fn_rate:
-                positive = False
-            elif not positive and roll < self.flip_fp_rate:
-                positive = True
+    def _inference_response(self, condition: str, note: str) -> str:
         first = self.POSITIVE_TOKENS[condition][0]
         name = first if first == condition else f"{first} ({condition.upper()})"
-        if positive:
+        if self._token_patterns[condition].search(note):
             return f"Yes, the text identifies {name}."
         return f"No, there is no clear mention of {name} in the given clinical text."
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         profile, kind, note = self._recognise(request.prompt)
         if kind == "inference":
-            text = self._inference_response(request.prompt, profile.name, note)
+            text = self._inference_response(profile.name, note)
         else:
             text = self._extraction_response(profile.rule.analyte, note)
-        return CompletionResponse(text=text, latency_ms=0.0)
+        return CompletionResponse(text)
 
 
 def run_parallel(fn: Callable, items: Sequence, parallelism: int = DEFAULT_PARALLELISM) -> list:

@@ -38,6 +38,9 @@ class ClinicalRule(Checked, _ClinicalRuleFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        for value in (self.threshold, self.systolic_threshold, self.diastolic_threshold):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"thresholds must be numbers, got {value!r}")
         if self.analyte not in _ANALYTES:
             raise ValueError(f"unknown analyte {self.analyte!r}")
         if self.comparator not in (">=", ">"):
@@ -68,10 +71,12 @@ class ConditionProfile(Checked, _ConditionProfileFields):
     def _check(self) -> None:
         if not self.keywords:
             raise ValueError(f"profile {self.name!r} has no keywords")
+        if not all(isinstance(keyword, str) and keyword.strip() for keyword in self.keywords):
+            raise ValueError(f"profile {self.name!r}: keywords must be nonempty strings")
         for template in (self.inference_template, self.extraction_template):
-            if template.count(PLACEHOLDER) != 1:
+            if not isinstance(template, str) or template.count(PLACEHOLDER) != 1:
                 raise ValueError(
-                    f"profile {self.name!r}: template must contain {PLACEHOLDER!r} exactly once"
+                    f"profile {self.name!r}: template must be a string containing {PLACEHOLDER!r} exactly once"
                 )
 
 
@@ -243,6 +248,17 @@ def _rule_from_config(raw: dict) -> ClinicalRule:
     )
 
 
+def _read_yaml(path):
+    """The document of the YAML file at `path`; ValueError naming the file if
+    it is not valid YAML."""
+    import yaml  # only runs that pass --config or --profiles pay for the import
+
+    try:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from None
+
+
 def load_profiles(path) -> list[ConditionProfile]:
     """Load condition profiles from a YAML config, overriding the built-ins.
 
@@ -250,12 +266,7 @@ def load_profiles(path) -> list[ConditionProfile]:
     ConditionProfile fields. Unlisted conditions are not implied. Condition
     names must be unique: replies and artifacts are keyed by them.
     """
-    import yaml  # only runs that pass --profiles pay for the import
-
-    try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: not valid YAML: {exc}") from None
+    raw = _read_yaml(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("profiles"), list):
         raise ValueError(f"{path}: expected a top-level 'profiles' list")
     profiles = []
@@ -268,17 +279,22 @@ def load_profiles(path) -> list[ConditionProfile]:
                 raise ValueError(f"{where}: missing key {key!r}")
         if not isinstance(entry["rule"], dict) or entry["rule"].get("analyte") is None:
             raise ValueError(f"{where}: missing key 'rule.analyte'")
+        if not isinstance(entry["keywords"], list):
+            raise ValueError(f"{where}: keywords must be a list, got {entry['keywords']!r}")
         if any(p.name == entry["name"] for p in profiles):
             raise ValueError(f"{path}: duplicate condition name {entry['name']!r}")
-        profiles.append(
-            ConditionProfile(
-                name=entry["name"],
-                keywords=tuple(entry["keywords"]),
-                inference_template=entry["inference_template"],
-                extraction_template=entry["extraction_template"],
-                rule=_rule_from_config(entry["rule"]),
+        try:
+            profiles.append(
+                ConditionProfile(
+                    name=entry["name"],
+                    keywords=tuple(entry["keywords"]),
+                    inference_template=entry["inference_template"],
+                    extraction_template=entry["extraction_template"],
+                    rule=_rule_from_config(entry["rule"]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if not profiles:
         raise ValueError(f"{path}: no profiles defined")
     return profiles

@@ -1,7 +1,9 @@
-"""Shared fixtures: tiny hand-built cohorts, a scripted backend and a scripted server."""
+"""Shared fixtures: tiny hand-built cohorts, scripted and flipping backends and a scripted server."""
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import socket
 import threading
 from datetime import date, datetime
@@ -10,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from notepheno.corpus import ClinicalDocument, Patient, ReferenceLabel, generate_synthetic
-from notepheno.inference import CompletionResponse
+from notepheno.inference import CompletionResponse, MockBackend
 from notepheno.preprocess import sample_document_types
 from notepheno.prompting import builtin_profiles
 
@@ -28,7 +30,27 @@ class ScriptedBackend:
         self.prompts.append(request.prompt)
         if not self.responses:
             raise AssertionError("scripted backend ran out of responses")
-        return CompletionResponse(text=self.responses.pop(0), latency_ms=0.0)
+        return CompletionResponse(self.responses.pop(0))
+
+
+class FlippingBackend(MockBackend):
+    """MockBackend as an imperfect model: a seeded roll per prompt turns a
+    "Yes," inference reply into "No." at fn_rate and a "No," one into "Yes."
+    at fp_rate."""
+
+    def __init__(self, fn_rate, fp_rate, seed=0):
+        super().__init__()
+        self.fn_rate, self.fp_rate, self.seed = fn_rate, fp_rate, seed
+
+    def complete(self, request):
+        response = super().complete(request)
+        digest = hashlib.sha256(f"{self.seed}:{request.prompt}".encode("utf-8")).digest()
+        roll = random.Random(int.from_bytes(digest[:8], "big")).random()
+        if response.text.startswith("Yes,") and roll < self.fn_rate:
+            return CompletionResponse("No.")
+        if response.text.startswith("No,") and roll < self.fp_rate:
+            return CompletionResponse("Yes.")
+        return response
 
 
 DROP = "drop"  # server outcome: read the request, close the connection, send nothing

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import sampled_documents, synthesize
+from conftest import FlippingBackend, sampled_documents, synthesize
 
 from notepheno.adjudication import (
     InferredStatus,
@@ -156,7 +156,7 @@ def test_criterion_4_synthetic_recovery():
             type_profiles = run_profile(samples, [profile], clean, params, parallelism=1)["diabetes"]
             plan = filter_document_types(type_profiles, "q1")
             merged = consolidate(notes, [(plan, profile)])[0]
-            noisy = MockBackend(flip_fn_rate=0.05, flip_fp_rate=0.10, flip_seed=seed)
+            noisy = FlippingBackend(fn_rate=0.05, fp_rate=0.10, seed=seed)
             findings = dict(run_detect(
                 patients, [(merged, profile)], noisy, params,
                 modes=("prompt1",), parallelism=1,
@@ -187,7 +187,7 @@ def test_criterion_5_or_mode_algebra():
         modes = ("prompt1", "prompt2", "merged")
         findings = dict(run_detect(
             patients, [(merged, profile)],
-            MockBackend(flip_fn_rate=0.2, flip_fp_rate=0.1),
+            FlippingBackend(fn_rate=0.2, fp_rate=0.1),
             params, modes=modes, parallelism=1,
         ))["diabetes"]
         positives = {

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: stage artifacts, exit codes, config handling."""
 import csv
+import errno
 import gc
 import hashlib
 import json
@@ -9,17 +10,18 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from conftest import FirstSendDropped, make_cohort, record_prompts, sampled_documents
+from conftest import FirstSendDropped, ScriptedServer, make_cohort, record_prompts, sampled_documents
 
 import notepheno
 from notepheno import cli, inference
 from notepheno.cli import _read_profile_csv, main
 from notepheno.corpus import iter_documents, load_labels, load_patients, write_cohort
-from notepheno.inference import CachedBackend, GenerationParams, MockBackend, chunk_text
+from notepheno.inference import CachedBackend, CompletionRequest, GenerationParams, MockBackend, chunk_text
 from notepheno.preprocess import filter_document_types
 from notepheno.prompting import builtin_profiles
 
@@ -99,6 +101,25 @@ def test_synth_rerun_is_byte_identical(tmp_path):
         assert _run(*args, "--out", str(tmp_path / sub)) == 0
     for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl", "truth.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_synth_that_fails_writing_its_truth_leaves_the_earlier_corpus_whole(tmp_path, monkeypatch, capsys):
+    args = ["synth", "--n-patients", "20", "--prevalence", "diabetes=0.4", "--out", str(tmp_path)]
+    assert _run(*args, "--seed", "1") == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    path_open = Path.open
+
+    def full_disk_for_truth(self, *a, **kw):
+        if self.name.startswith("truth.jsonl"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return path_open(self, *a, **kw)
+
+    monkeypatch.setattr(Path, "open", full_disk_for_truth)
+    capsys.readouterr()
+    assert _run(*args, "--seed", "2") == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_profile_csv_shape(pipeline_dirs):
@@ -430,6 +451,34 @@ def test_profiles_file_with_a_duplicate_condition_exits_1(pipeline_dirs, tmp_pat
                 "--profile-csv", str(pipeline_dirs / "profile.csv"), "--out", str(tmp_path / "prep"))
     assert code == 1
     assert f"error: {profiles}: duplicate condition name 'ami'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("prep/merged_*.jsonl"))
+
+
+@pytest.mark.parametrize("line, bad_line, message", [
+    ("keywords: [troponin]", "keywords: troponin", "keywords must be a list, got 'troponin'"),
+    ("keywords: [troponin]", 'keywords: ["", troponin]', "keywords must be nonempty strings"),
+    ("keywords: [troponin]", "keywords: [troponin, 5]", "keywords must be nonempty strings"),
+    ("extraction_template: \"Find troponin in: {text}.\"", "extraction_template: 5", "template must be a string"),
+    ("threshold: 14.0", 'threshold: "14"', "thresholds must be numbers, got '14'"),
+], ids=["keywords-string", "keywords-empty", "keywords-number", "template-number", "threshold-string"])
+def test_a_profiles_field_of_the_wrong_type_exits_1_naming_the_entry(
+    pipeline_dirs, tmp_path, capsys, line, bad_line, message
+):
+    entry = (
+        "- name: ami\n"
+        "  keywords: [troponin]\n"
+        "  inference_template: \"Analyze the clinical text: '{text}'. Answer yes or no.\"\n"
+        "  extraction_template: \"Find troponin in: {text}.\"\n"
+        "  rule: {analyte: troponin, comparator: '>', threshold: 14.0}\n"
+    )
+    profiles = tmp_path / "profiles.yaml"
+    profiles.write_text("profiles:\n" + entry.replace(line, bad_line), encoding="utf-8")
+    code = _run("preprocess", "--corpus", str(pipeline_dirs / "corpus"), "--profiles", str(profiles),
+                "--profile-csv", str(pipeline_dirs / "profile.csv"), "--out", str(tmp_path / "prep"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {profiles}: profiles entry 1: " in err and message in err
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("prep/merged_*.jsonl"))
 
 
@@ -869,6 +918,7 @@ def broken_notes_corpus(pipeline_dirs, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["detect", "--no-preprocess", "--parallelism", "0"], "parallelism must be at least 1, got 0 (--parallelism)"),
     (["profile", "--chunk-budget", "0"], "chunk_budget must be at least 1, got 0 (--chunk-budget)"),
+    (["profile", "--m", "0"], "m must be at least 1, got 0 (--m)"),
 ])
 def test_a_dispatch_flag_below_1_is_refused_before_any_corpus_file_is_read(
     broken_notes_corpus, tmp_path, capsys, argv, message
@@ -1069,6 +1119,58 @@ def test_detect_leaves_no_cycles_that_grow_with_the_cohort(
         for run in ("cold", "warm") if cached else ("once",):
             found.append(cyclic_garbage(root, tmp_path / n / run))
     assert len(set(found)) == 1, found
+
+
+class _DyingMockServer(ScriptedServer):
+    """Answers each prompt with `MockBackend`'s text, and every request after
+    the first `answered` (None: none) with a 503."""
+
+    def __init__(self, answered):
+        super().__init__([])
+        self.answered = answered
+        self.mock = MockBackend()
+
+    def next_outcome(self, headers, body):
+        with self.lock:
+            self.calls += 1
+            if self.answered is not None and self.calls > self.answered:
+                return 503, {"error": "unavailable"}
+        return 200, {"text": self.mock.complete(CompletionRequest(json.loads(body)["prompt"])).text}
+
+
+@pytest.mark.parametrize("cached", [
+    True,
+    pytest.param(False, marks=pytest.mark.xfail(
+        strict=True, reason="with no cache every reply is lost: a rerun sends every request until "
+                            "direction 5's response store keeps the finished ones")),
+])
+def test_a_detect_whose_server_dies_resumes_from_the_cache(
+    small_pipeline, tmp_path, scripted_server, monkeypatch, capsys, cached
+):
+    monkeypatch.setattr(cli, "HttpBackend", partial(inference.HttpBackend, backoff_s=0.0))
+
+    def detect(answered, out):
+        server = scripted_server(answered, _DyingMockServer)
+        argv = ["detect", "--corpus", str(small_pipeline / "corpus"), "--merged", str(small_pipeline / "prep"),
+                "--parallelism", "1", "--backend-url", server.url, "--out", str(tmp_path / out)]
+        if cached:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        return main(argv), server
+
+    code, whole = detect(None, "whole")
+    assert code == 0
+    shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+    capsys.readouterr()
+    code, _ = detect(whole.calls // 2, "resumed")
+    err = capsys.readouterr().err
+    assert code == 2 and "backend error:" in err and "Traceback" not in err
+    code, healthy = detect(None, "resumed")
+    assert code == 0
+    assert healthy.calls == whole.calls - whole.calls // 2
+    labels = sorted(path.name for path in (tmp_path / "whole").glob("detect_*.jsonl"))
+    assert labels == sorted(path.name for path in (tmp_path / "resumed").glob("detect_*.jsonl"))
+    for name in labels:
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes()
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):

@@ -52,7 +52,7 @@ class ChunkBackend:
                     )
 
     def complete(self, request):
-        return CompletionResponse(self.replies[request.prompt], 0.0)
+        return CompletionResponse(self.replies[request.prompt])
 
 
 def _value(condition, pid, number):

@@ -19,7 +19,6 @@ def test_confusion_counts():
     reference = {"a": 1, "b": 1, "c": 0, "d": 0}
     cm = confusion(predicted, reference)
     assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
-    assert cm.total == 4
 
 
 def test_confusion_requires_exact_key_match():

@@ -205,7 +205,7 @@ class _CountingBackend:
 
     def complete(self, request):
         self.calls += 1
-        return CompletionResponse(f"answer:{request.prompt}", 0.0)
+        return CompletionResponse(f"answer:{request.prompt}")
 
 
 def test_cache_key_depends_on_prompt_and_params():
@@ -230,6 +230,17 @@ def test_cached_backend_warm_cache_hits(tmp_path):
     rewarmed.complete(CompletionRequest("hello"))
     assert rewarmed.inner.calls == 0
     assert rewarmed.misses == 0
+
+
+def test_cache_keys_are_stable():
+    """Cache file names never change: an existing cache stays warm."""
+    assert ResponseCache.key(CompletionRequest("p1")) == (
+        "6b40ec636645f98f29bba6c0e5c1cf9e3eef05af58c8ad917889f12c1c8a44b4"
+    )
+    params = GenerationParams(temperature=0.2, top_k=40, model_id="m2")
+    assert ResponseCache.key(CompletionRequest("café", params)) == (
+        "86b0ced6878a94b5463df2baa888f36d4764feefd61f19490176135ca8ac6816"
+    )
 
 
 def test_cache_put_same_key_from_many_threads(tmp_path):
@@ -296,20 +307,6 @@ def test_mock_extraction_echoes_lab_patterns():
     prompt = render_prompt(_profile("diabetes"), "extraction", "nothing measured").text
     text = backend.complete(CompletionRequest(prompt)).text
     assert text.startswith("There are no key-value pairs of")
-
-
-def test_mock_flips_are_deterministic():
-    a = MockBackend(flip_fn_rate=0.5, flip_fp_rate=0.5, flip_seed=1)
-    b = MockBackend(flip_fn_rate=0.5, flip_fp_rate=0.5, flip_seed=1)
-    prompts = [
-        render_prompt(_profile("diabetes"), "inference", f"note {i} diabetes noted.").text
-        for i in range(40)
-    ]
-    answers_a = [a.complete(CompletionRequest(p)).text for p in prompts]
-    answers_b = [b.complete(CompletionRequest(p)).text for p in prompts]
-    assert answers_a == answers_b
-    assert any(t.startswith("No,") for t in answers_a)  # some flips landed
-    assert any(t.startswith("Yes,") for t in answers_a)
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
