@@ -31,6 +31,7 @@ from .corpus import (
     CorpusError,
     SynthSpec,
     _atomic_write,
+    _is_label,
     _records,
     encode_record,
     generate_synthetic,
@@ -60,6 +61,7 @@ from .preprocess import (
     compute_information_relevance,
     consolidate,
     filter_document_types,
+    resolve_percentile,
     retention_report,
     sample_document_types,
 )
@@ -106,22 +108,24 @@ def _out_dir(path) -> Path:
     return path
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv(path: Path, header, rows) -> tuple[Path, tuple[str]]:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, (buf.getvalue(),))
+    return path, (buf.getvalue(),)
 
 
-def _write_manifest(out_dir: Path, stage: str, started: float, settings: dict, **observed) -> None:
-    """Write `manifest_<stage>.json`: the JSON-native `settings` the stage ran
-    with, `config_hash` (a sha256 of exactly those settings), what the stage
-    `observed`, and `elapsed_s` since `started`."""
-    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-    payload = {"stage": stage, "config_hash": config_hash, **settings, **observed,
-               "elapsed_s": round(time.monotonic() - started, 3)}
-    _atomic_write(out_dir / f"manifest_{stage}.json", (json.dumps(payload, indent=2, sort_keys=True),))
+def _manifest(out_dir: Path, stage: str, started: float, settings: dict, **observed) -> tuple[Path, Iterator[str]]:
+    """The `(path, parts)` of `manifest_<stage>.json`: the JSON-native `settings`
+    the stage ran with, `config_hash` (a sha256 of exactly those settings), what
+    the stage `observed`, and `elapsed_s` since `started`, taken only as the
+    file is written, so a manifest written last times every other write."""
+    def parts():
+        config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        yield json.dumps({"stage": stage, "config_hash": config_hash, **settings, **observed,
+                          "elapsed_s": round(time.monotonic() - started, 3)}, indent=2, sort_keys=True)
+    return out_dir / f"manifest_{stage}.json", parts()
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +434,9 @@ def _cmd_synth(args) -> int:
             yield (f'{{"condition": {encode_basestring(label.condition)}, "label": {label.registry_label}, '
                    f'"patient_id": {encode_basestring(label.patient_id)}}}\n')
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(notes(), patients, labels,
                  *(out_dir / name for name in ("documents.jsonl", "patients.jsonl", "labels.jsonl")),
-                 (out_dir / "truth.jsonl", truth()))
-    _write_manifest(out_dir, "synth", started, {"spec": spec._asdict()})
+                 (out_dir / "truth.jsonl", truth()), _manifest(out_dir, "synth", started, {"spec": spec._asdict()}))
     print(f"wrote synthetic cohort of {spec.n_patients} patients to {out_dir}")
     return EXIT_OK
 
@@ -459,10 +461,10 @@ def _cmd_profile(args) -> int:
         for condition, table in relevance.items()
         for p in table
     ]
-    _write_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows)
-    _write_manifest(out.parent, "profile", started,
-                    {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget},
-                    **_backend_block(backend, counts))
+    _atomic_write([_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows),
+                   _manifest(out.parent, "profile", started,
+                             {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget},
+                             **_backend_block(backend, counts))])
     print(f"wrote document-type relevance table to {out}")
     return EXIT_OK
 
@@ -520,6 +522,10 @@ def _merged_lines(condition: str, merged: Mapping[str, str]):
 
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
+    try:  # before any file is read
+        resolve_percentile(args.percentile)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--percentile)") from None
     out_dir = _out_dir(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
     patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
@@ -541,26 +547,16 @@ def _cmd_preprocess(args) -> int:
     del labels
     counts: Counter = Counter()
     consolidated = consolidate(iter_documents(documents, patients), selected, counts)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stats_rows = []
+    files, stats_rows = [], []
     for (plan, profile), merged, positive in zip(selected, consolidated, positives):
         stats = retention_report(counts["words"], positive, merged)
-        _atomic_write(out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged))
-        stats_rows.append(
-            (
-                profile.name,
-                len(plan.kept_types),
-                f"{plan.threshold_value:.6f}",
-                f"{stats.words_fraction_remaining:.4f}",
-                "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}",
-            )
-        )
-    _write_csv(
-        out_dir / "consolidation_stats.csv",
-        ("condition", "kept_type_count", "ir_threshold", "words_fraction_remaining", "positive_retention"),
-        stats_rows,
-    )
-    _write_manifest(out_dir, "preprocess", started, {"percentile": args.percentile})
+        files.append((out_dir / f"merged_{profile.name}.jsonl", _merged_lines(profile.name, merged)))
+        stats_rows.append((profile.name, len(plan.kept_types), f"{plan.threshold_value:.6f}",
+                           f"{stats.words_fraction_remaining:.4f}",
+                           "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}"))
+    header = ("condition", "kept_type_count", "ir_threshold", "words_fraction_remaining", "positive_retention")
+    _atomic_write([*files, _csv(out_dir / "consolidation_stats.csv", header, stats_rows),
+                   _manifest(out_dir, "preprocess", started, {"percentile": args.percentile})])
     print(f"wrote consolidated corpus and stats to {out_dir}")
     return EXIT_OK
 
@@ -656,23 +652,25 @@ def _cmd_detect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     profiles = _select_profiles(args)
-    outputs = []
+    outputs = [str(out_dir / f"detect_{mode}_{profile.name}.jsonl") for profile in profiles for mode in modes]
     counts: Counter = Counter()
-    # run_detect is the only holder of the texts, so they are freed once it has planned
-    for condition, findings in run_detect(
-        patients, list(zip(_detect_texts(args, patients, [profile.name for profile in profiles]), profiles)),
-        backend, args.generation, modes=modes,
-        chunk_budget=args.chunk_budget, parallelism=args.parallelism, counts=counts,
-    ):
-        for mode in modes:
-            path = out_dir / f"detect_{mode}_{condition}.jsonl"
-            _atomic_write(path, _label_lines(condition, mode, findings))
-            outputs.append(str(path))
     settings = {"modes": list(modes), "chunk_budget": args.chunk_budget,
                 "input": "no_preprocess" if args.no_preprocess else "merged"}
     source = {} if args.no_preprocess else {"merged": str(args.merged)}  # observed: a path is not a setting
-    _write_manifest(out_dir, "detect", started, settings, **_backend_block(backend, counts), **source,
-                    outputs=outputs)
+
+    def files():  # a generator, so one condition's findings are written before the next is taken
+        # run_detect is the only holder of the texts, so they are freed once it has planned
+        for condition, findings in run_detect(
+            patients, list(zip(_detect_texts(args, patients, [profile.name for profile in profiles]), profiles)),
+            backend, args.generation, modes=modes,
+            chunk_budget=args.chunk_budget, parallelism=args.parallelism, counts=counts,
+        ):
+            for mode in modes:
+                yield out_dir / f"detect_{mode}_{condition}.jsonl", _label_lines(condition, mode, findings)
+        yield _manifest(out_dir, "detect", started, settings, **_backend_block(backend, counts), **source,
+                        outputs=outputs)
+
+    _atomic_write(files())
     print(f"wrote {len(outputs)} label file(s) to {out_dir}")
     return EXIT_OK
 
@@ -689,12 +687,12 @@ def _predictions(path, condition: str | None = None, mode: str | None = None) ->
         label = record.get("label")
         if label is None:
             complaint = "missing field 'label'"
-        elif label not in (0, 1):
+        elif not _is_label(label):
             complaint = f"label must be 0 or 1, got {label!r}"
         elif pid in found[cond]:
             complaint = f"duplicate label for {pid!r}/{cond!r}"
         else:
-            found[cond][pid] = int(label)
+            found[cond][pid] = label
             modes.add(record_mode)
             continue
         raise CorpusError(f"{Path(path).name} line {lineno}: {complaint}")
@@ -758,12 +756,11 @@ def _cmd_evaluate(args) -> int:
                 + _format_metric(ms.ppv)
                 + _format_metric(ms.npv)
             )
-    _write_csv(out, header, rows)
+    _atomic_write([_csv(out, header, rows), _manifest(out.parent, "evaluate", started, {"ci_level": args.ci_level})])
     # human-readable echo
     print(f"{'method':<18}{'condition':<14}{'sens':>8}{'spec':>8}{'ppv':>8}{'npv':>8}")
     for row in rows:
         print(f"{row[0]:<18}{row[1]:<14}{row[2]:>8}{row[5]:>8}{row[8]:>8}{row[11]:>8}")
-    _write_manifest(out.parent, "evaluate", started, {"ci_level": args.ci_level})
     return EXIT_OK
 
 
@@ -813,13 +810,11 @@ def _cmd_trend(args) -> int:
     labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
     condition, predicted = _predictions(args.pred)
     points = evaluation.monthly_trend(patients, predicted, reference_map(labels, condition))
-    _write_csv(
-        out,
-        ("month", "n", "reference_pct", "predicted_pct"),
-        [(p.month, p.n, f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}") for p in points],
-    )
+    rows = [(p.month, p.n, f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}") for p in points]
+    files = [_csv(out, ("month", "n", "reference_pct", "predicted_pct"), rows)]
     if svg:
-        _atomic_write(svg, (_trend_svg(points, condition),))
+        files.append((svg, (_trend_svg(points, condition),)))
+    _atomic_write(files)
     print(f"wrote {len(points)} monthly trend points for {condition}")
     return EXIT_OK
 
@@ -835,7 +830,7 @@ def _cmd_bench(args) -> int:
         (r.question_id, int(r.correct), f"{r.latency_ms:.1f}") for r in result.results
     ]
     rows.append(("accuracy", f"{result.accuracy:.2f}", f"{result.elapsed_s:.2f}"))
-    _write_csv(out, ("question", "correct", "latency_ms"), rows)
+    _atomic_write([_csv(out, ("question", "correct", "latency_ms"), rows)])
     print(
         f"benchmark accuracy {result.accuracy:.0%} in {result.elapsed_s:.1f}s "
         f"({result.backend_id})"

@@ -251,6 +251,11 @@ def iter_documents(
         yield tuple.__new__(ClinicalDocument, (pid, doc_id, doc_type, when, text))
 
 
+def _is_label(value) -> bool:
+    """Whether `value` is a label: the JSON integer 0 or 1, not `true` or `1.0`."""
+    return type(value) is int and value in (0, 1)
+
+
 def load_labels(labels_path, patients: Mapping[str, Patient]) -> tuple[ReferenceLabel, ...]:
     """The reference labels of a labels file, each naming one of `patients`."""
     labels_path = Path(labels_path)
@@ -267,9 +272,9 @@ def load_labels(labels_path, patients: Mapping[str, Patient]) -> tuple[Reference
         seen_label_keys.add(key)
         registry = record["registry_label"]
         icd = record.get("icd_label")
-        if registry not in (0, 1) or icd not in (None, 0, 1):
+        if not (_is_label(registry) and (icd is None or _is_label(icd))):
             raise CorpusError(f"{labels_path.name} line {lineno}: labels must be 0 or 1")
-        labels.append(ReferenceLabel(pid, condition, int(registry), None if icd is None else int(icd)))
+        labels.append(ReferenceLabel(pid, condition, registry, icd))
     return tuple(labels)
 
 
@@ -279,22 +284,22 @@ def load_labels(labels_path, patients: Mapping[str, Patient]) -> tuple[Reference
 encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
 
 
-def _atomic_write(path: Path, parts: Iterable[str], *more: tuple[Path, Iterable[str]]) -> None:
-    """Write `parts` in turn to a file beside `path`, and so on for each
-    `(path, parts)` of `more`, then rename every file into place, so a
-    failure leaves each earlier file at those paths whole and no temporary
-    file behind."""
-    files = [(path, parts), *more]
-    tmps = [path.with_name(path.name + ".tmp") for path, _ in files]
+def _atomic_write(files: Iterable[tuple[Path, Iterable[str]]]) -> None:
+    """Write the parts of each `(path, parts)` of `files` in turn to a file
+    beside its path, drawing a pair only once the file before it is written,
+    then rename every file into place, so a failure leaves each earlier file
+    at those paths whole and no temporary file behind."""
+    written: list[tuple[Path, Path]] = []
     try:
-        for (path, parts), tmp in zip(files, tmps):
+        for path, parts in files:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as handle:
+            written.append((path.with_name(path.name + ".tmp"), path))
+            with written[-1][0].open("w", encoding="utf-8") as handle:
                 handle.writelines(parts)
-        for (path, _), tmp in zip(files, tmps):
+        for tmp, path in written:
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp, _ in written:
             tmp.unlink(missing_ok=True)
         raise
 
@@ -331,8 +336,8 @@ def write_cohort(notes: Iterable[ClinicalDocument], patients: Mapping[str, Patie
                    f'"patient_id": {encode_basestring(label.patient_id)}, '
                    f'"registry_label": {label.registry_label}}}\n')
 
-    _atomic_write(Path(documents_path), documents, (Path(patients_path), patient_lines()),
-                  (Path(labels_path), label_lines()), *more)
+    _atomic_write([(Path(documents_path), documents), (Path(patients_path), patient_lines()),
+                   (Path(labels_path), label_lines()), *more])
 
 
 class _SynthSpecFields(NamedTuple):

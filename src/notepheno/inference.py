@@ -114,9 +114,10 @@ class HttpBackend:
     HTTPS verifies against the system CA store.
     """
 
-    def __init__(
-        self, base_url: str, api_key: str | None = None, max_retries: int = 3, backoff_s: float = 0.5
-    ) -> None:
+    max_retries = 3  # retries after the first attempt
+    backoff_s = 0.5  # the wait before the first retry; it doubles for each later one
+
+    def __init__(self, base_url: str, api_key: str | None = None) -> None:
         # Imported here, not at module level: http.client (and the email
         # package under it) costs every stage process tens of milliseconds,
         # and only runs against an HTTP backend need it.
@@ -139,8 +140,6 @@ class HttpBackend:
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
         self.backend_id = f"http:{self.url}"
 
     @staticmethod

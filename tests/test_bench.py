@@ -1,6 +1,5 @@
 """Benchmark harness: matchers, scoring, and a dead backend."""
 import socket
-from functools import partial
 
 from notepheno import cli
 from notepheno.bench import builtin_questions, run_benchmark
@@ -72,7 +71,7 @@ def test_bench_against_a_dead_backend_exits_2(tmp_path, monkeypatch, capsys):
     with socket.socket() as probe:  # a local port that nothing listens on once the probe closes
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    monkeypatch.setattr(cli, "HttpBackend", partial(HttpBackend, backoff_s=0.0))
+    monkeypatch.setattr(HttpBackend, "backoff_s", 0.0)
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--backend-url", f"http://127.0.0.1:{port}", "--out", str(out)]) == 2
     assert "backend error: backend unreachable" in capsys.readouterr().err

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
-from functools import partial
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -103,23 +102,120 @@ def test_synth_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _fill_the_disk_at(monkeypatch, wanted, nth=1):
+    """Make opening the `nth` temporary file of an output whose name is in
+    `wanted` raise ENOSPC."""
+    path_open, opened = Path.open, []
+
+    def full_disk(self, *a, **kw):
+        if self.suffix == ".tmp" and self.stem in wanted:
+            opened.append(self.stem)
+            if len(opened) == nth:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return path_open(self, *a, **kw)
+
+    monkeypatch.setattr(Path, "open", full_disk)
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def test_a_synth_that_fails_writing_its_truth_leaves_the_earlier_corpus_whole(tmp_path, monkeypatch, capsys):
     args = ["synth", "--n-patients", "20", "--prevalence", "diabetes=0.4", "--out", str(tmp_path)]
     assert _run(*args, "--seed", "1") == 0
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    path_open = Path.open
-
-    def full_disk_for_truth(self, *a, **kw):
-        if self.name.startswith("truth.jsonl"):
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return path_open(self, *a, **kw)
-
-    monkeypatch.setattr(Path, "open", full_disk_for_truth)
+    before = _files(tmp_path)
+    _fill_the_disk_at(monkeypatch, {"truth.jsonl"})
     capsys.readouterr()
     assert _run(*args, "--seed", "2") == 1
     monkeypatch.undo()
     assert "No space left on device" in capsys.readouterr().err
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert _files(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def seeded_runs(tmp_path_factory):
+    """The pipelines of two 20-patient cohorts, synth seeds 1 and 2, which share their patient ids."""
+    runs = []
+    for seed in ("1", "2"):
+        root = tmp_path_factory.mktemp(f"seed{seed}")
+        corpus = str(root / "corpus")
+        for argv in (
+            ["synth", "--out", corpus, "--n-patients", "20", "--prevalence", "diabetes=0.3",
+             "--prevalence", "ami=0.2", "--prevalence", "hypertension=0.3", "--seed", seed],
+            ["profile", "--corpus", corpus, "--m", "40", "--mock", "--out", str(root / "profile.csv")],
+            ["preprocess", "--corpus", corpus, "--profile-csv", str(root / "profile.csv"), "--out", str(root / "prep")],
+            ["detect", "--corpus", corpus, "--merged", str(root / "prep"), "--mode", "all", "--mock",
+             "--out", str(root / "det")],
+        ):
+            assert main(argv) == 0
+        runs.append(root)
+    return runs
+
+
+def _stage_argv(command: str, root: Path, seed: str, out: Path) -> list[str]:
+    """`command` on the inputs of the pipeline at `root` (synth: of `seed`), writing into `out`."""
+    corpus = str(root / "corpus")
+    return {
+        "synth": ["synth", "--n-patients", "20", "--prevalence", "diabetes=0.3", "--seed", seed, "--out", str(out)],
+        "profile": ["profile", "--corpus", corpus, "--m", "40", "--mock", "--out", str(out / "profile.csv")],
+        "preprocess": ["preprocess", "--corpus", corpus, "--profile-csv", str(root / "profile.csv"),
+                       "--out", str(out)],
+        "detect": ["detect", "--corpus", corpus, "--merged", str(root / "prep"), "--mode", "all", "--mock",
+                   "--out", str(out)],
+        "evaluate": ["evaluate", "--corpus", corpus, "--detect-dir", str(root / "det"),
+                     "--out", str(out / "report.csv")],
+        "trend": ["trend", "--corpus", corpus, "--pred", str(root / "det" / "detect_merged_diabetes.jsonl"),
+                  "--out", str(out / "trend.csv"), "--svg", str(out / "trend.svg")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, last", [
+    ("synth", "manifest_synth.json"),
+    ("profile", "manifest_profile.json"),
+    ("preprocess", "manifest_preprocess.json"),
+    ("detect", "manifest_detect.json"),
+    ("evaluate", "manifest_evaluate.json"),
+    ("trend", "trend.svg"),
+])
+def test_a_rerun_that_fails_writing_its_last_output_replaces_none_of_the_earlier_run(
+    seeded_runs, tmp_path, monkeypatch, capsys, command, last
+):
+    out = tmp_path / "out"
+    assert main(_stage_argv(command, seeded_runs[0], "1", out)) == 0
+    before = _files(out)
+    assert last in before
+    _fill_the_disk_at(monkeypatch, {last})
+    capsys.readouterr()
+    assert main(_stage_argv(command, seeded_runs[1], "2", out)) == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert _files(out) == before  # every file whole, and no temporary file left
+    # the rerun replaces outputs other than its last, once it can write them all
+    assert main(_stage_argv(command, seeded_runs[1], "2", out)) == 0
+    after = _files(out)
+    assert [name for name in before if name != last and after[name] != before[name]]
+
+
+def test_a_detect_that_fails_at_its_fifth_label_file_leaves_the_earlier_run_whole(tmp_path, monkeypatch, capsys):
+    det = tmp_path / "det"
+    for seed in ("1", "2"):
+        assert main(["synth", "--n-patients", "60", "--prevalence", "diabetes=0.3", "--prevalence", "ami=0.2",
+                     "--prevalence", "hypertension=0.3", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+
+    def detect(seed):
+        return main(["detect", "--corpus", str(tmp_path / seed), "--no-preprocess", "--mode", "all", "--mock",
+                     "--out", str(det)])
+
+    assert detect("1") == 0
+    before = _files(det)
+    assert len(before) == 10  # nine label files and the manifest
+    _fill_the_disk_at(monkeypatch, {name for name in before if name.startswith("detect_")}, nth=5)
+    capsys.readouterr()
+    assert detect("2") == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert _files(det) == before
 
 
 def test_profile_csv_shape(pipeline_dirs):
@@ -338,6 +434,8 @@ def test_a_bad_prediction_record_names_the_file_and_line(pipeline_dirs, tmp_path
         ('"a string"', "record is not an object"),
         (json.dumps(dict(record, label=2)), "label must be 0 or 1, got 2"),
         (json.dumps(dict(record, label="yes")), "label must be 0 or 1, got 'yes'"),
+        (json.dumps(dict(record, label=True)), "label must be 0 or 1, got True"),
+        (json.dumps(dict(record, label=1.0)), "label must be 0 or 1, got 1.0"),
     ):
         _with_line(path, 3, bad)
         for argv in (
@@ -916,15 +1014,18 @@ def broken_notes_corpus(pipeline_dirs, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["detect", "--no-preprocess", "--parallelism", "0"], "parallelism must be at least 1, got 0 (--parallelism)"),
-    (["profile", "--chunk-budget", "0"], "chunk_budget must be at least 1, got 0 (--chunk-budget)"),
-    (["profile", "--m", "0"], "m must be at least 1, got 0 (--m)"),
+    (["detect", "--no-preprocess", "--mock", "--parallelism", "0"],
+     "parallelism must be at least 1, got 0 (--parallelism)"),
+    (["profile", "--mock", "--chunk-budget", "0"], "chunk_budget must be at least 1, got 0 (--chunk-budget)"),
+    (["profile", "--mock", "--m", "0"], "m must be at least 1, got 0 (--m)"),
+    (["preprocess", "--profile-csv", "missing.csv", "--percentile", "abc"],
+     "percentile must be 0, q1, q2, or a number in [0, 100], got 'abc' (--percentile)"),
 ])
 def test_a_dispatch_flag_below_1_is_refused_before_any_corpus_file_is_read(
     broken_notes_corpus, tmp_path, capsys, argv, message
 ):
     out = tmp_path / "out"
-    assert _run(*argv, "--corpus", str(broken_notes_corpus), "--mock", "--out", str(out)) == 1
+    assert _run(*argv, "--corpus", str(broken_notes_corpus), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "line 1" not in err
     assert not out.exists()
@@ -1147,7 +1248,7 @@ class _DyingMockServer(ScriptedServer):
 def test_a_detect_whose_server_dies_resumes_from_the_cache(
     small_pipeline, tmp_path, scripted_server, monkeypatch, capsys, cached
 ):
-    monkeypatch.setattr(cli, "HttpBackend", partial(inference.HttpBackend, backoff_s=0.0))
+    monkeypatch.setattr(inference.HttpBackend, "backoff_s", 0.0)
 
     def detect(answered, out):
         server = scripted_server(answered, _DyingMockServer)

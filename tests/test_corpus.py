@@ -186,6 +186,8 @@ def test_a_missing_or_empty_field_names_the_file_line_and_field(tmp_path, name, 
         ("patients.jsonl", {"attributes": ["age", "61"]}, "line 1: attributes must be a map"),
         ("labels.jsonl", {"registry_label": None}, "line 1: labels must be 0 or 1"),
         ("labels.jsonl", {"icd_label": 2}, "line 1: labels must be 0 or 1"),
+        ("labels.jsonl", {"registry_label": True}, "line 1: labels must be 0 or 1"),
+        ("labels.jsonl", {"registry_label": 1.0}, "line 1: labels must be 0 or 1"),
     ],
 )
 def test_a_bad_corpus_value_names_the_file_and_line(tmp_path, name, edit, message):
@@ -295,7 +297,7 @@ def test_a_failed_write_cohort_leaves_the_earlier_files_whole(tmp_path, monkeypa
 
 def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
     path = tmp_path / "records.jsonl"
-    _atomic_write(path, (f"{n}\n" for n in range(10)))
+    _atomic_write([(path, (f"{n}\n" for n in range(10)))])
     before = path.read_bytes()
 
     def records():
@@ -306,7 +308,7 @@ def test_a_failed_streamed_write_leaves_the_old_file_whole(tmp_path):
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _atomic_write(path, records())
+        _atomic_write([(path, records())])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 

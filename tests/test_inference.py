@@ -134,9 +134,10 @@ def test_http_4xx_not_retried(scripted_server, sleeps):
     assert sleeps == []
 
 
-def test_http_5xx_retried_then_succeeds(scripted_server, sleeps):
+def test_http_5xx_retried_then_succeeds(scripted_server, sleeps, monkeypatch):
+    monkeypatch.setattr(HttpBackend, "backoff_s", 0.25)
     server = scripted_server([(503, {"error": "busy"}), DROP, (200, {"text": "ok"})])
-    response = HttpBackend(server.url, backoff_s=0.25).complete(CompletionRequest("p"))
+    response = HttpBackend(server.url).complete(CompletionRequest("p"))
     assert response.text == "ok"
     assert server.calls == 3
     # The drop hit the connection the 503 kept alive, so the request was
@@ -144,10 +145,11 @@ def test_http_5xx_retried_then_succeeds(scripted_server, sleeps):
     assert sleeps == [0.25]
 
 
-def test_http_exhausted_retries_raise_transport_error(scripted_server, sleeps):
+def test_http_exhausted_retries_raise_transport_error(scripted_server, sleeps, monkeypatch):
+    monkeypatch.setattr(HttpBackend, "backoff_s", 0.25)
     server = scripted_server([DROP])
     with pytest.raises(TransportError, match="after 4 attempts"):
-        HttpBackend(server.url, backoff_s=0.25).complete(CompletionRequest("p"))
+        HttpBackend(server.url).complete(CompletionRequest("p"))
     assert server.calls == 4  # a drop on a new connection is a failed attempt
     assert sleeps == [0.25, 0.5, 1.0]
 
@@ -164,21 +166,23 @@ def test_http_unrecognized_payload(scripted_server):
         assert server.calls == 1
 
 
-def test_http_url_scheme_selects_transport(scripted_server):
+def test_http_url_scheme_selects_transport(scripted_server, monkeypatch):
     with pytest.raises(BackendError, match="http"):
         HttpBackend("localhost:8000")
+    monkeypatch.setattr(HttpBackend, "max_retries", 0)
     server = scripted_server([(200, {"text": "ok"})])
-    tls = HttpBackend(server.url.replace("http://", "https://"), max_retries=0)
+    tls = HttpBackend(server.url.replace("http://", "https://"))
     with pytest.raises(TransportError):
         tls.complete(CompletionRequest("p"))
     assert server.calls == 0  # the plain-HTTP server got a TLS handshake, not a POST
 
 
 def test_http_idle_connection_closed_by_server_is_replaced_without_backoff(
-    scripted_server, sleeps
+    scripted_server, sleeps, monkeypatch
 ):
+    monkeypatch.setattr(HttpBackend, "backoff_s", 30.0)
     server = scripted_server([(200, {"text": "first"}), (200, {"text": "second"})])
-    backend = HttpBackend(server.url, backoff_s=30.0)
+    backend = HttpBackend(server.url)
     assert backend.complete(CompletionRequest("p")).text == "first"
     server.close_idle_connections()
     assert backend.complete(CompletionRequest("p")).text == "second"

@@ -3,20 +3,21 @@ results: these tests fail when a change to the package breaks those hooks,
 without running the benchmark itself."""
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from notepheno import cli, inference
 from notepheno.inference import CompletionRequest, MockBackend
 from notepheno.prompting import builtin_profiles, render_prompt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     writes_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
@@ -25,6 +26,11 @@ def tracing():
     finally:
         sys.dont_write_bytecode = writes_bytecode
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load(TRACING, "perfbench_tracing")
 
 
 def _resolve(name: str):
@@ -71,3 +77,19 @@ def test_observers_accept_real_results(tracing):
     assert tracer.counts["adjudication.measurements"] == 1
     complete = next(s for s in tracer.spans if s[tracing.NAME] == "inference.MockBackend.complete")
     assert complete[tracing.EXTRA] == tracing.prompt_digest(prompt)
+
+
+def test_the_request_counter_counts_the_requests_of_the_manifest(tracing, tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # stage.py imports it by that name
+    stage = _load(TRACING.with_name("stage.py"), "perfbench_stage")
+    for name in stage.BACKENDS:  # so that each wrapped `complete` is restored
+        monkeypatch.setattr(getattr(inference, name), "complete", getattr(inference, name).complete)
+    counts: dict = {}
+    stage.count_backend_calls(inference, counts)
+    corpus, det = tmp_path / "corpus", tmp_path / "det"
+    assert cli.main(["synth", "--n-patients", "20", "--prevalence", "diabetes=0.3", "--seed", "7",
+                     "--out", str(corpus)]) == 0
+    assert cli.main(["detect", "--corpus", str(corpus), "--no-preprocess", "--mock",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(det)]) == 0
+    requests = json.loads((det / "manifest_detect.json").read_text(encoding="utf-8"))["backend_requests"]
+    assert counts["MockBackend"]["calls"] == counts["CachedBackend"]["calls"] == requests > 0
