@@ -206,6 +206,18 @@ def _select_profiles(args) -> list[ConditionProfile]:
     return profiles
 
 
+def _profile_hashes(profiles: Sequence[ConditionProfile]) -> dict[str, str]:
+    """A manifest's `profiles`: per condition, the first 16 hex digits of the
+    sha256 of its profile as JSON."""
+    return {p.name: hashlib.sha256(json.dumps(p).encode("utf-8")).hexdigest()[:16] for p in profiles}
+
+
+def _labels_if_any(corpus, patients: Mapping):
+    """The corpus's reference labels, or None for a corpus without `labels.jsonl`."""
+    path = Path(corpus) / "labels.jsonl"
+    return load_labels(path, patients) if path.exists() else None
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages (importable; the subcommands are thin wrappers)
 
@@ -463,7 +475,8 @@ def _cmd_profile(args) -> int:
     ]
     _atomic_write([_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows),
                    _manifest(out.parent, "profile", started,
-                             {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget},
+                             {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget,
+                              "generation": args.generation._asdict(), "profiles": _profile_hashes(profiles)},
                              **_backend_block(backend, counts))])
     print(f"wrote document-type relevance table to {out}")
     return EXIT_OK
@@ -529,7 +542,7 @@ def _cmd_preprocess(args) -> int:
     out_dir = _out_dir(args.out)
     documents = _corpus_file(args.corpus, "documents.jsonl")
     patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
-    labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
+    labels = _labels_if_any(args.corpus, patients)
     profiles = _select_profiles(args)
     tables = _read_profile_csv(args.profile_csv)
     for profile in profiles:
@@ -541,9 +554,10 @@ def _cmd_preprocess(args) -> int:
             logger.warning("%s: no document type is kept at percentile %s, so its merged file is empty",
                            profile.name, args.percentile)
     # the stage needs the labels only as each condition's positive patients:
-    # the rest is freed before the notes stream
-    positives = [{pid for pid, label in reference_map(labels, profile.name).items() if label}
+    # the rest is freed before the notes stream. Without labels there are none.
+    positives = [{pid for pid, label in reference_map(labels or (), profile.name).items() if label}
                  for _, profile in selected]
+    labels_read = labels is not None
     del labels
     counts: Counter = Counter()
     consolidated = consolidate(iter_documents(documents, patients), selected, counts)
@@ -556,7 +570,9 @@ def _cmd_preprocess(args) -> int:
                            "" if stats.positive_retention is None else f"{stats.positive_retention:.4f}"))
     header = ("condition", "kept_type_count", "ir_threshold", "words_fraction_remaining", "positive_retention")
     _atomic_write([*files, _csv(out_dir / "consolidation_stats.csv", header, stats_rows),
-                   _manifest(out_dir, "preprocess", started, {"percentile": args.percentile})])
+                   _manifest(out_dir, "preprocess", started,
+                             {"percentile": args.percentile, "profiles": _profile_hashes(profiles)},
+                             labels_read=labels_read)])
     print(f"wrote consolidated corpus and stats to {out_dir}")
     return EXIT_OK
 
@@ -655,7 +671,8 @@ def _cmd_detect(args) -> int:
     outputs = [str(out_dir / f"detect_{mode}_{profile.name}.jsonl") for profile in profiles for mode in modes]
     counts: Counter = Counter()
     settings = {"modes": list(modes), "chunk_budget": args.chunk_budget,
-                "input": "no_preprocess" if args.no_preprocess else "merged"}
+                "input": "no_preprocess" if args.no_preprocess else "merged",
+                "generation": args.generation._asdict(), "profiles": _profile_hashes(profiles)}
     source = {} if args.no_preprocess else {"merged": str(args.merged)}  # observed: a path is not a setting
 
     def files():  # a generator, so one condition's findings are written before the next is taken
@@ -772,6 +789,7 @@ def _trend_svg(points, condition: str) -> str:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>'
     xs = list(range(len(points)))
     span = max(1, len(points) - 1)
+    referenced = points[0].reference_pct is not None  # a corpus without labels has no reference line
 
     def x_px(i):
         return pad + (width - 2 * pad) * i / span
@@ -794,11 +812,12 @@ def _trend_svg(points, condition: str) -> str:
         f"monthly positive fraction: {escape(condition)}</text>"
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         f'fill="none" stroke="#ccc"/>'
-        + polyline([p.reference_pct for p in points], "#1f77b4")
+        + (polyline([p.reference_pct for p in points], "#1f77b4") if referenced else "")
         + polyline([p.predicted_pct for p in points], "#d62728")
         + labels
         + f'<text x="{width - pad}" y="{pad - 8}" text-anchor="end" font-size="11">'
-        f'<tspan fill="#1f77b4">reference</tspan>  <tspan fill="#d62728">predicted</tspan></text>'
+        + ('<tspan fill="#1f77b4">reference</tspan>  ' if referenced else "")
+        + '<tspan fill="#d62728">predicted</tspan></text>'
         "</svg>"
     )
 
@@ -807,10 +826,12 @@ def _cmd_trend(args) -> int:
     out = _out_file(args.out)
     svg = _out_file(args.svg, "--svg") if args.svg else None
     patients = load_patients(_corpus_file(args.corpus, "patients.jsonl"))
-    labels = load_labels(_corpus_file(args.corpus, "labels.jsonl"), patients)
+    labels = _labels_if_any(args.corpus, patients)
     condition, predicted = _predictions(args.pred)
-    points = evaluation.monthly_trend(patients, predicted, reference_map(labels, condition))
-    rows = [(p.month, p.n, f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}") for p in points]
+    reference = None if labels is None else reference_map(labels, condition)
+    points = evaluation.monthly_trend(patients, predicted, reference)
+    rows = [(p.month, p.n, "" if reference is None else f"{p.reference_pct:.4f}", f"{p.predicted_pct:.4f}")
+            for p in points]
     files = [_csv(out, ("month", "n", "reference_pct", "predicted_pct"), rows)]
     if svg:
         files.append((svg, (_trend_svg(points, condition),)))

@@ -56,7 +56,7 @@ class MetricSet(NamedTuple):
 
 class TrendPoint(NamedTuple):
     month: str  # YYYY-MM
-    reference_pct: float
+    reference_pct: float | None  # None without reference labels
     predicted_pct: float
     n: int
 
@@ -147,13 +147,15 @@ def combine_or(a: Mapping[str, int], b: Mapping[str, int]) -> dict[str, int]:
 def monthly_trend(
     patients: Mapping[str, Patient],
     predicted: Mapping[str, int],
-    reference: Mapping[str, int],
+    reference: Mapping[str, int] | None,
 ) -> list[TrendPoint]:
     """Monthly positive fractions of predicted vs reference, by admit month,
-    over identical key sets (see `_require_same_patients`)."""
-    _require_same_patients(predicted, reference)
+    over identical key sets (see `_require_same_patients`). With no
+    reference, every point's `reference_pct` is None."""
+    if reference is not None:
+        _require_same_patients(predicted, reference)
     buckets: dict[str, list[str]] = defaultdict(list)
-    for pid in reference:
+    for pid in predicted:
         patient = patients.get(pid)
         if patient is None:
             raise ValueError(f"no patient record for {pid!r}")
@@ -165,7 +167,7 @@ def monthly_trend(
         points.append(
             TrendPoint(
                 month=month,
-                reference_pct=sum(reference[p] for p in pids) / n,
+                reference_pct=None if reference is None else sum(reference[p] for p in pids) / n,
                 predicted_pct=sum(predicted[p] for p in pids) / n,
                 n=n,
             )

@@ -1,6 +1,7 @@
 """Text-completion backends: HTTP client with retry, response cache, chunking, mock."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -109,13 +110,18 @@ class HttpBackend:
 
     Each worker thread keeps one keep-alive connection. Transient transport
     failures (connection errors, timeouts, 5xx) are retried with exponential
-    backoff; 4xx error payloads, 3xx redirects and malformed 200 bodies are
-    surfaced immediately. Proxy environment variables are not consulted, and
-    HTTPS verifies against the system CA store.
+    backoff. An overloaded server's 429 is waited out without using a retry.
+    A 429 or 503 waits the whole seconds of its Retry-After where it gives
+    them, and the backoff otherwise. Other 4xx error payloads, 3xx redirects
+    and malformed 200 bodies are surfaced immediately. Proxy environment
+    variables are not consulted, and HTTPS verifies against the system CA
+    store.
     """
 
     max_retries = 3  # retries after the first attempt
     backoff_s = 0.5  # the wait before the first retry; it doubles for each later one
+    max_overload_waits = 6  # waits on 429 replies, which use no retry, before the request fails
+    max_retry_after_s = 60  # the longest Retry-After waited; a longer one fails the request
 
     def __init__(self, base_url: str, api_key: str | None = None) -> None:
         # Imported here, not at module level: http.client (and the email
@@ -128,11 +134,9 @@ class HttpBackend:
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise BackendError(f"backend URL must be http:// or https://, got {self.url!r}")
-        self._connection_cls = (
-            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-        )
-        self._host = parts.hostname
-        self._port = parts.port or self._connection_cls.default_port
+        cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        port = parts.port or cls.default_port  # given None, http.client reads host "::1" as "::" port 1
+        self._new_connection = functools.partial(cls, parts.hostname, port, timeout=REQUEST_TIMEOUT_S)
         self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._transport_errors = (OSError, http.client.HTTPException)
         self._local = threading.local()
@@ -144,30 +148,21 @@ class HttpBackend:
 
     @staticmethod
     def _extract_text(payload) -> str:
-        if isinstance(payload, dict):
-            for key in ("text", "content", "completion"):
-                if isinstance(payload.get(key), str):
-                    return payload[key]
-            choices = payload.get("choices")
-            if isinstance(choices, list) and choices and isinstance(choices[0], dict):
-                choice = choices[0]
-                if isinstance(choice.get("text"), str):
-                    return choice["text"]
-                message = choice.get("message")
-                if isinstance(message, dict) and isinstance(message.get("content"), str):
-                    return message["content"]
+        """The reply of a completion-route body: its `choices[0].text`."""
+        choices = payload.get("choices") if isinstance(payload, dict) else None
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+            if isinstance(choices[0].get("text"), str):
+                return choices[0]["text"]
         raise BackendError(f"unrecognized completion payload: {str(payload)[:200]}")
 
     def _connection(self) -> http.client.HTTPConnection:
         held = getattr(self._local, "held", None)
         if held is None:
-            held = self._local.held = _ThreadConnection(
-                self._connection_cls(self._host, self._port, timeout=REQUEST_TIMEOUT_S)
-            )
+            held = self._local.held = _ThreadConnection(self._new_connection())
         return held.conn
 
-    def _post(self, body: bytes) -> tuple[int, bytes]:
-        """POST on this thread's connection; (status, body) of the reply.
+    def _post(self, body: bytes) -> tuple[int, str, bytes]:
+        """POST on this thread's connection; (status, Retry-After or "", body) of the reply.
 
         A reused connection that fails before any response arrives is closed
         and the request resent once on a new one: keep-alive servers close
@@ -185,7 +180,7 @@ class HttpBackend:
                 conn.close()
                 conn.request("POST", self._path, body, self._headers)
                 response = conn.getresponse()
-            return response.status, response.read()
+            return response.status, response.getheader("Retry-After", ""), response.read()
         except BaseException:
             # A failed exchange leaves the connection mid-message; the next
             # request must start on a new one.
@@ -205,32 +200,53 @@ class HttpBackend:
             }
         ).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff_s * 2 ** (attempt - 1))
+        retries = overloads = 0  # the failed attempts, and the 429 replies, so far
+        while True:
             try:
-                status, data = self._post(body)
+                status, retry_after, data = self._post(body)
             except self._transport_errors as exc:
                 # Without its traceback, which holds this frame, the kept
                 # error makes no reference cycle.
                 last_error = exc.with_traceback(None)
-                logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
-                continue
-            if status >= 500:
-                last_error = TransportError(f"server error {status}")
-                logger.warning("server error %d (attempt %d)", status, attempt + 1)
-                continue
-            if status >= 300:  # 4xx, and 3xx: redirects are not followed
+                status, retry_after = None, ""
+                logger.warning("transport failure (attempt %d): %s", retries + 1, exc)
+            if status == 429:
+                overloads += 1
+                if overloads > self.max_overload_waits:
+                    raise BackendError(f"backend still overloaded (429) after {self.max_overload_waits} waits")
+                wait = self._wait(status, retry_after, overloads)
+                logger.warning("backend overloaded (429), waiting %g s", wait)
+            elif status is None or status >= 500:
+                if status is not None:
+                    last_error = TransportError(f"server error {status}")
+                    logger.warning("server error %d (attempt %d)", status, retries + 1)
+                retries += 1
+                if retries > self.max_retries:
+                    raise TransportError(f"backend unreachable after {retries} attempts") from last_error
+                wait = self._wait(status, retry_after, retries)
+            elif status >= 300:  # 4xx, and 3xx: redirects are not followed
                 raise BackendError(
                     f"backend rejected request ({status}): "
                     f"{data.decode('utf-8', errors='replace')[:200]}"
                 )
-            try:
-                payload = json.loads(data)
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-                raise BackendError(f"completion body is not JSON: {data[:200]!r}") from exc
-            return CompletionResponse(self._extract_text(payload))
-        raise TransportError(f"backend unreachable after {self.max_retries + 1} attempts") from last_error
+            else:
+                try:
+                    payload = json.loads(data)
+                except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                    raise BackendError(f"completion body is not JSON: {data[:200]!r}") from exc
+                return CompletionResponse(self._extract_text(payload))
+            time.sleep(wait)
+
+    def _wait(self, status: int | None, retry_after: str, n: int) -> float:
+        """The wait after the `n`th failed attempt, or `n`th 429, of a request:
+        the whole seconds a 429's or 503's Retry-After asks, else the backoff.
+        A Retry-After above `max_retry_after_s` raises BackendError."""
+        if status in (429, 503) and retry_after.isascii() and retry_after.isdigit():
+            if int(retry_after) > self.max_retry_after_s:
+                raise BackendError(f"backend overloaded ({status}) asks for a wait of {retry_after} s, "
+                                   f"more than the {self.max_retry_after_s} s this client waits")
+            return int(retry_after)
+        return self.backoff_s * 2 ** (n - 1)
 
 
 class ResponseCache:

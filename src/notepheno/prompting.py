@@ -81,8 +81,6 @@ class ConditionProfile(Checked, _ConditionProfileFields):
 
 
 class RenderedPrompt(NamedTuple):
-    condition: str
-    kind: str  # inference | extraction
     text: str
 
 
@@ -235,7 +233,7 @@ def render_prompt(profile: ConditionProfile, kind: str, text: str) -> RenderedPr
     template = (
         profile.extraction_template if kind == "extraction" else profile.inference_template
     )
-    return RenderedPrompt(profile.name, kind, template.replace(PLACEHOLDER, text, 1))
+    return RenderedPrompt(template.replace(PLACEHOLDER, text, 1))
 
 
 def _rule_from_config(raw: dict) -> ClinicalRule:

@@ -70,9 +70,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         if outcome == DROP:
             self.close_connection = True
             return
-        status, payload = outcome
+        status, payload, headers = outcome if len(outcome) == 3 else (*outcome, {})
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -84,8 +86,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 class ScriptedServer(ThreadingHTTPServer):
     """Local completion server that answers POSTs with scripted outcomes.
 
-    Each outcome is DROP or (status, payload), payload being a JSON-able
-    object or raw bytes. Outcomes are used in order and the last one repeats.
+    Each outcome is DROP or (status, payload) or (status, payload, headers),
+    payload being a JSON-able object or raw bytes and headers a dict of
+    extra reply headers. Outcomes are used in order and the last one repeats.
     The server counts the requests and the connections it accepted.
     """
 

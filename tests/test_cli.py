@@ -909,7 +909,7 @@ def test_detect_malformed_backend_reply_exits_2(pipeline_dirs, tmp_path, capsys,
 
 
 def test_detect_unstorable_reply_with_a_cache_exits_2(pipeline_dirs, tmp_path, capsys, scripted_server):
-    server = scripted_server([(200, b'{"text": "Yes \\ud800"}')])
+    server = scripted_server([(200, b'{"choices": [{"text": "Yes \\ud800"}]}')])
     code = _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(pipeline_dirs / "prep"),
                 "--condition", "diabetes", "--backend-url", server.url,
                 "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "det"))
@@ -1236,7 +1236,7 @@ class _DyingMockServer(ScriptedServer):
             self.calls += 1
             if self.answered is not None and self.calls > self.answered:
                 return 503, {"error": "unavailable"}
-        return 200, {"text": self.mock.complete(CompletionRequest(json.loads(body)["prompt"])).text}
+        return 200, {"choices": [{"text": self.mock.complete(CompletionRequest(json.loads(body)["prompt"])).text}]}
 
 
 @pytest.mark.parametrize("cached", [
@@ -1272,6 +1272,33 @@ def test_a_detect_whose_server_dies_resumes_from_the_cache(
     assert labels == sorted(path.name for path in (tmp_path / "resumed").glob("detect_*.jsonl"))
     for name in labels:
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes()
+
+
+class _OnceBusyMockServer(_DyingMockServer):
+    """Answers its first request with a 429 that asks a wait of 1 s, and
+    every other one with `MockBackend`'s text."""
+
+    def next_outcome(self, headers, body):
+        outcome = super().next_outcome(headers, body)
+        with self.lock:
+            return (429, {"error": "busy"}, {"Retry-After": "1"}) if self.calls == 1 else outcome
+
+
+def test_a_detect_whose_server_answers_one_429_waits_and_gives_the_mock_labels(
+    small_pipeline, tmp_path, scripted_server, monkeypatch
+):
+    sleeps = []
+    monkeypatch.setattr(inference.time, "sleep", sleeps.append)
+    server = scripted_server(None, _OnceBusyMockServer)
+    common = ["detect", "--corpus", str(small_pipeline / "corpus"), "--merged", str(small_pipeline / "prep"),
+              "--mode", "all"]
+    assert main([*common, "--backend-url", server.url, "--parallelism", "2", "--out", str(tmp_path / "http")]) == 0
+    assert main([*common, "--mock", "--out", str(tmp_path / "mock")]) == 0
+    assert sleeps == [1]
+    labels = sorted(path.name for path in (tmp_path / "mock").glob("detect_*.jsonl"))
+    assert len(labels) == 9
+    for name in labels:
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):
@@ -1561,7 +1588,7 @@ def test_synth_prevalence_of_an_unselected_condition_exits_1(tmp_path, capsys):
 
 
 def test_bench_command_writes_csv(tmp_path, scripted_server):
-    server = scripted_server([(200, {"text": "Yes."})])
+    server = scripted_server([(200, {"choices": [{"text": "Yes."}]})])
     out = tmp_path / "bench.csv"
     assert _run("bench", "--backend-url", server.url, "--out", str(out)) == 0
     assert server.calls == 10
@@ -1579,7 +1606,7 @@ def test_bench_with_the_mock_exits_1_before_any_request(tmp_path, monkeypatch, c
     assert prompts == []
 
 
-_NO_MENTION = (200, {"text": "No, there is no clear mention of it in the given clinical text."})
+_NO_MENTION = (200, {"choices": [{"text": "No, there is no clear mention of it in the given clinical text."}]})
 
 
 @pytest.mark.parametrize("stage", ["profile", "detect"])
@@ -1787,9 +1814,9 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
             "detect": pipeline_dirs / "det", "evaluate": tmp_path}
     settings = {  # the settings each stage's manifest records
         "synth": ("spec",),
-        "profile": ("m", "seed", "chunk_budget"),
-        "preprocess": ("percentile",),
-        "detect": ("modes", "chunk_budget", "input"),
+        "profile": ("m", "seed", "chunk_budget", "generation", "profiles"),
+        "preprocess": ("percentile", "profiles"),
+        "detect": ("modes", "chunk_budget", "input", "generation", "profiles"),
         "evaluate": ("ci_level",),
     }
     manifests = {}
@@ -1801,11 +1828,83 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
     assert manifests["detect"]["modes"] == list(cli.MODE_PATHS)
     assert manifests["detect"]["chunk_budget"] == inference.DEFAULT_CHUNK_BUDGET
     assert manifests["detect"]["input"] == "merged"
+    assert manifests["detect"]["generation"] == GenerationParams()._asdict()
+    for stage in ("profile", "preprocess", "detect"):
+        assert sorted(manifests[stage]["profiles"]) == ["ami", "diabetes", "hypertension"], stage
+        assert manifests[stage]["profiles"] == manifests["detect"]["profiles"], stage
+    assert manifests["preprocess"]["labels_read"] is True
     assert manifests["synth"]["spec"] == {
         "n_patients": 80, "prevalence": {"diabetes": 0.3, "ami": 0.2, "hypertension": 0.3},
         "docs_per_patient": [2, 4], "seed": 5,
     }
     assert set(manifests["synth"]) == {"stage", "config_hash", "spec", "elapsed_s"}
+
+
+def _config_hash(stage, out_dir, *argv):
+    assert _run(*argv, "--out", str(out_dir)) == 0
+    return json.loads((out_dir / f"manifest_{stage}.json").read_text())["config_hash"]
+
+
+def test_the_detect_config_hash_changes_with_the_generation_settings(pipeline_dirs, tmp_path):
+    argv = ("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(pipeline_dirs / "prep"),
+            "--condition", "diabetes", "--mock")
+    hashes = [_config_hash("detect", tmp_path / name, *argv, *extra) for name, extra in (
+        ("default", ()), ("model", ("--model-id", "other")), ("cold", ("--temperature", "0")),
+    )]
+    assert len(set(hashes)) == 3
+    _same_bytes(tmp_path / "default", tmp_path / "model", "detect_*.jsonl")  # the mock reads no setting
+
+
+def test_the_preprocess_config_hash_changes_with_the_profiles(pipeline_dirs, tmp_path):
+    diabetes = next(p for p in builtin_profiles() if p.name == "diabetes")
+    entry = {**diabetes._asdict(), "keywords": list(diabetes.keywords), "rule": diabetes.rule._asdict()}
+    argv = ("preprocess", "--corpus", str(pipeline_dirs / "corpus"), "--profile-csv", str(pipeline_dirs / "profile.csv"))
+    hashes = {"builtin": _config_hash("preprocess", tmp_path / "builtin", *argv, "--condition", "diabetes")}
+    for name, keywords in (("same", entry["keywords"]), ("more", [*entry["keywords"], "polyuria"])):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(json.dumps({"profiles": [{**entry, "keywords": keywords}]}), encoding="utf-8")  # JSON is YAML
+        hashes[name] = _config_hash("preprocess", tmp_path / name, *argv, "--profiles", str(path))
+    assert hashes["same"] == hashes["builtin"] != hashes["more"]
+
+
+def test_a_corpus_without_labels_runs_every_stage_but_evaluate(small_pipeline, tmp_path, capsys):
+    labelled = small_pipeline / "corpus"
+    bare = tmp_path / "corpus"
+    bare.mkdir()
+    for name in ("patients.jsonl", "documents.jsonl"):
+        shutil.copy(labelled / name, bare / name)
+    for corpus, root in ((labelled, tmp_path / "labelled"), (bare, tmp_path / "bare")):
+        for argv in (
+            ["profile", "--corpus", str(corpus), "--m", "40", "--seed", "5", "--mock",
+             "--out", str(root / "profile.csv")],
+            ["preprocess", "--corpus", str(corpus), "--profile-csv", str(root / "profile.csv"),
+             "--out", str(root / "prep")],
+            ["detect", "--corpus", str(corpus), "--merged", str(root / "prep"), "--mode", "all", "--mock",
+             "--out", str(root / "det")],
+            ["trend", "--corpus", str(corpus), "--pred", str(root / "det" / "detect_merged_diabetes.jsonl"),
+             "--out", str(root / "trend.csv"), "--svg", str(root / "trend.svg")],
+        ):
+            assert main(argv) == 0, argv
+    root = tmp_path / "labelled"
+    _same_bytes(root, tmp_path / "bare", "profile.csv")
+    _same_bytes(root / "prep", tmp_path / "bare" / "prep", "merged_*.jsonl")
+    _same_bytes(root / "det", tmp_path / "bare" / "det", "detect_*.jsonl")
+    for name, read in (("labelled", True), ("bare", False)):
+        assert json.loads((tmp_path / name / "prep" / "manifest_preprocess.json").read_text())["labels_read"] is read
+    with (tmp_path / "bare" / "prep" / "consolidation_stats.csv").open(encoding="utf-8") as handle:
+        assert [row["positive_retention"] for row in csv.DictReader(handle)] == ["", "", ""]
+    trends = {}
+    for name in ("labelled", "bare"):
+        with (tmp_path / name / "trend.csv").open(encoding="utf-8") as handle:
+            trends[name] = list(csv.DictReader(handle))
+    assert trends["bare"] == [{**row, "reference_pct": ""} for row in trends["labelled"]]
+    svg = (tmp_path / "bare" / "trend.svg").read_text(encoding="utf-8")
+    assert svg.count("<polyline") == 1 and "reference" not in svg
+    ElementTree.fromstring(svg)
+    capsys.readouterr()
+    assert _run("evaluate", "--corpus", str(bare), "--detect-dir", str(tmp_path / "bare" / "det"),
+                "--out", str(tmp_path / "report.csv")) == 1
+    assert "corpus file missing" in capsys.readouterr().err
 
 
 def test_preprocess_writes_each_stats_row_from_retention_report(pipeline_dirs, tmp_path, monkeypatch):

@@ -93,6 +93,12 @@ def test_monthly_trend_groups_by_admit_month():
         monthly_trend(patients, {"zz": 1}, {"zz": 1})
 
 
+def test_monthly_trend_without_reference_labels_has_no_reference_fraction():
+    points = monthly_trend(_patients_with_months(), {"a": 1, "b": 1, "c": 0}, None)
+    assert [(p.month, p.n, p.reference_pct, p.predicted_pct) for p in points] == [
+        ("2015-01", 2, None, 1.0), ("2015-02", 1, None, 0.0),
+    ]
+
 
 def test_monthly_trend_refuses_mismatched_patients():
     patients = _patients_with_months()

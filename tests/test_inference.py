@@ -93,6 +93,11 @@ def test_chunks_concatenate_to_input(text, budget):
 # Against a real local server (conftest.ScriptedServer); backoff sleeps are
 # recorded instead of slept.
 
+def _reply(text):
+    """A /v1/completions reply body of one choice."""
+    return {"choices": [{"text": text}]}
+
+
 @pytest.fixture
 def sleeps(monkeypatch):
     slept = []
@@ -101,11 +106,11 @@ def sleeps(monkeypatch):
 
 
 def test_http_success_payload_shapes(scripted_server):
-    payloads = (
-        {"text": "ok"},
-        {"completion": "ok"},
+    payloads = (  # the /v1/completions reply, as servers fill it in
         {"choices": [{"text": "ok"}]},
-        {"choices": [{"message": {"content": "ok"}}]},
+        {"object": "text_completion", "choices": [{"index": 0, "text": "ok", "finish_reason": "stop"}]},
+        {"choices": [{"index": 0, "text": "ok"}, {"index": 1, "text": "other"}]},
+        {"choices": [{"text": "ok", "logprobs": None}], "usage": {"prompt_tokens": 1, "completion_tokens": 1}},
     )
     server = scripted_server([(200, payload) for payload in payloads])
     backend = HttpBackend(server.url, api_key="secret")
@@ -127,7 +132,7 @@ def test_http_success_payload_shapes(scripted_server):
 
 def test_http_4xx_not_retried(scripted_server, sleeps):
     for status, body in ((400, b"bad request"), (307, b"moved")):  # redirects not followed
-        server = scripted_server([(status, body)])
+        server = scripted_server([(status, body, {"Retry-After": "1"})])
         with pytest.raises(BackendError, match=f"{status}.*{body.decode()}"):
             HttpBackend(server.url).complete(CompletionRequest("p"))
         assert server.calls == 1
@@ -136,7 +141,7 @@ def test_http_4xx_not_retried(scripted_server, sleeps):
 
 def test_http_5xx_retried_then_succeeds(scripted_server, sleeps, monkeypatch):
     monkeypatch.setattr(HttpBackend, "backoff_s", 0.25)
-    server = scripted_server([(503, {"error": "busy"}), DROP, (200, {"text": "ok"})])
+    server = scripted_server([(503, {"error": "busy"}), DROP, (200, _reply("ok"))])
     response = HttpBackend(server.url).complete(CompletionRequest("p"))
     assert response.text == "ok"
     assert server.calls == 3
@@ -154,9 +159,55 @@ def test_http_exhausted_retries_raise_transport_error(scripted_server, sleeps, m
     assert sleeps == [0.25, 0.5, 1.0]
 
 
+def test_http_429_waits_its_retry_after_and_uses_no_retry(scripted_server, sleeps, monkeypatch):
+    monkeypatch.setattr(HttpBackend, "max_retries", 0)
+    server = scripted_server([(429, {"error": "busy"}, {"Retry-After": "1"}), (200, _reply("ok"))])
+    assert HttpBackend(server.url).complete(CompletionRequest("p")).text == "ok"
+    assert server.calls == 2
+    assert sleeps == [1]
+
+
+def test_http_429_without_retry_after_waits_the_backoff(scripted_server, sleeps, monkeypatch):
+    monkeypatch.setattr(HttpBackend, "backoff_s", 0.25)
+    server = scripted_server([(429, {"error": "busy"}), (429, b"", {"Retry-After": "soon"}), (200, _reply("ok"))])
+    assert HttpBackend(server.url).complete(CompletionRequest("p")).text == "ok"
+    assert sleeps == [0.25, 0.5]
+
+
+def test_http_503_waits_its_retry_after_as_one_retry(scripted_server, sleeps):
+    server = scripted_server([(503, b"", {"Retry-After": "2"}), (200, _reply("ok"))])
+    assert HttpBackend(server.url).complete(CompletionRequest("p")).text == "ok"
+    assert sleeps == [2]
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_retry_after_above_the_cap_raises(scripted_server, sleeps, status):
+    asked = str(HttpBackend.max_retry_after_s + 1)
+    server = scripted_server([(status, b"", {"Retry-After": asked})])
+    with pytest.raises(BackendError, match=f"overloaded \\({status}\\) asks for a wait of {asked} s"):
+        HttpBackend(server.url).complete(CompletionRequest("p"))
+    assert server.calls == 1
+    assert sleeps == []
+
+
+def test_http_a_server_that_always_answers_429_fails_the_request(scripted_server, sleeps):
+    server = scripted_server([(429, b"", {"Retry-After": "0"})])
+    with pytest.raises(BackendError, match=f"overloaded \\(429\\) after {HttpBackend.max_overload_waits} waits"):
+        HttpBackend(server.url).complete(CompletionRequest("p"))
+    assert server.calls == HttpBackend.max_overload_waits + 1
+    assert sleeps == [0] * HttpBackend.max_overload_waits
+
+
 def test_http_unrecognized_payload(scripted_server):
     for payload, message in (
         ({"weird": 1}, "unrecognized"),
+        # top-level fields and the chat route's message: not the completion route's reply
+        ({"text": "ok"}, "unrecognized"),
+        ({"content": "ok"}, "unrecognized"),
+        ({"completion": "ok"}, "unrecognized"),
+        ({"choices": [{"message": {"content": "ok"}}]}, "unrecognized"),
+        ({"choices": []}, "unrecognized"),
+        ({"choices": [{"text": None}]}, "unrecognized"),
         (b"<html><body>502 Bad Gateway</body></html>", "not JSON"),
         (b"\x80\x81 not utf-8", "not JSON"),
     ):
@@ -170,18 +221,25 @@ def test_http_url_scheme_selects_transport(scripted_server, monkeypatch):
     with pytest.raises(BackendError, match="http"):
         HttpBackend("localhost:8000")
     monkeypatch.setattr(HttpBackend, "max_retries", 0)
-    server = scripted_server([(200, {"text": "ok"})])
+    server = scripted_server([(200, _reply("ok"))])
     tls = HttpBackend(server.url.replace("http://", "https://"))
     with pytest.raises(TransportError):
         tls.complete(CompletionRequest("p"))
     assert server.calls == 0  # the plain-HTTP server got a TLS handshake, not a POST
 
 
+def test_http_connection_defaults_to_the_scheme_port_for_an_ipv6_host():
+    for url, port in (("http://[::1]", 80), ("https://[::1]", 443), ("http://[::1]:8000", 8000)):
+        conn = HttpBackend(url)._connection()  # built, not yet connected
+        assert (conn.host, conn.port) == ("::1", port)
+        conn.close()
+
+
 def test_http_idle_connection_closed_by_server_is_replaced_without_backoff(
     scripted_server, sleeps, monkeypatch
 ):
     monkeypatch.setattr(HttpBackend, "backoff_s", 30.0)
-    server = scripted_server([(200, {"text": "first"}), (200, {"text": "second"})])
+    server = scripted_server([(200, _reply("first")), (200, _reply("second"))])
     backend = HttpBackend(server.url)
     assert backend.complete(CompletionRequest("p")).text == "first"
     server.close_idle_connections()
@@ -191,7 +249,7 @@ def test_http_idle_connection_closed_by_server_is_replaced_without_backoff(
 
 
 def test_http_threads_keep_one_connection_each(scripted_server):
-    server = scripted_server([(200, {"text": "ok"})])
+    server = scripted_server([(200, _reply("ok"))])
     backend = HttpBackend(server.url)
     responses = run_parallel(backend.complete, [CompletionRequest(f"q{i}") for i in range(40)], 4)
     assert [r.text for r in responses] == ["ok"] * 40

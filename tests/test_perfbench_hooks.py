@@ -5,12 +5,15 @@ import importlib
 import importlib.util
 import json
 import sys
+import threading
+import warnings
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from notepheno import cli, inference
-from notepheno.inference import CompletionRequest, MockBackend
+from notepheno.inference import CompletionRequest, HttpBackend, MockBackend
 from notepheno.prompting import builtin_profiles, render_prompt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -93,3 +96,27 @@ def test_the_request_counter_counts_the_requests_of_the_manifest(tracing, tmp_pa
                      "--cache-dir", str(tmp_path / "cache"), "--out", str(det)]) == 0
     requests = json.loads((det / "manifest_detect.json").read_text(encoding="utf-8"))["backend_requests"]
     assert counts["MockBackend"]["calls"] == counts["CachedBackend"]["calls"] == requests > 0
+
+
+def test_http_backend_reads_the_replies_of_the_benchmark_stub():
+    stub = _load(TRACING.with_name("stub.py"), "perfbench_stub")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), stub.make_handler(MockBackend(), stub._Stats()))
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    mock = MockBackend()
+    note = "Known diabetes on insulin, STEMI last year, htn. Glucose - mmol/l random : 13.0 mmol/l. Plan unchanged."
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        backend = HttpBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            for profile in builtin_profiles():
+                for kind in ("inference", "extraction"):
+                    request = CompletionRequest(render_prompt(profile, kind, note).text)
+                    assert backend.complete(request).text == mock.complete(request).text, (profile.name, kind)
+        finally:
+            del backend  # closes this thread's keep-alive connection, so the handler thread ends
+            server.shutdown()
+            server.server_close()  # joins the handler threads
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

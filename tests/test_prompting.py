@@ -29,7 +29,6 @@ def test_templates_ask_yes_or_no():
 
 def test_render_inference_embeds_text(diabetes_profile):
     rendered = render_prompt(diabetes_profile, "inference", "Glucose high today.")
-    assert rendered.kind == "inference"
     assert "Analyze the clinical text: 'Glucose high today.'," in rendered.text
     assert "{text}" not in rendered.text
 
