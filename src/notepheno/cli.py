@@ -116,16 +116,37 @@ def _csv(path: Path, header, rows) -> tuple[Path, tuple[str]]:
     return path, (buf.getvalue(),)
 
 
-def _manifest(out_dir: Path, stage: str, started: float, settings: dict, **observed) -> tuple[Path, Iterator[str]]:
-    """The `(path, parts)` of `manifest_<stage>.json`: the JSON-native `settings`
-    the stage ran with, `config_hash` (a sha256 of exactly those settings), what
-    the stage `observed`, and `elapsed_s` since `started`, taken only as the
-    file is written, so a manifest written last times every other write."""
-    def parts():
+def _manifest(out_dir: Path, stage: str, started: float, settings: dict, **observed) -> tuple[Path, Callable]:
+    """The `(path, parts)` of `manifest_<stage>.json` for `_atomic_write`: the
+    JSON-native `settings` the stage ran with, `config_hash` (a sha256 of
+    exactly those settings), what the stage `observed`, `outputs` (the `{file
+    name: sha256}` of every file written before it in the same call) and
+    `elapsed_s` since `started`, taken only as the file is written, so a
+    manifest written last times every other write."""
+    def parts(outputs: Mapping[str, str]) -> tuple[str]:
         config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-        yield json.dumps({"stage": stage, "config_hash": config_hash, **settings, **observed,
-                          "elapsed_s": round(time.monotonic() - started, 3)}, indent=2, sort_keys=True)
-    return out_dir / f"manifest_{stage}.json", parts()
+        return (json.dumps({"stage": stage, "config_hash": config_hash, **settings, **observed, "outputs": outputs,
+                            "elapsed_s": round(time.monotonic() - started, 3)}, indent=2, sort_keys=True),)
+    return out_dir / f"manifest_{stage}.json", parts
+
+
+def _check_listed(path: Path, stage: str) -> None:
+    """Refuse a file that `manifest_<stage>.json` beside it does not list among
+    its `outputs` with the sha256 of the file's bytes: the file is not one
+    the run that manifest records wrote. Without that manifest nothing is
+    checked, so hand-made inputs still run."""
+    manifest = path.parent / f"manifest_{stage}.json"
+    if not manifest.exists():
+        return
+    listed = json.loads(manifest.read_text(encoding="utf-8")).get("outputs")
+    if not isinstance(listed, dict) or path.name not in listed:
+        raise ValueError(f"{path} is not among the outputs {manifest.name} lists, so it is not of that run")
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    if digest.hexdigest() != listed[path.name]:
+        raise ValueError(f"{path} is not the file {manifest.name} lists: its sha256 differs")
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +250,15 @@ def _ask_all(
 
     `plan` holds each condition's `{owner: text}` and profile, and every text
     is asked the prompt `paths`. Each distinct text is chunked once for the
-    stage, whichever conditions and owners hold it. An ask is keyed by
-    `(condition, kind, chunk text)`, and each distinct key is rendered and
-    sent once, condition by condition; its parsed reply goes to every owner
-    that asked it. A worker renders, completes and parses one request, so
-    neither the prompts nor the raw replies of the stage are ever held
-    together. Returns, per condition of `plan`, `{path: {owner: reply}}`: an
-    inference reply is the owner's chunk verdicts combined, an extraction
-    reply the tuple of its chunks' measurements in chunk order.
+    stage, whichever conditions and owners hold it. The plan is one ordered
+    set of asks `(condition, path, chunk text)`, each where it first occurs
+    condition by condition, by owner, chunk and path; each ask is rendered and
+    sent once, and every owner that asked it reads its parsed reply by the
+    ask. A worker renders, completes and parses one request, so neither the
+    prompts nor the raw replies of the stage are ever held together. Returns,
+    per condition of `plan`, `{path: {owner: reply}}`: an inference reply is
+    the owner's chunk verdicts combined, an extraction reply the tuple of its
+    chunks' measurements in chunk order.
 
     `counts` gets the requests sent, the asks that shared an earlier ask's
     request, the oversized chunks (of each distinct text) and the extracted
@@ -249,13 +271,10 @@ def _ask_all(
     if chunk_budget < 1:
         raise ValueError(f"chunk_budget must be at least 1, got {chunk_budget}")
     chunked: dict[str, list[str]] = {}  # each distinct text's chunk texts
-    items: list[tuple[ConditionProfile, str, str]] = []  # each distinct ask, in dispatch order
-    # per condition and owner, the position in `items` of each chunk's ask of each path, chunk by chunk
-    asked: list[dict[str, list[int]]] = []
-    index: dict[tuple[str, str], int] = {}  # one condition's distinct asks, by position in `items`
+    owners: list[dict[str, list[str]]] = []  # per condition, each owner's chunk texts
     planned = oversized = 0
-    for texts, profile in plan:
-        rows = {}
+    for texts, _ in plan:
+        owners.append({})
         for owner in sorted(texts):
             text = texts[owner]
             chunks = chunked.get(text)
@@ -263,13 +282,12 @@ def _ask_all(
                 pieces = chunk_text(text, chunk_budget)
                 oversized += sum(chunk.oversized for chunk in pieces)
                 chunks = chunked[text] = [chunk.text for chunk in pieces]
+            owners[-1][owner] = chunks
             planned += len(chunks) * len(paths)
-            rows[owner] = [index.setdefault((path, chunk), len(items) + len(index))
-                           for chunk in chunks for path in paths]
-        items += [(profile, path, chunk) for path, chunk in index]
-        index.clear()
-        asked.append(rows)
     del chunked  # free it before the replies arrive
+    # the ordered set of distinct asks: a key asked again keeps its first place
+    asks = dict.fromkeys((at, path, chunk) for at, chunks_of in enumerate(owners)
+                         for chunks in chunks_of.values() for chunk in chunks for path in paths)
     if oversized:
         logger.warning(
             "%d chunk(s) hold a single sentence longer than the chunk budget of %d "
@@ -279,35 +297,27 @@ def _ask_all(
         )
     dropped: list[str] = []  # the analyte side of each implausible value, appended by the workers
 
-    def ask(item):
-        profile, kind, text = item
+    def ask(key):
+        at, kind, text = key
+        profile = plan[at][1]
         reply = backend.complete(CompletionRequest(render_prompt(profile, kind, text).text, params))
         if kind == "inference":
             return parse_inference_response(reply.text)
         # a tuple: most replies hold no value, and every empty tuple is one object
         return tuple(parse_extraction_response(reply.text, profile.rule.analyte, dropped))
 
-    parsed = run_parallel(ask, items, parallelism)
+    parsed = dict(zip(asks, run_parallel(ask, list(asks), parallelism)))
     for side, count in sorted(Counter(dropped).items()):
         logger.warning("dropped %d implausible %s value(s)", count, side)
     if counts is not None:
-        counts["requests"] += len(items)
-        counts["coalesced_requests"] += planned - len(items)
+        counts["requests"] += len(asks)
+        counts["coalesced_requests"] += planned - len(asks)
         counts["oversized_chunks"] += oversized
         counts["implausible_values"] += len(dropped)
-    del items
-    replies = []
-    for rows in asked:
-        by_path: dict[str, dict[str, object]] = {path: {} for path in paths}
-        for owner, row in rows.items():
-            row = list(map(parsed.__getitem__, row))
-            for offset, path in enumerate(paths):
-                found = row[offset::len(paths)]
-                by_path[path][owner] = (combine_chunk_statuses(found) if path == "inference"
-                                        else tuple(chain.from_iterable(found)))
-        replies.append(by_path)
-        rows.clear()  # each condition's positions go as its replies are built
-    return replies
+    combine = {"inference": combine_chunk_statuses, "extraction": lambda found: tuple(chain.from_iterable(found))}
+    return [{path: {owner: combine[path]([parsed[at, path, chunk] for chunk in chunks])
+                    for owner, chunks in chunks_of.items()} for path in paths}
+            for at, chunks_of in enumerate(owners)]
 
 
 def _sample_documents_file(path: Path, patients: Mapping, m: int, seed: int) -> dict[str, list]:
@@ -473,11 +483,14 @@ def _cmd_profile(args) -> int:
         for condition, table in relevance.items()
         for p in table
     ]
+    evidence = {condition: {p.doc_type: {"sampled_count": p.sampled_count, "positive_count": p.positive_count,
+                                         "ir_upper": round(p.ir_upper, 6)} for p in table}
+                for condition, table in relevance.items()}
     _atomic_write([_csv(out, ("condition", "doc_type", "sampled_count", "positive_count", "ir"), rows),
                    _manifest(out.parent, "profile", started,
                              {"m": args.m, "seed": args.seed, "chunk_budget": args.chunk_budget,
                               "generation": args.generation._asdict(), "profiles": _profile_hashes(profiles)},
-                             **_backend_block(backend, counts))])
+                             **_backend_block(backend, counts), type_evidence=evidence)])
     print(f"wrote document-type relevance table to {out}")
     return EXIT_OK
 
@@ -549,10 +562,19 @@ def _cmd_preprocess(args) -> int:
         if profile.name not in tables:
             raise ValueError(f"{args.profile_csv}: no rows for condition {profile.name!r}")
     selected = [(filter_document_types(tables[profile.name], args.percentile), profile) for profile in profiles]
+    type_filter = {}
     for plan, profile in selected:
         if not plan.kept_types:
             logger.warning("%s: no document type is kept at percentile %s, so its merged file is empty",
                            profile.name, args.percentile)
+        # dropped, though the sample cannot tell their relevance from the kept types'
+        undecided = sorted(p.doc_type for p in tables[profile.name]
+                           if p.doc_type not in plan.kept_types and p.ir_upper > plan.threshold_value)
+        type_filter[profile.name] = {"kept": sorted(plan.kept_types), "dropped_undecided": undecided}
+        if undecided:
+            logger.info("%s: %d dropped document type(s) have a 95%% Wilson upper bound of their relevance "
+                        "above the cut of %.6f: %s", profile.name, len(undecided), plan.threshold_value,
+                        ", ".join(undecided))
     # the stage needs the labels only as each condition's positive patients:
     # the rest is freed before the notes stream. Without labels there are none.
     positives = [{pid for pid, label in reference_map(labels or (), profile.name).items() if label}
@@ -572,7 +594,7 @@ def _cmd_preprocess(args) -> int:
     _atomic_write([*files, _csv(out_dir / "consolidation_stats.csv", header, stats_rows),
                    _manifest(out_dir, "preprocess", started,
                              {"percentile": args.percentile, "profiles": _profile_hashes(profiles)},
-                             labels_read=labels_read)])
+                             labels_read=labels_read, type_filter=type_filter)])
     print(f"wrote consolidated corpus and stats to {out_dir}")
     return EXIT_OK
 
@@ -632,6 +654,8 @@ def _detect_texts(args, patients: Mapping, conditions: Sequence[str]) -> list[di
             held = True
         if held and not found:
             raise ValueError(f"{path} holds merged records, but none for condition {condition!r}")
+        if merged_arg.is_dir():
+            _check_listed(path, "preprocess")
         texts.append(found)
     return texts
 
@@ -668,7 +692,6 @@ def _cmd_detect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     profiles = _select_profiles(args)
-    outputs = [str(out_dir / f"detect_{mode}_{profile.name}.jsonl") for profile in profiles for mode in modes]
     counts: Counter = Counter()
     settings = {"modes": list(modes), "chunk_budget": args.chunk_budget,
                 "input": "no_preprocess" if args.no_preprocess else "merged",
@@ -684,11 +707,10 @@ def _cmd_detect(args) -> int:
         ):
             for mode in modes:
                 yield out_dir / f"detect_{mode}_{condition}.jsonl", _label_lines(condition, mode, findings)
-        yield _manifest(out_dir, "detect", started, settings, **_backend_block(backend, counts), **source,
-                        outputs=outputs)
+        yield _manifest(out_dir, "detect", started, settings, **_backend_block(backend, counts), **source)
 
     _atomic_write(files())
-    print(f"wrote {len(outputs)} label file(s) to {out_dir}")
+    print(f"wrote {len(profiles) * len(modes)} label file(s) to {out_dir}")
     return EXIT_OK
 
 
@@ -756,6 +778,7 @@ def _cmd_evaluate(args) -> int:
                 )
             predictions[mode] = _predictions(path, condition, mode)[1]
             evaluation._require_same_patients(predictions[mode], reference, f"{path}: ")
+            _check_listed(path, "detect")
         methods: list[tuple[str, dict[str, int]]] = []
         if has_icd:
             icd = reference_map(labels, condition, icd=True)

@@ -1,6 +1,7 @@
 """Corpus records, line-record corpus IO, and synthetic cohort generation."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ClinicalDocument",
@@ -284,18 +285,27 @@ def load_labels(labels_path, patients: Mapping[str, Patient]) -> tuple[Reference
 encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
 
 
-def _atomic_write(files: Iterable[tuple[Path, Iterable[str]]]) -> None:
+def _atomic_write(files: Iterable[tuple[Path, Iterable[str] | Callable[[dict], Iterable[str]]]]) -> None:
     """Write the parts of each `(path, parts)` of `files` in turn to a file
     beside its path, drawing a pair only once the file before it is written,
     then rename every file into place, so a failure leaves each earlier file
-    at those paths whole and no temporary file behind."""
+    at those paths whole and no temporary file behind.
+
+    Each file is hashed as its parts are written, with no second read. Parts
+    that are a callable, as a manifest's are, are drawn by calling it with
+    the `{file name: sha256}` of the files written before it."""
     written: list[tuple[Path, Path]] = []
+    digests: dict[str, str] = {}
     try:
         for path, parts in files:
             path.parent.mkdir(parents=True, exist_ok=True)
             written.append((path.with_name(path.name + ".tmp"), path))
-            with written[-1][0].open("w", encoding="utf-8") as handle:
-                handle.writelines(parts)
+            digest = hashlib.sha256()
+            with written[-1][0].open("wb") as handle:
+                for data in map(str.encode, parts(digests) if callable(parts) else parts):
+                    digest.update(data)
+                    handle.write(data)
+            digests[path.name] = digest.hexdigest()
         for tmp, path in written:
             os.replace(tmp, path)
     except BaseException:

@@ -9,6 +9,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .adjudication import InferredStatus
 from .corpus import Checked, ClinicalDocument
+from .evaluation import wilson_interval
 from .prompting import ConditionProfile
 
 __all__ = [
@@ -48,6 +49,11 @@ class DocTypeProfile(Checked, _DocTypeProfileFields):
         if self.sampled_count == 0:
             return 0.0
         return self.positive_count / self.sampled_count
+
+    @property
+    def ir_upper(self) -> float:
+        """The 95% Wilson upper bound of the relevance. One for an empty sample, which bounds nothing."""
+        return wilson_interval(self.positive_count, self.sampled_count)[1] if self.sampled_count else 1.0
 
 
 class FilterPlan(NamedTuple):

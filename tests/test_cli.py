@@ -4,6 +4,7 @@ import errno
 import gc
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -17,7 +18,7 @@ import pytest
 from conftest import FirstSendDropped, ScriptedServer, make_cohort, record_prompts, sampled_documents
 
 import notepheno
-from notepheno import cli, inference
+from notepheno import cli, evaluation, inference
 from notepheno.cli import _read_profile_csv, main
 from notepheno.corpus import iter_documents, load_labels, load_patients, write_cohort
 from notepheno.inference import CachedBackend, CompletionRequest, GenerationParams, MockBackend, chunk_text
@@ -381,7 +382,9 @@ def test_a_bad_merged_record_names_the_file_and_line(pipeline_dirs, tmp_path, mo
         assert code == 1, bad
         assert f"error: merged_ami.jsonl line 2: {message}" in capsys.readouterr().err, bad
     assert prompts == []  # every bad record stops detect before its first request
-    # an empty merged text is valid, and labels its patient 0 without a request
+    # an empty merged text is valid, and labels its patient 0 without a request; the edited file
+    # is a hand-made input, so the copied manifest, which lists preprocess's file, goes
+    (prep / "manifest_preprocess.json").unlink()
     _with_line(path, 2, json.dumps(dict(record, text="")))
     assert _run("detect", "--corpus", str(pipeline_dirs / "corpus"), "--merged", str(prep),
                 "--condition", "ami", "--mode", "all", "--mock", "--out", str(tmp_path / "det")) == 0
@@ -1238,6 +1241,9 @@ class _DyingMockServer(ScriptedServer):
                 return 503, {"error": "unavailable"}
         return 200, {"choices": [{"text": self.mock.complete(CompletionRequest(json.loads(body)["prompt"])).text}]}
 
+    def serve_forever(self, poll_interval=0.01):  # a shutdown waits one poll, and the fault matrix starts many
+        super().serve_forever(poll_interval)
+
 
 @pytest.mark.parametrize("cached", [
     True,
@@ -1299,6 +1305,86 @@ def test_a_detect_whose_server_answers_one_429_waits_and_gives_the_mock_labels(
     assert len(labels) == 9
     for name in labels:
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+class _BurstMockServer(_DyingMockServer):
+    """Answers its first two requests with a 503, and every other one with `MockBackend`'s text."""
+
+    def next_outcome(self, headers, body):
+        outcome = super().next_outcome(headers, body)
+        with self.lock:
+            return (503, {"error": "unavailable"}) if self.calls <= 2 else outcome
+
+
+class _DroppingMockServer(FirstSendDropped, _DyingMockServer):
+    """Drops the first send of each request, as `FirstSendDropped` does, and
+    answers its repeat with `MockBackend`'s text."""
+
+
+# each backend of the fault matrix: None is the in-process mock
+_FAULT_SERVERS = {"mock": None, "5xx burst": _BurstMockServer, "one 429": _OnceBusyMockServer,
+                  "dropped send": _DroppingMockServer, "server dies": _DyingMockServer}
+
+
+@pytest.fixture(scope="module")
+def fault_cohort(tmp_path_factory):
+    """A tiny corpus, the label files of `detect --no-preprocess --mode all --condition diabetes` with the
+    mock at parallelism 1 and no cache, and the number of requests that run sends."""
+    root = tmp_path_factory.mktemp("faults")
+    assert main(["synth", "--out", str(root / "corpus"), "--n-patients", "8", "--prevalence", "diabetes=0.5",
+                 "--seed", "3", "--docs-min", "2", "--docs-max", "3"]) == 0
+    assert main(["detect", "--corpus", str(root / "corpus"), "--no-preprocess", "--mode", "all",
+                 "--condition", "diabetes", "--mock", "--parallelism", "1", "--out", str(root / "det")]) == 0
+    labels = {path.name: path.read_bytes() for path in sorted((root / "det").glob("detect_*.jsonl"))}
+    assert len(labels) == 3 and any(b'"label": 1' in data for data in labels.values())
+    requests = json.loads((root / "det" / "manifest_detect.json").read_text())["backend_requests"]
+    return root / "corpus", labels, requests
+
+
+@pytest.mark.parametrize("parallelism, cache, backend", [
+    pytest.param(parallelism, cache, backend, id=f"{backend}-{cache}-{parallelism}", marks=[pytest.mark.xfail(
+        strict=True, reason="with no cache every reply is lost: a rerun sends every request until "
+                            "direction 8's response store keeps the finished ones",
+    )] if (backend, cache) == ("server dies", "none") else [])
+    for backend in _FAULT_SERVERS for cache in ("none", "cold", "warm") for parallelism in (1, 2, 4)
+])
+def test_the_fault_matrix(fault_cohort, tmp_path, scripted_server, monkeypatch, capsys, parallelism, cache, backend):
+    # Every run that exits 0 gives the labels of the mock at parallelism 1 with no cache; a failed run exits 2
+    # without a traceback, and its rerun sends only the requests whose replies it lost; a warm rerun sends none.
+    corpus, labels, requests = fault_cohort
+    monkeypatch.setattr(inference.time, "sleep", lambda seconds: None)
+
+    def detect(server_cls, answered=None):
+        argv = ["detect", "--corpus", str(corpus), "--no-preprocess", "--mode", "all", "--condition", "diabetes",
+                "--parallelism", str(parallelism), "--out", str(tmp_path / "det")]
+        server = None if server_cls is None else scripted_server(answered, server_cls)
+        argv += ["--mock"] if server is None else ["--backend-url", server.url]
+        if cache != "none":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        capsys.readouterr()
+        return main(argv), server
+
+    def sent():
+        return json.loads((tmp_path / "det" / "manifest_detect.json").read_text())["backend_requests"]
+
+    def labelled():
+        return {path.name: path.read_bytes() for path in sorted((tmp_path / "det").glob("detect_*.jsonl"))}
+
+    if backend == "server dies":
+        code, _ = detect(_DyingMockServer, requests // 2)
+        err = capsys.readouterr().err
+        assert code == 2 and "backend error:" in err and "Traceback" not in err
+        assert not list((tmp_path / "det").glob("detect_*"))
+        code, server = detect(_DyingMockServer)
+        assert code == 0 and server.calls == requests - requests // 2
+    else:
+        code, _ = detect(_FAULT_SERVERS[backend])
+        assert code == 0 and sent() == requests
+    assert labelled() == labels
+    if cache == "warm":
+        code, server = detect(_FAULT_SERVERS[backend])
+        assert code == 0 and sent() == 0 and (server is None or server.calls == 0)
+        assert labelled() == labels
 
 
 def test_print_config_dumps_and_exits(tmp_path, capsys):
@@ -1768,6 +1854,39 @@ def test_oversized_chunk_counted_once_and_warned_once_per_stage(tmp_path, caplog
         assert warnings[0].getMessage().startswith("1 chunk(s)")
 
 
+def test_the_manifests_give_the_evidence_of_the_type_filter(pipeline_dirs, tmp_path, caplog):
+    rows = list(csv.DictReader((pipeline_dirs / "profile.csv").read_text(encoding="utf-8").splitlines()))
+    evidence = json.loads((pipeline_dirs / "manifest_profile.json").read_text())["type_evidence"]
+    assert sum(map(len, evidence.values())) == len(rows)
+    for row in rows:
+        sampled, positive = int(row["sampled_count"]), int(row["positive_count"])
+        assert evidence[row["condition"]][row["doc_type"]] == {
+            "sampled_count": sampled, "positive_count": positive,
+            "ir_upper": round(evaluation.wilson_interval(positive, sampled)[1], 6),
+        }
+    # no positive of diabetes in any type; every note of a type positive for the others, so at
+    # percentile 0 diabetes keeps no type and each other condition keeps every type
+    for row in rows:
+        positive = "0" if row["condition"] == "diabetes" else row["sampled_count"]
+        row.update(positive_count=positive, ir="0.000000" if positive == "0" else "1.000000")
+    profile = tmp_path / "profile.csv"
+    with profile.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    caplog.set_level(logging.INFO, logger=cli.logger.name)
+    assert _run("preprocess", "--corpus", str(pipeline_dirs / "corpus"), "--profile-csv", str(profile),
+                "--percentile", "0", "--out", str(tmp_path / "prep")) == 0
+    undecided = [r.getMessage() for r in caplog.records if "Wilson upper bound" in r.getMessage()]
+    assert len(undecided) == 1 and undecided[0].startswith("diabetes: "), undecided
+    types = sorted({row["doc_type"] for row in rows})
+    assert json.loads((tmp_path / "prep" / "manifest_preprocess.json").read_text())["type_filter"] == {
+        "ami": {"kept": types, "dropped_undecided": []},
+        "diabetes": {"kept": [], "dropped_undecided": types},
+        "hypertension": {"kept": types, "dropped_undecided": []},
+    }
+
+
 def test_a_condition_with_no_kept_type_is_warned_once_by_preprocess_and_by_detect(pipeline_dirs, tmp_path, caplog):
     lines = (pipeline_dirs / "profile.csv").read_text(encoding="utf-8").splitlines()
     rows = list(csv.DictReader(lines))
@@ -1837,12 +1956,90 @@ def test_each_manifest_hashes_exactly_the_settings_it_records(pipeline_dirs, tmp
         "n_patients": 80, "prevalence": {"diabetes": 0.3, "ami": 0.2, "hypertension": 0.3},
         "docs_per_patient": [2, 4], "seed": 5,
     }
-    assert set(manifests["synth"]) == {"stage", "config_hash", "spec", "elapsed_s"}
+    assert set(manifests["synth"]) == {"stage", "config_hash", "spec", "outputs", "elapsed_s"}
 
 
 def _config_hash(stage, out_dir, *argv):
     assert _run(*argv, "--out", str(out_dir)) == 0
     return json.loads((out_dir / f"manifest_{stage}.json").read_text())["config_hash"]
+
+
+def test_each_manifest_lists_the_sha256_of_every_other_file_of_its_commit(pipeline_dirs, tmp_path):
+    assert _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(pipeline_dirs / "det"),
+                "--out", str(tmp_path / "report.csv")) == 0
+    conditions = ("ami", "diabetes", "hypertension")
+    commits = {
+        "synth": (pipeline_dirs / "corpus", ["documents.jsonl", "patients.jsonl", "labels.jsonl", "truth.jsonl"]),
+        "profile": (pipeline_dirs, ["profile.csv"]),
+        "preprocess": (pipeline_dirs / "prep",
+                       ["consolidation_stats.csv", *(f"merged_{condition}.jsonl" for condition in conditions)]),
+        "detect": (pipeline_dirs / "det",
+                   [f"detect_{mode}_{condition}.jsonl" for condition in conditions for mode in cli.MODE_PATHS]),
+        "evaluate": (tmp_path, ["report.csv"]),
+    }
+    for stage, (directory, names) in commits.items():
+        outputs = json.loads((directory / f"manifest_{stage}.json").read_text())["outputs"]
+        assert outputs == {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}, stage
+
+
+def test_evaluate_refuses_a_label_file_that_a_partial_detect_rerun_left_behind(seeded_runs, tmp_path, capsys):
+    det = tmp_path / "det"
+    for root, flags in ((seeded_runs[0], ["--mode", "all"]),
+                        (seeded_runs[1], ["--mode", "merged", "--condition", "diabetes"])):
+        assert main(["detect", "--corpus", str(root / "corpus"), "--no-preprocess", *flags, "--mock",
+                     "--out", str(det)]) == 0
+    assert len(list(det.glob("detect_*.jsonl"))) == 9  # eight of seed 1, and seed 2's merged diabetes file
+    capsys.readouterr()
+    assert main(["evaluate", "--corpus", str(seeded_runs[1] / "corpus"), "--condition", "diabetes",
+                 "--detect-dir", str(det), "--out", str(tmp_path / "report.csv")]) == 1
+    stale = det / "detect_prompt1_diabetes.jsonl"
+    assert f"error: {stale} is not among the outputs manifest_detect.json lists" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_evaluate_refuses_a_label_file_edited_after_detect(pipeline_dirs, tmp_path, capsys):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    path = det / "detect_prompt1_diabetes.jsonl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"label": 0', '"label": 1', 1), encoding="utf-8")  # still a well-formed file
+    assert path.read_text(encoding="utf-8") != text
+    capsys.readouterr()
+    assert _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(det),
+                "--out", str(tmp_path / "report.csv")) == 1
+    assert f"error: {path} is not the file manifest_detect.json lists: its sha256 differs" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_detect_refuses_a_merged_file_edited_after_preprocess(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    prompts = record_prompts(monkeypatch, MockBackend)
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline_dirs / "prep", prep)
+    path = prep / "merged_ami.jsonl"
+    record = _read_jsonl(path)[0]
+    _with_line(path, 1, json.dumps(dict(record, text=record["text"] + " Seen again.")))
+    corpus = str(pipeline_dirs / "corpus")
+    capsys.readouterr()
+    assert _run("detect", "--corpus", corpus, "--merged", str(prep), "--mock", "--out", str(tmp_path / "det")) == 1
+    assert f"error: {path} is not the file manifest_preprocess.json lists: its sha256 differs" in (
+        capsys.readouterr().err
+    )
+    assert prompts == [] and not list((tmp_path / "det").glob("detect_*"))
+    # a merged file named on its own is read as a hand-made input, as is a directory without the manifest
+    assert _run("detect", "--corpus", corpus, "--merged", str(path), "--condition", "ami", "--mock",
+                "--out", str(tmp_path / "file")) == 0
+    (prep / "manifest_preprocess.json").unlink()
+    assert _run("detect", "--corpus", corpus, "--merged", str(prep), "--mock", "--out", str(tmp_path / "dir")) == 0
+
+
+def test_evaluate_of_a_detect_directory_without_its_manifest_gives_the_same_report(pipeline_dirs, tmp_path):
+    det = tmp_path / "det"
+    shutil.copytree(pipeline_dirs / "det", det)
+    (det / "manifest_detect.json").unlink()
+    for name, directory in (("listed", pipeline_dirs / "det"), ("bare", det)):
+        assert _run("evaluate", "--corpus", str(pipeline_dirs / "corpus"), "--detect-dir", str(directory),
+                    "--out", str(tmp_path / name / "report.csv")) == 0
+    assert (tmp_path / "bare" / "report.csv").read_bytes() == (tmp_path / "listed" / "report.csv").read_bytes()
 
 
 def test_the_detect_config_hash_changes_with_the_generation_settings(pipeline_dirs, tmp_path):

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import make_cohort
+from conftest import make_cohort, record_prompts
 
 from notepheno import cli
 from notepheno.adjudication import MODE_PATHS, InferredStatus
@@ -305,3 +305,30 @@ def test_the_prompts_each_backend_stage_sends_are_pinned(synth_corpus, tmp_path,
         if stage != "preprocess":
             digests[stage] = hashlib.sha256(json.dumps(sorted(sent)).encode("utf-8")).hexdigest()
     assert digests == PROMPT_DIGESTS
+
+
+# sha256 of the prompts each backend stage sends on `synth_corpus`, in the
+# order sent at parallelism 1: the plan's dispatch order is pinned as well as
+# its set
+PROMPT_ORDER_DIGESTS = {
+    "profile": "da61b2d764764da8d4b895513ef9749f384ab3aaf72a0bdeddaf3bb3da9571e2",
+    "detect --merged": "0dab51928f23a563f13709e1836d4478b5ab45ff76bf18879392be2ba83d89c7",
+    "detect --no-preprocess": "a50c014facf1cd5f2ff1e62c8dcf77fbb6548e589bb5c58c1d2f2e7afc4ab640",
+}
+
+
+def test_the_order_each_backend_stage_sends_its_prompts_in_is_pinned(synth_corpus, tmp_path, monkeypatch):
+    sent = record_prompts(monkeypatch, MockBackend)
+    corpus, prep = str(synth_corpus), str(tmp_path / "prep")
+    common = ["--mock", "--parallelism", "1", "--chunk-budget", "150"]  # several chunks to some texts
+    assert cli.main(["profile", "--corpus", corpus, "--m", "20", "--seed", "2", *common,
+                     "--out", str(tmp_path / "profile.csv")]) == 0
+    digests = {"profile": hashlib.sha256(json.dumps(sent).encode("utf-8")).hexdigest()}
+    assert cli.main(["preprocess", "--corpus", corpus, "--profile-csv", str(tmp_path / "profile.csv"),
+                     "--out", prep]) == 0
+    for stage, source in (("detect --merged", ["--merged", prep]), ("detect --no-preprocess", ["--no-preprocess"])):
+        sent.clear()
+        assert cli.main(["detect", "--corpus", corpus, *source, "--mode", "all", *common,
+                         "--out", str(tmp_path / stage[9:])]) == 0
+        digests[stage] = hashlib.sha256(json.dumps(sent).encode("utf-8")).hexdigest()
+    assert digests == PROMPT_ORDER_DIGESTS
